@@ -1,7 +1,9 @@
-// Serial-vs-N-thread throughput of the parallel subsystem: sharded closure
-// and convergence sweeps on the token-ring and diffusing designs, and
-// campaign trial throughput. The thread count is the benchmark argument,
-// so `--benchmark_filter=Sweep` prints a direct scaling table.
+// Serial-vs-N-thread throughput of the parallel passes: the checker
+// engine's closure, convergence and fault-span passes on the token-ring and
+// diffusing designs, and campaign trial throughput. The thread count is the
+// benchmark argument (the prefetch-cap rows take the ring's K instead), so
+// `--benchmark_filter=Engine` prints a direct scaling table. Workers run
+// off the benchmark's thread, so rates are over wall time (UseRealTime).
 #include <benchmark/benchmark.h>
 
 #include "bench_report.hpp"
@@ -9,27 +11,30 @@
 #include "checker/state_space.hpp"
 #include "engine/experiment.hpp"
 #include "parallel/campaign.hpp"
-#include "parallel/sweep.hpp"
 #include "protocols/diffusing.hpp"
 #include "protocols/token_ring.hpp"
+#include "store/facade.hpp"
 
 using namespace nonmask;
 
 namespace {
 
-SweepOptions sweep_opts(std::int64_t threads) {
-  SweepOptions opts;
-  opts.threads = static_cast<unsigned>(threads);
-  return opts;
+/// 16k-state chunks, so the 6^6 token ring spans several of them.
+store::StoreConfig engine_config(std::int64_t threads) {
+  store::StoreConfig config;
+  config.threads = static_cast<unsigned>(threads);
+  config.grain = 1 << 14;
+  return config;
 }
 
-void BM_SweepClosureTokenRing(benchmark::State& state) {
+void BM_EngineClosureTokenRing(benchmark::State& state) {
   const auto tr = make_dijkstra_ring(7, 8);  // 8^7 = 2M states
   StateSpace space(tr.design.program);
   const auto S = tr.design.S();
   std::uint64_t states = 0;
   for (auto _ : state) {
-    const auto report = check_closed_parallel(space, S, sweep_opts(state.range(0)));
+    const auto report =
+        store::check_closed_via(engine_config(state.range(0)), space, S);
     benchmark::DoNotOptimize(report.closed);
     states += space.size();
   }
@@ -38,13 +43,14 @@ void BM_SweepClosureTokenRing(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(state.range(0));
 }
 
-void BM_SweepClosureDiffusing(benchmark::State& state) {
+void BM_EngineClosureDiffusing(benchmark::State& state) {
   const auto dd = make_diffusing(RootedTree::balanced(10, 2), true);
   StateSpace space(dd.design.program);
   const auto S = dd.design.S();
   std::uint64_t states = 0;
   for (auto _ : state) {
-    const auto report = check_closed_parallel(space, S, sweep_opts(state.range(0)));
+    const auto report =
+        store::check_closed_via(engine_config(state.range(0)), space, S);
     benchmark::DoNotOptimize(report.closed);
     states += space.size();
   }
@@ -53,30 +59,58 @@ void BM_SweepClosureDiffusing(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(state.range(0));
 }
 
-void BM_SweepConvergenceTokenRing(benchmark::State& state) {
-  const auto tr = make_dijkstra_ring(6, 6);  // 6^6 = 46656 states
+using ConvergencePass = ConvergenceReport (*)(const store::StoreConfig&,
+                                             const StateSpace&,
+                                             const PredicateFn&,
+                                             const PredicateFn&);
+
+void ring_convergence(benchmark::State& state, int nodes, int k,
+                      const store::StoreConfig& config, ConvergencePass pass) {
+  const auto tr = make_dijkstra_ring(nodes, k);
   StateSpace space(tr.design.program);
   const auto S = tr.design.S();
   const auto T = tr.design.T();
   std::uint64_t transitions = 0;
   for (auto _ : state) {
-    const auto report =
-        check_convergence_parallel(space, S, T, sweep_opts(state.range(0)));
+    const auto report = pass(config, space, S, T);
     benchmark::DoNotOptimize(report.verdict);
     transitions += report.transitions;
   }
   state.counters["transitions/s"] = benchmark::Counter(
       static_cast<double>(transitions), benchmark::Counter::kIsRate);
-  state.counters["threads"] = static_cast<double>(state.range(0));
+  state.counters["threads"] = static_cast<double>(config.threads);
 }
 
-void BM_SweepFaultSpanDiffusing(benchmark::State& state) {
+// 6^6 = 46656 states in three chunks: one thread generates successors
+// inside the traversal, two or more prefetch them in parallel first.
+void BM_EngineConvergenceTokenRing(benchmark::State& state) {
+  ring_convergence(state, 6, 6, engine_config(state.range(0)),
+                   &store::check_convergence_via);
+}
+
+void BM_EngineFairConvergenceTokenRing(benchmark::State& state) {
+  ring_convergence(state, 6, 6, engine_config(state.range(0)),
+                   &store::check_convergence_weakly_fair_via);
+}
+
+// Seven-process rings on either side of the prefetch cap (2^22 states) at
+// four threads and the default grain: K=8 (2.1M states) prefetches, K=9
+// (4.8M states) generates successors inside the serial traversal and keeps
+// the engine's ~2.5 bytes per state.
+void BM_EnginePrefetchCapTokenRing(benchmark::State& state) {
+  store::StoreConfig config;
+  config.threads = 4;
+  ring_convergence(state, 7, static_cast<int>(state.range(0)), config,
+                   &store::check_convergence_via);
+}
+
+void BM_EngineFaultSpanDiffusing(benchmark::State& state) {
   const auto dd = make_diffusing(RootedTree::balanced(9, 2), true);
   StateSpace space(dd.design.program);
   const auto S = dd.design.S();
   for (auto _ : state) {
-    const auto span =
-        compute_fault_span_parallel(space, S, {}, {}, sweep_opts(state.range(0)));
+    const auto span = store::compute_fault_span_via(
+        engine_config(state.range(0)), space, S, {});
     benchmark::DoNotOptimize(span.size());
   }
   state.counters["threads"] = static_cast<double>(state.range(0));
@@ -123,17 +157,21 @@ void BM_CampaignDiffusing(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_SweepClosureTokenRing)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SweepClosureDiffusing)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SweepConvergenceTokenRing)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SweepFaultSpanDiffusing)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineClosureTokenRing)->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineClosureDiffusing)->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineConvergenceTokenRing)->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineFairConvergenceTokenRing)->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EnginePrefetchCapTokenRing)->Arg(8)->Arg(9)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineFaultSpanDiffusing)->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CampaignTokenRing)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CampaignDiffusing)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 NONMASK_BENCHMARK_MAIN("bench_parallel");

@@ -1,8 +1,10 @@
 // Store subsystem throughput: packed interning into the sharded concurrent
-// set, frontier-engine reachability, and end-to-end store-backend
+// set, frontier-engine reachability, and end-to-end checker-engine
 // convergence checking as the ring grows. Counters carry the numbers the
 // scaling claims rest on — states/sec, peak RSS, and shard occupancy
 // balance — and CI uploads the --benchmark_out JSON (BENCH_store.json).
+// Every row may run worker threads, so rates are over wall time
+// (UseRealTime), not the benchmark thread's CPU time.
 //
 // The 10^8-state acceptance run is not a benchmark (it takes minutes, not
 // milliseconds); EXPERIMENTS.md E13 holds that recipe. Sizes here are
@@ -46,7 +48,6 @@ double shard_imbalance(const store::ConcurrentPackedSet& set) {
 
 store::StoreConfig store_config(unsigned threads) {
   store::StoreConfig cfg;
-  cfg.backend = store::StoreBackend::kStore;
   cfg.threads = threads;
   return cfg;
 }
@@ -114,7 +115,7 @@ void BM_FrontierReachable(benchmark::State& state) {
   state.counters["peak_rss_mb"] = peak_rss_mb();
 }
 
-// End-to-end convergence check through the store backend; states/s counts
+// End-to-end convergence check through the checker engine; states/s counts
 // every code swept (flags pass + DFS region).
 void BM_StoreConvergence(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -136,30 +137,7 @@ void BM_StoreConvergence(benchmark::State& state) {
   state.counters["peak_rss_mb"] = peak_rss_mb();
 }
 
-// The same check through the legacy dense backend, for the side-by-side
-// states/sec column in BENCH_store.json.
-void BM_DenseConvergence(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto tr = make_dijkstra_ring(n, n + 1);
-  const StateSpace space(tr.design.program);
-  const auto S = tr.design.S();
-  const auto T = tr.design.T();
-  store::StoreConfig cfg;
-  cfg.backend = store::StoreBackend::kLegacyDense;
-
-  std::uint64_t states = 0;
-  for (auto _ : state) {
-    const auto report = store::check_convergence_via(cfg, space, S, T);
-    benchmark::DoNotOptimize(report.verdict);
-    states += space.size();
-  }
-  state.counters["states/s"] = benchmark::Counter(
-      static_cast<double>(states), benchmark::Counter::kIsRate);
-  state.counters["space"] = static_cast<double>(space.size());
-  state.counters["peak_rss_mb"] = peak_rss_mb();
-}
-
-// Weakly-fair (Tarjan/SCC) convergence through the store-native compact
+// Weakly-fair (Tarjan/SCC) convergence through the engine's compact
 // bookkeeping.
 void BM_StoreFairConvergence(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -182,42 +160,15 @@ void BM_StoreFairConvergence(benchmark::State& state) {
   state.counters["peak_rss_mb"] = peak_rss_mb();
 }
 
-// The same weakly-fair check through the legacy dense Tarjan arrays.
-void BM_DenseFairConvergence(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto tr = make_dijkstra_ring(n, n + 1);
-  const StateSpace space(tr.design.program);
-  const auto S = tr.design.S();
-  const auto T = tr.design.T();
-  store::StoreConfig cfg;
-  cfg.backend = store::StoreBackend::kLegacyDense;
-
-  std::uint64_t states = 0;
-  for (auto _ : state) {
-    const auto report =
-        store::check_convergence_weakly_fair_via(cfg, space, S, T);
-    benchmark::DoNotOptimize(report.verdict);
-    states += space.size();
-  }
-  state.counters["states/s"] = benchmark::Counter(
-      static_cast<double>(states), benchmark::Counter::kIsRate);
-  state.counters["space"] = static_cast<double>(space.size());
-  state.counters["peak_rss_mb"] = peak_rss_mb();
-}
-
 }  // namespace
 
 BENCHMARK(BM_ConcurrentSetInsert)->Arg(1)->Arg(2)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FrontierReachable)->Arg(5)->Arg(9)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StoreConvergence)->Arg(4)->Arg(6)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DenseConvergence)->Arg(4)->Arg(6)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StoreFairConvergence)->Arg(4)->Arg(6)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DenseFairConvergence)->Arg(4)->Arg(6)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 NONMASK_BENCHMARK_MAIN("bench_store");

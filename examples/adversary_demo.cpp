@@ -32,7 +32,6 @@
 #include "protocols/token_ring.hpp"
 #include "resilience/adversary.hpp"
 #include "store/config.hpp"
-#include "store/facade.hpp"
 
 using namespace nonmask;
 
@@ -196,16 +195,12 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << worst_out << " for writing\n";
       return 2;
     }
-    // Record the backend + budget the run used so the artifact is
+    // Record the engine + budget the run used so the artifact is
     // self-describing (mirrors the obs run reports elsewhere).
     const auto store_cfg = store::StoreConfig::from_env();
     out << "{\"store_backend\":\"" << store::to_string(store_cfg.backend)
-        << "\",\"state_budget\":" << opts.exhaustive_budget;
-    if (const auto reason = store::backend_fallback_reason_for_size(
-            store_cfg, opts.exhaustive_budget)) {
-      out << ",\"backend_fallback_reason\":\"" << *reason << "\"";
-    }
-    out << ",\"worst_traces\":[";
+        << "\",\"state_budget\":" << opts.exhaustive_budget
+        << ",\"worst_traces\":[";
     for (std::size_t i = 0; i < artifacts.size(); ++i) {
       if (i > 0) out << ",";
       out << artifacts[i];

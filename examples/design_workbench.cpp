@@ -13,11 +13,9 @@
 // pruning statistics. Flags: --seed=N, --max-candidates=N,
 // --report-out=PATH (JSON array of per-target synthesis reports).
 //
-// Backend selection: --backend=legacy|store picks the dense arrays or the
-// compact state store for every exhaustive check (results are
-// byte-identical; the store scales further), and --state-budget=N caps the
-// state-space size. Both default from NONMASK_STORE_BACKEND /
-// NONMASK_STATE_BUDGET.
+// Every exhaustive check runs on the checker engine (store/facade.hpp);
+// --state-budget=N caps the state-space size (default
+// NONMASK_STATE_BUDGET).
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -195,23 +193,12 @@ int main(int argc, char** argv) {
       max_candidates = std::strtoull(arg.c_str() + 17, nullptr, 10);
     } else if (arg.rfind("--report-out=", 0) == 0) {
       report_out = arg.substr(13);
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      const std::string backend = arg.substr(10);
-      if (backend == "store") {
-        store_cfg.backend = store::StoreBackend::kStore;
-      } else if (backend == "legacy") {
-        store_cfg.backend = store::StoreBackend::kLegacyDense;
-      } else {
-        std::cerr << "unknown backend '" << backend << "'\n";
-        return 2;
-      }
     } else if (arg.rfind("--state-budget=", 0) == 0) {
       store_cfg.budget = std::strtoull(arg.c_str() + 15, nullptr, 10);
     } else {
       std::cerr << "usage: design_workbench [--synthesize] [--seed=N]\n"
                    "         [--max-candidates=N] [--report-out=PATH]\n"
-                   "         [--backend=legacy|store] [--state-budget=N]\n"
-                   "         [--dashboard-out=PATH]\n";
+                   "         [--state-budget=N] [--dashboard-out=PATH]\n";
       return 2;
     }
   }

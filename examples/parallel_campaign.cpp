@@ -46,7 +46,6 @@
 #include "protocols/coloring.hpp"
 #include "protocols/diffusing.hpp"
 #include "protocols/token_ring.hpp"
-#include "store/config.hpp"
 #include "util/rng.hpp"
 
 using namespace nonmask;
@@ -174,10 +173,6 @@ int main(int argc, char** argv) {
     opts.policy.backoff =
         std::chrono::milliseconds(std::atoll(backoff_ms.c_str()));
   }
-  // NONMASK_STORE_BACKEND=store routes the trial loop through the
-  // frontier engine (parallel/campaign.hpp); records stay byte-identical.
-  opts.store = store::StoreConfig::from_env();
-
   if (!trace_out.empty()) obs::Trace::set_enabled(true);
   if (!metrics_out.empty() || !report_out.empty()) {
     obs::Metrics::set_enabled(true);
@@ -257,13 +252,6 @@ int main(int argc, char** argv) {
     obs::RunReport report("parallel_campaign", design.name);
     report.add_number("trials", std::uint64_t{config.trials});
     report.add_number("seed", config.seed);
-    // Record the store configuration active for this run, so a report is
-    // reproducible without knowing the environment it ran under.
-    report.add_text("store_backend", store::to_string(opts.store.backend));
-    report.add_number("state_budget", opts.store.budget);
-    // Trial routing never falls back: the frontier engine only schedules
-    // trial indices, so any backend serves any campaign size.
-    report.add_text("backend_fallback_reason", "");
     report.add("campaign", obs::to_json(results.aggregate));
     report.write(out);
   }
@@ -272,14 +260,12 @@ int main(int argc, char** argv) {
     spec.title = "parallel_campaign: " + design.name;
     spec.subtitle = std::to_string(config.trials) + " trials, seed " +
                     std::to_string(config.seed) + ", " +
-                    std::to_string(threads) + " thread(s), backend " +
-                    store::to_string(opts.store.backend);
+                    std::to_string(threads) + " thread(s)";
     spec.summary = {
         {"design", design.name},
         {"trials", std::to_string(config.trials)},
         {"seed", std::to_string(config.seed)},
         {"threads", std::to_string(threads)},
-        {"store backend", store::to_string(opts.store.backend)},
         {"resumed trials", std::to_string(results.resumed_trials)},
         {"timed out", std::to_string(results.timed_out)},
         {"failed", std::to_string(results.failed)},

@@ -1,23 +1,20 @@
-// Scale probe for the compact state store: run the exhaustive convergence
-// check on Dijkstra's K-state ring at a chosen size, through either
-// backend, and report states/sec and peak RSS. This is the driver behind
-// EXPERIMENTS.md E13 (the token-ring N sweep) and the 10^8-state
-// acceptance run for src/store/ — the dense backend physically cannot
-// finish the large points, which is the whole argument for the store.
+// Scale probe for the checker engine: run the exhaustive convergence check
+// on Dijkstra's K-state ring at a chosen size and report states/sec and
+// peak RSS. This is the program behind EXPERIMENTS.md E13 (the token-ring N
+// sweep) and the 10^8-state acceptance run for src/store/ — the dense
+// serial oracle physically cannot finish the large points, which is the
+// whole argument for the store.
 //
 // Usage:  store_scale [N] [K]
 //   N   ring size                       (default: 4)
 //   K   counter modulus, must be > N    (default: N + 1; K^N states)
 //
 // Flags:
-//   --backend=legacy|store  engine selection (default NONMASK_STORE_BACKEND)
 //   --state-budget=M        StateSpace budget (default NONMASK_STATE_BUDGET)
-//   --threads=T             worker threads for the store sweeps
+//   --threads=T             worker threads for the parallel passes
 //   --weakly-fair           run the Tarjan/SCC weakly-fair check instead of
 //                           the unfair DFS (no max-steps-to-S in this mode)
-//   --report-out=PATH       self-describing run-report JSON; records
-//                           backend_fallback_reason when the compact
-//                           backend cannot serve this size
+//   --report-out=PATH       self-describing run-report JSON
 //   --dashboard-out=PATH    self-contained HTML dashboard built from the
 //                           telemetry heartbeat series (starts an
 //                           in-memory sampler when NONMASK_TELEMETRY is
@@ -49,23 +46,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: store_scale [N] [K] [--backend=legacy|store]\n"
-                   "         [--state-budget=M] [--threads=T] "
-                   "[--weakly-fair] [--report-out=PATH]\n"
-                   "         [--dashboard-out=PATH]\n";
+      std::cout << "usage: store_scale [N] [K] [--state-budget=M] "
+                   "[--threads=T] [--weakly-fair]\n"
+                   "         [--report-out=PATH] [--dashboard-out=PATH]\n";
       return 0;
     } else if (arg == "--weakly-fair") {
       weakly_fair = true;
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      const std::string backend = arg.substr(10);
-      if (backend == "store") {
-        cfg.backend = store::StoreBackend::kStore;
-      } else if (backend == "legacy") {
-        cfg.backend = store::StoreBackend::kLegacyDense;
-      } else {
-        std::cerr << "unknown backend '" << backend << "'\n";
-        return 2;
-      }
     } else if (arg.rfind("--state-budget=", 0) == 0) {
       cfg.budget = std::strtoull(arg.c_str() + 15, nullptr, 10);
     } else if (arg.rfind("--threads=", 0) == 0) {
@@ -105,14 +91,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::cout << "dijkstra ring N=" << n << " K=" << k << ": " << *count
-            << " states, backend " << store::to_string(cfg.backend)
+            << " states"
             << (weakly_fair ? ", weakly-fair (Tarjan/SCC)" : "") << "\n";
 
   const StateSpace space(tr.design.program, cfg.budget);
-  const auto fallback = store::backend_fallback_reason(cfg, space);
-  if (fallback) {
-    std::cout << "backend fallback: " << *fallback << "\n";
-  }
   const auto t0 = std::chrono::steady_clock::now();
   const auto report =
       weakly_fair
@@ -151,7 +133,6 @@ int main(int argc, char** argv) {
     }
     obs::RunReport doc("store_scale", tr.design.name);
     doc.add_text("backend", store::to_string(cfg.backend));
-    if (fallback) doc.add_text("backend_fallback_reason", *fallback);
     doc.add_text("mode", weakly_fair ? "weakly_fair" : "unfair");
     doc.add_number("state_budget", cfg.budget);
     doc.add_number("states", space.size());
@@ -185,7 +166,6 @@ int main(int argc, char** argv) {
         {"throughput", std::to_string(static_cast<std::uint64_t>(rate)) +
                            " states/s"},
     };
-    if (fallback) spec.summary.push_back({"backend fallback", *fallback});
     spec.samples = obs::Telemetry::samples();
     obs::write_dashboard_file(dashboard_out, spec);
     std::cout << "dashboard written to " << dashboard_out << "\n";

@@ -1,8 +1,9 @@
-// Observability demo CLI: run the parallel sweeps (closure, convergence,
-// reachability) and a small trial campaign for one shipped design with the
-// telemetry subsystem switched on, then export what was recorded —
+// Observability demo CLI: run the checker engine's passes (closure,
+// convergence, reachability) and a small trial campaign for one shipped
+// design with the telemetry subsystem switched on, then export what was
+// recorded —
 //   --trace-out    Chrome trace-event JSON (open in chrome://tracing or
-//                  https://ui.perfetto.dev); contains one "sweep.*.chunk"
+//                  https://ui.perfetto.dev); contains one "store.*.chunk"
 //                  span per worker chunk, so worker parallelism is visible
 //   --metrics-out  the metrics-registry snapshot as JSON
 //   --report-out   a self-describing RunReport JSON (checker reports,
@@ -25,11 +26,11 @@
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "parallel/campaign.hpp"
-#include "parallel/sweep.hpp"
 #include "parallel/thread_pool.hpp"
 #include "protocols/coloring.hpp"
 #include "protocols/diffusing.hpp"
 #include "protocols/token_ring.hpp"
+#include "store/facade.hpp"
 #include "util/rng.hpp"
 
 using namespace nonmask;
@@ -45,7 +46,7 @@ void print_usage(std::ostream& out) {
          " (default dijkstra)\n"
          "  --threads      worker threads; 0 = NONMASK_THREADS / hardware"
          " (default 0)\n"
-         "  --grain        sweep chunk size in state codes (default 16384)\n"
+         "  --grain        scan chunk size in state codes (default 16384)\n"
          "  --trials       campaign trials (default 16)\n"
          "  --trace-out    write Chrome trace-event JSON here\n"
          "  --metrics-out  write the metrics snapshot JSON here\n"
@@ -54,7 +55,7 @@ void print_usage(std::ostream& out) {
 }
 
 /// Exhaustively checkable instances — smaller than parallel_campaign's
-/// simulation-only instances because the sweeps enumerate every state.
+/// simulation-only instances because the checks enumerate every state.
 Design make_design(const std::string& name) {
   if (name == "diffusing") {
     return make_diffusing(RootedTree::balanced(7, 2), true).design;
@@ -129,9 +130,9 @@ int main(int argc, char** argv) {
 
   const Design design = make_design(design_name);
   const StateSpace space(design.program);
-  SweepOptions sweep;
-  sweep.threads = threads;
-  sweep.grain = grain;
+  store::StoreConfig engine;
+  engine.threads = threads;
+  engine.grain = grain;
   const unsigned resolved = threads == 0 ? default_threads() : threads;
   std::cout << "trace_report: " << design.name << ", " << space.size()
             << " states, " << resolved << " thread(s), grain " << grain
@@ -141,20 +142,20 @@ int main(int argc, char** argv) {
   report.add_number("states", space.size());
   report.add_number("threads", std::uint64_t{resolved});
 
-  const auto closure = check_closed_parallel(space, design.S(), sweep);
+  const auto closure = store::check_closed_via(engine, space, design.S());
   std::cout << "closure(S): " << (closure.closed ? "closed" : "NOT closed")
             << " (" << closure.transitions_checked << " transitions)\n";
   report.add("closure_S", obs::to_json(closure));
 
   const auto convergence =
-      check_convergence_parallel(space, design.S(), design.T(), sweep);
+      store::check_convergence_via(engine, space, design.S(), design.T());
   std::cout << "convergence(S,T): " << to_string(convergence.verdict) << " ("
             << convergence.region_states << " region states, worst case "
             << convergence.max_steps_to_S << " steps)\n";
   report.add("convergence", obs::to_json(convergence));
 
-  const auto reach = compute_reachable_parallel(
-      space, design.S(), non_fault_actions(design.program), {}, sweep);
+  const auto reach = store::compute_reachable_via(
+      engine, space, design.S(), non_fault_actions(design.program));
   std::cout << "reach(S): " << reach.size() << " states\n";
   report.add_number("reach_S_states", reach.size());
 

@@ -64,11 +64,11 @@ if command -v python3 >/dev/null; then
 import json, sys
 d = sys.argv[1]
 events = json.load(open(f"{d}/trace.json"))["traceEvents"]
-tids = {e["tid"] for e in events if e["name"].startswith("sweep.")}
-assert len(tids) >= 2, f"expected >= 2 sweep workers, got {tids}"
+tids = {e["tid"] for e in events if e["name"].endswith(".chunk")}
+assert len(tids) >= 2, f"expected >= 2 chunk workers, got {tids}"
 json.load(open(f"{d}/metrics.json"))
 json.load(open(f"{d}/report.json"))
-print(f"ok: {len(events)} trace events, {len(tids)} sweep workers")
+print(f"ok: {len(events)} trace events, {len(tids)} chunk workers")
 EOF
 fi
 
@@ -101,43 +101,25 @@ fi
   --benchmark_out=BENCH_synth.json --benchmark_out_format=json >/dev/null
 echo "ok: wrote BENCH_synth.json"
 
-# Store smoke: every verdict the workbench prints must be byte-identical
-# between the legacy dense backend and the compact store backend, at 1/2/8
-# threads (the two-backend contract of store/facade.hpp), and the env
-# switch must select the same path as the flag. bench_store writes
-# states/sec + peak RSS + shard occupancy to BENCH_store.json.
-echo "== store backend equivalence smoke =="
+# Thread-invariance smoke: every verdict the workbench prints, and the
+# weakly-fair store_scale verdict/count lines (timing lines stripped — they
+# are the only legitimate diff), must be byte-identical at 1/2/8 threads.
+# tests/store_equivalence_test.cpp holds the engine to the serial oracle;
+# this holds the shipped CLIs to their own single-threaded output.
+# bench_store writes states/sec + peak RSS + shard occupancy to
+# BENCH_store.json.
+echo "== thread-invariance smoke =="
 store_dir="$(mktemp -d)"
 trap 'rm -rf "${resume_dir}" "${obs_dir}" "${synth_dir}" "${store_dir}"' EXIT
 for t in 1 2 8; do
-  NONMASK_THREADS="${t}" ./build/examples/design_workbench --backend=legacy \
-    > "${store_dir}/wb_legacy_t${t}.txt"
-  NONMASK_THREADS="${t}" ./build/examples/design_workbench --backend=store \
-    > "${store_dir}/wb_store_t${t}.txt"
-  diff "${store_dir}/wb_legacy_t1.txt" "${store_dir}/wb_legacy_t${t}.txt"
-  diff "${store_dir}/wb_legacy_t${t}.txt" "${store_dir}/wb_store_t${t}.txt"
+  NONMASK_THREADS="${t}" ./build/examples/design_workbench \
+    > "${store_dir}/wb_t${t}.txt"
+  ./build/examples/store_scale 4 6 --weakly-fair "--threads=${t}" \
+    | grep -v -e '^elapsed:' -e '^peak RSS:' > "${store_dir}/fair_t${t}.txt"
+  diff "${store_dir}/wb_t1.txt" "${store_dir}/wb_t${t}.txt"
+  diff "${store_dir}/fair_t1.txt" "${store_dir}/fair_t${t}.txt"
 done
-NONMASK_STORE_BACKEND=store ./build/examples/design_workbench \
-  > "${store_dir}/wb_store_env.txt"
-diff "${store_dir}/wb_store_t1.txt" "${store_dir}/wb_store_env.txt"
-echo "ok: workbench reports byte-identical across backends and 1/2/8 threads"
-
-# Weakly-fair equivalence smoke: the store-native Tarjan/SCC pass must
-# print the same verdict/count lines as the legacy dense checker at 1/2/8
-# threads (timing lines stripped — they are the only legitimate diff).
-echo "== weakly-fair store equivalence smoke =="
-for t in 1 2 8; do
-  for backend in legacy store; do
-    ./build/examples/store_scale 4 6 --weakly-fair "--backend=${backend}" \
-      "--threads=${t}" \
-      | grep -v -e '^elapsed:' -e '^peak RSS:' -e '^backend fallback:' \
-      | sed 's/backend dense/backend X/;s/backend store/backend X/' \
-      > "${store_dir}/fair_${backend}_t${t}.txt"
-  done
-  diff "${store_dir}/fair_legacy_t1.txt" "${store_dir}/fair_legacy_t${t}.txt"
-  diff "${store_dir}/fair_legacy_t${t}.txt" "${store_dir}/fair_store_t${t}.txt"
-done
-echo "ok: weakly-fair verdicts byte-identical across backends and 1/2/8 threads"
+echo "ok: workbench and weakly-fair store_scale byte-identical at 1/2/8 threads"
 
 # Telemetry + dashboard smoke: a weakly-fair store run with the heartbeat
 # sampler on must write parseable JSONL whose final cumulative states count
@@ -145,7 +127,7 @@ echo "ok: weakly-fair verdicts byte-identical across backends and 1/2/8 threads"
 # dashboard), and the dashboard must be one self-contained HTML file.
 echo "== telemetry dashboard smoke =="
 NONMASK_TELEMETRY="${store_dir}/heartbeats.jsonl" NONMASK_TELEMETRY_MS=10 \
-  ./build/examples/store_scale 6 8 --weakly-fair --backend=store --threads=4 \
+  ./build/examples/store_scale 6 8 --weakly-fair --threads=4 \
   --report-out="${store_dir}/scale_report.json" \
   --dashboard-out="${store_dir}/dashboard.html" >/dev/null
 if command -v python3 >/dev/null; then

@@ -8,8 +8,13 @@
 
 namespace nonmask {
 
-namespace detail {
+namespace {
 
+/// One contiguous slice [begin, end) of the closure scan, stopping at the
+/// first violation inside the slice with counts exactly as the serial scan
+/// leaves them at that point. The serial check is a concatenation of
+/// slices, the same shape as the engine's chunked reduction, so their
+/// reports agree bit-for-bit.
 ClosureReport scan_closure_range(const StateSpace& space,
                                  const PredicateFn& predicate,
                                  const std::vector<std::size_t>& actions,
@@ -37,6 +42,10 @@ ClosureReport scan_closure_range(const StateSpace& space,
   return report;
 }
 
+}  // namespace
+
+namespace detail {
+
 void record_closure_metrics(const ClosureReport& report) {
   if (!obs::Metrics::enabled()) return;
   auto& registry = obs::Registry::instance();
@@ -56,16 +65,16 @@ ClosureReport check_closed(const StateSpace& space,
   State scratch(space.program().num_variables());
 
   // The serial scan is the in-order concatenation of slices (the same
-  // property the parallel sweep's reduction relies on), so slicing here for
-  // progress ticks changes nothing observable.
+  // property the engine's chunked reduction relies on), so slicing here
+  // for progress ticks changes nothing observable.
   constexpr std::uint64_t kSlice = 1 << 18;
   ClosureReport report;
   report.closed = true;
   for (std::uint64_t lo = 0; lo < space.size() && report.closed;
        lo += kSlice) {
     const std::uint64_t hi = std::min(space.size(), lo + kSlice);
-    ClosureReport slice = detail::scan_closure_range(space, predicate,
-                                                     actions, lo, hi, scratch);
+    ClosureReport slice =
+        scan_closure_range(space, predicate, actions, lo, hi, scratch);
     report.states_checked += slice.states_checked;
     report.transitions_checked += slice.transitions_checked;
     if (!slice.closed) {

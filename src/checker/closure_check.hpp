@@ -36,19 +36,8 @@ ClosureReport check_closed(const StateSpace& space,
 
 namespace detail {
 
-/// One contiguous slice [begin, end) of the closure scan, stopping at the
-/// first violation inside the slice with counts exactly as the serial scan
-/// leaves them at that point. The serial check and the parallel sweep
-/// (parallel/sweep.hpp) are both concatenations of slices, so their
-/// reports agree bit-for-bit.
-ClosureReport scan_closure_range(const StateSpace& space,
-                                 const PredicateFn& predicate,
-                                 const std::vector<std::size_t>& actions,
-                                 std::uint64_t begin, std::uint64_t end,
-                                 State& scratch);
-
 /// Bump the checker.closure.* counters from a finished report (shared by
-/// the serial check and the parallel sweep's reduction).
+/// the serial check and the engine's reduction).
 void record_closure_metrics(const ClosureReport& report);
 
 }  // namespace detail

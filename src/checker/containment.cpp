@@ -5,7 +5,7 @@
 
 #include "checker/fault_span.hpp"
 #include "obs/json.hpp"
-#include "store/frontier.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace nonmask {
 
@@ -89,11 +89,11 @@ ContainmentReport measure_containment(const Program& program,
   }
 
   // Level-synchronous BFS from the fixpoint over the composed system.
-  // Expansion fans out per frontier item through the engine's shared
-  // queue; visited marking happens serially in item order and the dirty
-  // union is monotone, so the report is identical at any thread count.
-  store::FrontierEngine engine(opts.config);
-  const unsigned workers = engine.threads();
+  // Expansion fans out per frontier item over the pool; visited marking
+  // happens serially in item order and the dirty union is monotone, so the
+  // report is identical at any thread count.
+  ThreadPool pool(opts.config.threads);
+  const unsigned workers = pool.size();
   std::vector<State> scratch(workers, space.decode(0));
   std::vector<std::uint8_t> visited(space.size(), 0);
   const FaultSpanOptions fs_opts;
@@ -105,12 +105,12 @@ ContainmentReport measure_containment(const Program& program,
   std::vector<std::vector<std::uint64_t>> succ;
   while (!frontier.empty()) {
     succ.assign(frontier.size(), {});
-    engine.for_items(0, frontier.size(),
-                     [&](std::uint64_t i, unsigned worker) {
-                       detail::expand_reachable(space, actions, fs_opts,
-                                                frontier[i], scratch[worker],
-                                                succ[i]);
-                     });
+    parallel_for_each(pool, frontier.size(),
+                      [&](std::size_t i, unsigned worker) {
+                        detail::expand_reachable(space, actions, fs_opts,
+                                                 frontier[i], scratch[worker],
+                                                 succ[i]);
+                      });
     std::vector<std::uint64_t> next;
     for (const auto& batch : succ) {
       for (std::uint64_t code : batch) {
@@ -126,7 +126,7 @@ ContainmentReport measure_containment(const Program& program,
     std::vector<std::vector<std::uint8_t>> worker_dirty(
         workers, std::vector<std::uint8_t>(static_cast<std::size_t>(num_procs),
                                            0));
-    engine.for_items(0, next.size(), [&](std::uint64_t i, unsigned worker) {
+    parallel_for_each(pool, next.size(), [&](std::size_t i, unsigned worker) {
       State& s = scratch[worker];
       space.decode_into(next[i], s);
       for (std::uint32_t v = 0; v < program.num_variables(); ++v) {

@@ -17,9 +17,9 @@
 // The analysis is exhaustive and store-native: the composed
 // program∪adversary transition system (checker/restricted.hpp) is explored
 // by a level-synchronous BFS from the fault-free fixpoint, with per-level
-// expansion fanned out through the FrontierEngine's shared queue. Dirty
-// accounting is a monotone union, so the result is byte-identical at any
-// thread count.
+// expansion fanned out one frontier item at a time over a thread pool.
+// Dirty accounting is a monotone union, so the result is byte-identical at
+// any thread count.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,7 @@
 namespace nonmask {
 
 struct ContainmentOptions {
-  store::StoreConfig config;  ///< backend + thread count for the level BFS
+  store::StoreConfig config;  ///< thread count for the level BFS
   /// State-space budget for the composed system; StateSpaceTooLarge past it
   /// (adversarial placement search falls back to simulation scoring there).
   std::uint64_t state_budget = StateSpace::kDefaultBudget;

@@ -43,6 +43,22 @@ void ProgramSuccessors::successors(std::uint64_t code,
 
 namespace detail {
 
+void record_convergence_metrics(const ConvergenceReport& report) {
+  if (!obs::Metrics::enabled()) return;
+  auto& registry = obs::Registry::instance();
+  registry.counter("checker.convergence.checks").add(1);
+  registry.counter("checker.convergence.region_states")
+      .add(report.region_states);
+  registry.counter("checker.convergence.transitions").add(report.transitions);
+}
+
+}  // namespace detail
+
+namespace {
+
+/// Pass 1 of both convergence checks: the S/T flag byte per code plus the
+/// states_in_S / states_in_T counts filled into `report`. The engine
+/// produces the same counts into a 2-bit array with sharded evaluation.
 std::vector<std::uint8_t> evaluate_flags(const StateSpace& space,
                                          const PredicateFn& S,
                                          const PredicateFn& T,
@@ -59,9 +75,9 @@ std::vector<std::uint8_t> evaluate_flags(const StateSpace& space,
       space.decode_into(code, s);
       std::uint8_t f = 0;
       const bool in_T = T(s);
-      if (in_T) f |= kFlagT;
+      if (in_T) f |= detail::kFlagT;
       if (S(s)) {
-        f |= kFlagS;
+        f |= detail::kFlagS;
         if (in_T) ++report.states_in_S;
       }
       if (in_T) ++report.states_in_T;
@@ -72,78 +88,45 @@ std::vector<std::uint8_t> evaluate_flags(const StateSpace& space,
   return flags;
 }
 
-void record_convergence_metrics(const ConvergenceReport& report) {
-  if (!obs::Metrics::enabled()) return;
-  auto& registry = obs::Registry::instance();
-  registry.counter("checker.convergence.checks").add(1);
-  registry.counter("checker.convergence.region_states")
-      .add(report.region_states);
-  registry.counter("checker.convergence.transitions").add(report.transitions);
-}
-
-/// Legacy dense bookkeeping: one vector slot per code over the full range.
-/// This is the memory layout that caps the legacy backend at ~32M states;
-/// the store backend instantiates the same core over packed arrays.
+/// Dense bookkeeping of the serial oracle: one vector slot per code over
+/// the full range, the layout that caps it near ~32M states; the engine
+/// instantiates the same core over packed arrays.
 struct DenseDfsBookkeeping {
   explicit DenseDfsBookkeeping(std::uint64_t size)
-      : color_(size, 0), dist_(size, 0), stack_pos_(size, -1) {}
+      : color_(size, 0), dist_(size, 0) {}
 
   std::uint8_t color(std::uint64_t code) const { return color_[code]; }
   void set_color(std::uint64_t code, std::uint8_t c) { color_[code] = c; }
   std::uint32_t dist(std::uint64_t code) const { return dist_[code]; }
   void set_dist(std::uint64_t code, std::uint32_t d) { dist_[code] = d; }
-  std::int64_t stack_pos(std::uint64_t code) const {
-    return stack_pos_[code];
-  }
-  void set_stack_pos(std::uint64_t code, std::int64_t pos) {
-    stack_pos_[code] = pos;
-  }
 
   std::vector<std::uint8_t> color_;
   std::vector<std::uint32_t> dist_;
-  std::vector<std::int64_t> stack_pos_;
 };
 
-ConvergenceReport check_convergence_core(const StateSpace& space,
-                                         const std::vector<std::uint8_t>& flags,
-                                         SuccessorSource& succ,
-                                         ConvergenceReport report) {
-  DenseDfsBookkeeping bk(space.size());
-  return check_convergence_core_impl(space, flags, succ, std::move(report),
-                                     bk);
-}
-
-ConvergenceReport check_convergence_weakly_fair_core(
-    const StateSpace& space, const std::vector<std::uint8_t>& flags,
-    SuccessorSource& succ, const std::vector<std::size_t>& actions,
-    ConvergenceReport report) {
-  DenseTarjanBookkeeping bk(space.size());
-  return check_convergence_weakly_fair_core_impl(space, flags, succ, actions,
-                                                 std::move(report), bk);
-}
-
-}  // namespace detail
+}  // namespace
 
 ConvergenceReport check_convergence(const StateSpace& space,
                                     const PredicateFn& S,
                                     const PredicateFn& T) {
   ConvergenceReport report;
-  const auto flags = detail::evaluate_flags(space, S, T, report);
+  const auto flags = evaluate_flags(space, S, T, report);
   ProgramSuccessors succ(space, non_fault_actions(space.program()));
-  return detail::check_convergence_core(space, flags, succ,
-                                        std::move(report));
+  DenseDfsBookkeeping bk(space.size());
+  return detail::check_convergence_core_impl(space, flags, succ,
+                                             std::move(report), bk);
 }
 
 ConvergenceReport check_convergence_weakly_fair(const StateSpace& space,
                                                 const PredicateFn& S,
                                                 const PredicateFn& T) {
   ConvergenceReport report;
-  const auto flags = detail::evaluate_flags(space, S, T, report);
+  const auto flags = evaluate_flags(space, S, T, report);
   const auto actions = non_fault_actions(space.program());
   ProgramSuccessors succ(space, actions);
-  return detail::check_convergence_weakly_fair_core(space, flags, succ,
-                                                    actions,
-                                                    std::move(report));
+  detail::DenseTarjanBookkeeping bk(space.size());
+  return detail::check_convergence_weakly_fair_core_impl(
+      space, flags, succ, actions, std::move(report), bk);
 }
 
 ToleranceReport verify_tolerance(const StateSpace& space,

@@ -94,25 +94,15 @@ const char* to_string(ToleranceClass c) noexcept;
 ToleranceClass classify_tolerance(const StateSpace& space,
                                   const Design& design);
 
-/// Successor provider for the convergence analyses: fills `out` with the
-/// sorted distinct successor codes of `code` under the non-fault actions.
-/// An empty result means no action is enabled (deadlock). Implementations:
-/// ProgramSuccessors (on-the-fly, serial) and the parallel sweep's
-/// precomputed adjacency (parallel/sweep.hpp).
-class SuccessorSource {
- public:
-  virtual ~SuccessorSource() = default;
-  virtual void successors(std::uint64_t code,
-                          std::vector<std::uint64_t>& out) = 0;
-};
-
-/// On-the-fly SuccessorSource: decode, fire every enabled action, encode.
-/// Holds a scratch state, so one instance serves one thread.
-class ProgramSuccessors final : public SuccessorSource {
+/// Successor provider for the convergence analyses (the serial oracle and
+/// the engine alike): successors() fills `out` with the sorted distinct
+/// successor codes of `code` under the given actions — decode, fire every
+/// enabled action, encode. An empty result means no action is enabled
+/// (deadlock). Holds a scratch state, so one instance serves one thread.
+class ProgramSuccessors {
  public:
   ProgramSuccessors(const StateSpace& space, std::vector<std::size_t> actions);
-  void successors(std::uint64_t code,
-                  std::vector<std::uint64_t>& out) override;
+  void successors(std::uint64_t code, std::vector<std::uint64_t>& out);
 
  private:
   const StateSpace* space_;
@@ -125,31 +115,8 @@ namespace detail {
 inline constexpr std::uint8_t kFlagS = 1;  ///< state satisfies S
 inline constexpr std::uint8_t kFlagT = 2;  ///< state satisfies T
 
-/// Pass 1 of both convergence checks: the S/T flag byte per code plus the
-/// states_in_S / states_in_T counts filled into `report`. The parallel
-/// sweep produces the identical array with sharded evaluation.
-std::vector<std::uint8_t> evaluate_flags(const StateSpace& space,
-                                         const PredicateFn& S,
-                                         const PredicateFn& T,
-                                         ConvergenceReport& report);
-
-/// Pass 2 of the unfair check: cycle/deadlock DFS over the ¬S region
-/// reachable from T∧¬S, consuming successors from `succ`. `report` carries
-/// the pass-1 counts and is completed in place.
-ConvergenceReport check_convergence_core(const StateSpace& space,
-                                         const std::vector<std::uint8_t>& flags,
-                                         SuccessorSource& succ,
-                                         ConvergenceReport report);
-
-/// Pass 2 of the weakly fair check: Tarjan SCC construction consuming
-/// `succ`, then the serial fair-escape analysis over `actions`.
-ConvergenceReport check_convergence_weakly_fair_core(
-    const StateSpace& space, const std::vector<std::uint8_t>& flags,
-    SuccessorSource& succ, const std::vector<std::size_t>& actions,
-    ConvergenceReport report);
-
 /// Bump the checker.convergence.* counters from a finished report (called
-/// by both cores, so the serial checks and the parallel sweeps share it).
+/// by both cores, so the serial oracle and the engine share it).
 void record_convergence_metrics(const ConvergenceReport& report);
 
 }  // namespace detail

@@ -2,17 +2,24 @@
 // factored as a template over its per-state bookkeeping so one traversal
 // serves two memory layouts:
 //
-//   - the legacy dense path (convergence_check.cpp): byte color, u32 dist,
-//     i64 stack-position vectors sized by the full code range;
-//   - the store path (store/store_check.cpp): 2-bit colors, narrow
-//     distance arrays, and a sparse map for the on-stack positions — the
-//     layout that lifts exhaustive checking from ~32M to 10^8+ states.
+//   - the serial oracle (convergence_check.cpp): byte color and u32 dist
+//     vectors sized by the full code range;
+//   - the engine (store/store_check.cpp): 2-bit colors and narrow
+//     distance arrays — the layout that lifts exhaustive checking from
+//     ~32M to 10^8+ states.
 //
 // Both instantiate the *same* statements in the same order, which is the
-// backbone of the store backend's byte-identical-reports contract: given a
-// SuccessorSource yielding identical sorted successor lists, every count,
-// verdict, distance, and counterexample below is a pure function of the
-// traversal, not of the bookkeeping representation.
+// backbone of the engine's byte-identical-reports contract: given the same
+// sorted successor lists, every count, verdict, distance, and
+// counterexample below is a pure function of the traversal, not of the
+// bookkeeping representation or of where the lists come from
+// (ProgramSuccessors generates them on demand; the engine may prefetch
+// them in parallel).
+//
+// Successors requirement:
+//   void successors(code, std::vector<std::uint64_t>& out)
+//                                       ProgramSuccessors' sorted distinct
+//                                       codes; empty = deadlock
 //
 // Bookkeeping requirements (all codes pre-initialized to "unvisited"):
 //   std::uint8_t color(code)            0 = unvisited, 1 = on stack, 2 = done
@@ -20,8 +27,6 @@
 //   std::uint32_t dist(code)            longest known path to S (init 0)
 //   void set_dist(code, std::uint32_t)  may throw to reject a distance that
 //                                       exceeds the layout's width
-//   std::int64_t stack_pos(code)        position within the DFS path, -1 off
-//   void set_stack_pos(code, std::int64_t)
 #pragma once
 
 #include <algorithm>
@@ -33,10 +38,10 @@
 
 namespace nonmask::detail {
 
-template <class Flags, class Bookkeeping>
+template <class Flags, class Successors, class Bookkeeping>
 ConvergenceReport check_convergence_core_impl(const StateSpace& space,
                                               const Flags& flags,
-                                              SuccessorSource& succ,
+                                              Successors& succ,
                                               ConvergenceReport report,
                                               Bookkeeping& bk) {
   obs::Span dfs_span("checker.dfs");
@@ -71,7 +76,6 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
         return false;
       }
       bk.set_color(code, 1);
-      bk.set_stack_pos(code, static_cast<std::int64_t>(path.size()));
       path.push_back(code);
       frames.push_back(std::move(frame));
       return true;
@@ -96,12 +100,13 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
             return report;
           }
         } else if (bk.color(next) == 1) {
-          // Cycle: extract path[stack_pos[next] ..] as the counterexample.
+          // Cycle: color 1 means `next` is on the DFS path, and the path
+          // from it is the counterexample. The search runs once, when the
+          // check ends, so no per-state path position is kept.
           std::vector<State> cycle;
-          for (std::size_t i =
-                   static_cast<std::size_t>(bk.stack_pos(next));
-               i < path.size(); ++i) {
-            cycle.push_back(space.decode(path[i]));
+          for (auto it = std::find(path.begin(), path.end(), next);
+               it != path.end(); ++it) {
+            cycle.push_back(space.decode(*it));
           }
           report.verdict = ConvergenceVerdict::kViolated;
           report.cycle = std::move(cycle);
@@ -113,7 +118,6 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
         }
       } else {
         bk.set_color(frame.code, 2);
-        bk.set_stack_pos(frame.code, -1);
         path.pop_back();
         const std::uint32_t d = bk.dist(frame.code);
         report.max_steps_to_S =

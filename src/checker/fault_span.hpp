@@ -93,9 +93,9 @@ namespace detail {
 
 /// Successor codes of `code` under `actions` with the fault-guard policy of
 /// `opts`, in action order (not deduplicated) — the exact expansion order
-/// of the serial BFS. The parallel sweep expands frontier nodes with the
-/// same helper and merges in node order, so the resulting sets (including
-/// `max_states`-capped ones) are identical.
+/// of the serial BFS. The engine's FrontierEngine expands frontier nodes
+/// with the same helper and merges in node order, so the resulting sets
+/// (including `max_states`-capped ones) are identical.
 void expand_reachable(const StateSpace& space,
                       const std::vector<std::size_t>& actions,
                       const FaultSpanOptions& opts, std::uint64_t code,

@@ -2,26 +2,28 @@
 // template over its per-state bookkeeping — the same split that
 // convergence_core.hpp gives the unfair DFS:
 //
-//   - the legacy dense path (convergence_check.cpp): int32 index/lowlink,
+//   - the serial oracle (convergence_check.cpp): int32 index/lowlink,
 //     byte on-stack marks, and an int32 component array, all sized by the
 //     full code range (~13 bytes/state);
-//   - the store path (store/store_check.cpp): a stamped u32 visit-index
-//     array over the codes, slab-grown u32 lowlinks indexed by dense visit
-//     id, 1-bit on-stack marks, and sorted member snapshots for the
-//     nontrivial SCCs instead of a full component array.
+//   - the engine (store/store_check.cpp): a stamped u32 visit-index array
+//     over the codes, slab-grown u32 lowlinks indexed by dense visit id
+//     (a popped state's slot then holds its component id), and 1-bit
+//     on-stack marks.
 //
 // Both instantiate the same traversal and analysis statements in the same
 // order, so every count, verdict, and counterexample is a pure function of
 // the traversal — the byte-identical-reports contract of store/facade.hpp.
+// Successor lists come from any source with convergence_core.hpp's
+// successors() contract.
 //
 // Bookkeeping requirements (all codes pre-initialized to "unvisited"):
 //   bool visited(code)
 //   std::uint32_t index(code) / void set_index(code, v)    Tarjan visit order
 //   std::uint32_t lowlink(code) / void set_lowlink(code, v)
 //   bool on_stack(code) / void set_on_stack(code, bool)
-//   void mark_component(code, comp)      every popped state, every SCC
-//   void seal_component(comp, members)   nontrivial SCCs only, pop order
-//   bool in_component(code, comp)        comp is always a sealed component
+//   void mark_component(code, comp)      every popped state, every SCC;
+//                                        may overwrite code's lowlink
+//   bool in_component(code, comp)        comp is always a nontrivial SCC
 #pragma once
 
 #include <algorithm>
@@ -34,10 +36,10 @@
 
 namespace nonmask::detail {
 
-/// Legacy dense Tarjan bookkeeping: one array slot per code over the full
-/// range. This is the memory layout that keeps the legacy backend at ~32M
-/// states; the store backend instantiates the same core over packed and
-/// visit-ordered arrays.
+/// Dense Tarjan bookkeeping of the serial oracle: one array slot per code
+/// over the full range (~13 bytes/state, which keeps it near ~32M states);
+/// the engine instantiates the same core over packed and visit-ordered
+/// arrays.
 struct DenseTarjanBookkeeping {
   static constexpr std::int32_t kUnvisited = -1;
 
@@ -67,7 +69,6 @@ struct DenseTarjanBookkeeping {
   void mark_component(std::uint64_t code, std::int32_t comp) {
     component_[code] = comp;
   }
-  void seal_component(std::int32_t, const std::vector<std::uint64_t>&) {}
   bool in_component(std::uint64_t code, std::int32_t comp) const {
     return component_[code] == comp;
   }
@@ -84,9 +85,9 @@ struct DenseTarjanBookkeeping {
 /// enabled at every SCC state and each of its firings exits the SCC; a
 /// closed SCC (every enabled action stays inside) is an exact violation
 /// with the SCC as the cycle counterexample.
-template <class Flags, class Bookkeeping>
+template <class Flags, class Successors, class Bookkeeping>
 ConvergenceReport check_convergence_weakly_fair_core_impl(
-    const StateSpace& space, const Flags& flags, SuccessorSource& succ,
+    const StateSpace& space, const Flags& flags, Successors& succ,
     const std::vector<std::size_t>& actions, ConvergenceReport report,
     Bookkeeping& bk) {
   obs::Span scc_span("checker.scc");
@@ -161,7 +162,10 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
         }
       } else {
         const std::uint64_t v = frame.code;
-        if (bk.lowlink(v) == bk.index(v)) {
+        // Read before the pop below: bookkeeping may reuse a popped
+        // state's lowlink slot for its component id.
+        const std::uint32_t v_lowlink = bk.lowlink(v);
+        if (v_lowlink == bk.index(v)) {
           std::vector<std::uint64_t> scc;
           while (true) {
             const std::uint64_t w = tarjan_stack.back();
@@ -178,16 +182,14 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
               scc.size() > 1 ||
               std::binary_search(frame.succs.begin(), frame.succs.end(), v);
           if (has_internal_transition) {
-            bk.seal_component(num_components, scc);
             nontrivial.push_back({num_components, std::move(scc)});
           }
           ++num_components;
         }
         frames.pop_back();
         if (!frames.empty()) {
-          bk.set_lowlink(
-              frames.back().code,
-              std::min(bk.lowlink(frames.back().code), bk.lowlink(v)));
+          bk.set_lowlink(frames.back().code,
+                         std::min(bk.lowlink(frames.back().code), v_lowlink));
         }
       }
     }

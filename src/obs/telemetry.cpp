@@ -339,19 +339,13 @@ void Telemetry::unregister_set(const SetTelemetrySource* set) {
 
 SetSample Telemetry::set_aggregate() {
   TelemetryState& s = state();
-  std::vector<const SetTelemetrySource*> live;
-  SetSample acc;
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    acc = s.retired;
-    live = s.sets;
-  }
-  // Sample live sets outside the registry lock: sample_set_telemetry takes
-  // shard locks, and holding both here would order them against the
-  // sampler's identical acquisition (harmlessly, but keep the lock graph a
-  // tree). Sets unregister under the same mutex, so `live` pointers stay
-  // valid only while their owners do — callers snapshot between phases.
-  for (const SetTelemetrySource* set : live) {
+  // Live sets are sampled under the registry lock: a set's destructor
+  // unregisters under the same mutex before freeing its shards, so every
+  // pointer in the list stays valid until the lock is released. Locks are
+  // taken registry -> shard, the sampler's order (sample_locked).
+  std::lock_guard<std::mutex> lock(s.mutex);
+  SetSample acc = s.retired;
+  for (const SetTelemetrySource* set : s.sets) {
     fold_into(acc, set->sample_set_telemetry());
   }
   return acc;

@@ -10,7 +10,6 @@
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
-#include "store/frontier.hpp"
 
 namespace nonmask {
 
@@ -129,37 +128,13 @@ CampaignResults run_campaign(const Design& design,
     meter.add(1);
   };
 
-  const unsigned threads =
-      opts.threads == 0 ? default_threads() : opts.threads;
-  if (threads <= 1 || config.trials - completed <= 1) {
-    for (std::size_t i = completed; i < config.trials; ++i) {
-      timed_trial(i);
-    }
-  } else if (opts.store.backend == store::StoreBackend::kStore) {
-    // Store-engine routing: same grain-1 dynamic schedule, shared engine
-    // surface with the store sweeps. Trials are item-order-independent
-    // (pure functions of their seeds, streamed in trial order), so this
-    // keeps the byte-identity contract.
-    store::StoreConfig engine_config = opts.store;
-    engine_config.threads = threads;
-    store::FrontierEngine engine(engine_config);
-    engine.for_items(completed, config.trials,
-                     [&](std::uint64_t trial, unsigned worker) {
-                       (void)worker;
-                       timed_trial(trial);
-                     });
-  } else {
-    ThreadPool pool(threads);
-    parallel_for_chunked(
-        pool, completed, config.trials, 1,
-        [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi,
-            unsigned worker) {
-          (void)chunk;
-          (void)hi;
-          (void)worker;
-          timed_trial(lo);
-        });
-  }
+  // Grain-1 dynamic schedule; with one worker or one trial left, the
+  // trials run inline in order and no thread starts.
+  ThreadPool pool(opts.threads);
+  parallel_for_each(pool, config.trials - completed,
+                    [&](std::size_t i, unsigned) {
+                      timed_trial(completed + i);
+                    });
 
   // Aggregate exactly as run_experiment does: converged trials in trial
   // order.

@@ -28,7 +28,6 @@
 #include "engine/experiment.hpp"
 #include "resilience/journal.hpp"
 #include "resilience/watchdog.hpp"
-#include "store/config.hpp"
 
 namespace nonmask {
 
@@ -52,13 +51,6 @@ struct CampaignOptions {
   /// journal is rewritten so the final file is byte-identical to an
   /// uninterrupted run's.
   bool resume = false;
-  /// Backend routing: under StoreBackend::kStore the multi-threaded trial
-  /// loop is dispatched through a FrontierEngine work queue (the same
-  /// grain-1 dynamic schedule, shared with the store sweeps) instead of a
-  /// private ThreadPool. Records, aggregates, and the JSONL stream are
-  /// byte-identical either way — each trial is a pure function of its
-  /// seeds, and the streamer flushes in trial order.
-  store::StoreConfig store;
 };
 
 struct CampaignResults {

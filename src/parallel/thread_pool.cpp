@@ -19,17 +19,8 @@ unsigned default_threads() {
   return hw >= 1 ? hw : 1;
 }
 
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) threads = default_threads();
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
-  // Unconditional (one RMW per pool lifetime) so a telemetry sampler
-  // started mid-run sees a consistent live-worker count.
-  obs::Telemetry::depth().workers_live.fetch_add(
-      static_cast<std::int64_t>(threads), std::memory_order_relaxed);
-}
+ThreadPool::ThreadPool(unsigned threads)
+    : threads_(threads == 0 ? default_threads() : threads) {}
 
 ThreadPool::~ThreadPool() {
   {
@@ -46,6 +37,16 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void(unsigned)> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (workers_.empty()) {
+      workers_.reserve(threads_);
+      for (unsigned i = 0; i < threads_; ++i) {
+        workers_.emplace_back([this, i] { worker_loop(i); });
+      }
+      // Unconditional (one RMW per pool lifetime) so a telemetry sampler
+      // started mid-run sees a consistent live-worker count.
+      obs::Telemetry::depth().workers_live.fetch_add(
+          static_cast<std::int64_t>(threads_), std::memory_order_relaxed);
+    }
     queue_.push_back(std::move(task));
   }
   work_available_.notify_one();

@@ -6,8 +6,8 @@
 // order. Which worker executes a chunk (and when) is nondeterministic, but
 // callers index their result slots by *chunk number*, so any reduction
 // performed in chunk order is independent of the thread count and of
-// scheduling. All determinism guarantees in parallel/sweep.hpp and
-// parallel/campaign.hpp rest on this.
+// scheduling. All determinism guarantees in the checker engine
+// (store/facade.hpp) and parallel/campaign.hpp rest on this.
 #pragma once
 
 #include <condition_variable>
@@ -26,8 +26,9 @@ namespace nonmask {
 unsigned default_threads();
 
 /// A fixed set of worker threads consuming a shared task queue. Workers are
-/// spawned in the constructor and joined in the destructor (which waits for
-/// every submitted task to finish).
+/// spawned by the first submit() and joined in the destructor (which waits
+/// for every submitted task to finish), so a pool whose work all runs
+/// inline — one worker, or a single chunk — never starts a thread.
 class ThreadPool {
  public:
   /// `threads` == 0 means default_threads().
@@ -36,9 +37,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  unsigned size() const noexcept {
-    return static_cast<unsigned>(workers_.size());
-  }
+  /// Worker count (spawned or not yet).
+  unsigned size() const noexcept { return threads_; }
 
   /// Enqueue a task. The task receives the executing worker's index in
   /// [0, size()) — use it to index per-worker scratch buffers.
@@ -52,6 +52,7 @@ class ThreadPool {
  private:
   void worker_loop(unsigned worker);
 
+  unsigned threads_;
   std::vector<std::thread> workers_;
   std::deque<std::function<void(unsigned)>> queue_;
   std::mutex mutex_;

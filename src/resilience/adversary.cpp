@@ -12,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "sched/daemons.hpp"
 #include "store/bitset.hpp"
-#include "store/facade.hpp"
 
 namespace nonmask {
 
@@ -117,7 +116,7 @@ class WorstCaseDistance {
   // sorted-distinct contract as ProgramSuccessors) and the on-stack marks
   // live at 2 bits/state, so the memo's footprint is dominated by dist_
   // alone even at large exhaustive budgets.
-  store::StoreBackedSuccessors succ_;
+  ProgramSuccessors succ_;
   std::vector<std::uint64_t> dist_;
   store::TwoBitArray on_stack_;
   State scratch_;

@@ -122,7 +122,7 @@ struct ByzantinePlacementOptions {
   std::size_t iterations = 16;
   std::size_t sim_steps = 2000;
   /// Passed through to measure_containment for exact scoring / the final
-  /// report (its config picks the store backend and thread count).
+  /// report (its config picks the thread count).
   ContainmentOptions containment;
 };
 

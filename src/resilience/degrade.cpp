@@ -2,6 +2,7 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "store/facade.hpp"
 
 namespace nonmask {
 
@@ -10,9 +11,11 @@ ResilientVerification verify_resilient(const Design& design,
   ResilientVerification v;
   v.state_budget = opts.state_budget;
   try {
-    StateSpace space(design.program, opts.state_budget);
+    store::StoreConfig config;
+    config.budget = opts.state_budget;
+    StateSpace space(design.program, config.budget);
     v.requested_states = space.size();
-    v.tolerance = verify_tolerance(space, design);
+    v.tolerance = store::verify_tolerance_via(config, space, design);
     v.exhaustive = true;
     return v;
   } catch (const StateSpaceTooLarge& e) {

@@ -152,39 +152,56 @@ class ExprParser {
     lex_.take();
   }
 
-  ExprPtr ternary() {
-    ExprPtr cond = logical_or();
-    if (!is_op(lex_.peek(), "?")) return cond;
-    lex_.take();
-    ExprPtr then = ternary();
-    expect_op(":");
-    ExprPtr otherwise = ternary();
-    ExprNode n;
-    n.kind = ExprNode::Kind::kTernary;
-    n.args = {std::move(cond), std::move(then), std::move(otherwise)};
-    return node(std::move(n));
+  /// Enter one nesting level. A failed parse discards the parser, so only
+  /// successful paths step back out.
+  void descend() {
+    if (++depth_ > kMaxExprDepth) {
+      lex_.fail("expression nested deeper than " +
+                std::to_string(kMaxExprDepth) + " levels");
+    }
   }
 
+  ExprPtr ternary() {
+    descend();
+    ExprPtr cond = logical_or();
+    if (is_op(lex_.peek(), "?")) {
+      lex_.take();
+      ExprPtr then = ternary();
+      expect_op(":");
+      ExprPtr otherwise = ternary();
+      ExprNode n;
+      n.kind = ExprNode::Kind::kTernary;
+      n.args = {std::move(cond), std::move(then), std::move(otherwise)};
+      cond = node(std::move(n));
+    }
+    --depth_;
+    return cond;
+  }
+
+  /// Left-associative chain `a op b op c ...`, parsed in a loop into one
+  /// flat kBinary node, so no pass over the tree recurses per link and a
+  /// chain's length is bounded only by the input.
   ExprPtr binary_chain(ExprPtr (ExprParser::*sub)(),
                        std::initializer_list<const char*> ops) {
-    ExprPtr lhs = (this->*sub)();
+    ExprPtr first = (this->*sub)();
+    ExprNode n;
+    n.kind = ExprNode::Kind::kBinary;
     while (true) {
       const Token& t = lex_.peek();
-      bool matched = false;
+      const char* matched = nullptr;
       for (const char* op : ops) {
         if (is_op(t, op)) {
-          lex_.take();
-          ExprNode n;
-          n.kind = ExprNode::Kind::kBinary;
-          n.name = op;
-          n.args = {std::move(lhs), (this->*sub)()};
-          lhs = node(std::move(n));
-          matched = true;
+          matched = op;
           break;
         }
       }
-      if (!matched) return lhs;
+      if (matched == nullptr) break;
+      lex_.take();
+      if (n.args.empty()) n.args.push_back(std::move(first));
+      n.ops.emplace_back(matched);
+      n.args.push_back((this->*sub)());
     }
+    return n.args.empty() ? first : node(std::move(n));
   }
 
   ExprPtr logical_or() {
@@ -202,7 +219,7 @@ class ExprParser {
         lex_.take();
         ExprNode n;
         n.kind = ExprNode::Kind::kBinary;
-        n.name = op;
+        n.ops = {op};
         n.args = {std::move(lhs), additive()};
         return node(std::move(n));
       }
@@ -220,10 +237,12 @@ class ExprParser {
   ExprPtr unary() {
     if (is_op(lex_.peek(), "!") || is_op(lex_.peek(), "-")) {
       const Token t = lex_.take();
+      descend();
       ExprNode n;
       n.kind = ExprNode::Kind::kUnary;
       n.name = t.text;
       n.args = {unary()};
+      --depth_;
       return node(std::move(n));
     }
     return primary();
@@ -309,6 +328,7 @@ class ExprParser {
   }
 
   Lexer lex_;
+  int depth_ = 0;  ///< nesting levels open at the current token
 };
 
 // --- compiler -------------------------------------------------------------
@@ -335,20 +355,29 @@ CompiledExpr make_var_read(VarId id) {
   return c;
 }
 
-long long apply_binary(const std::string& op, long long a, long long b) {
-  if (op == "+") return a + b;
-  if (op == "-") return a - b;
-  if (op == "*") return a * b;
-  if (op == "/") return b == 0 ? 0 : a / b;
-  if (op == "%") return b == 0 ? 0 : a % b;
-  if (op == "==") return a == b ? 1 : 0;
-  if (op == "!=") return a != b ? 1 : 0;
-  if (op == "<") return a < b ? 1 : 0;
-  if (op == "<=") return a <= b ? 1 : 0;
-  if (op == ">") return a > b ? 1 : 0;
-  if (op == ">=") return a >= b ? 1 : 0;
-  if (op == "&&") return (a != 0 && b != 0) ? 1 : 0;
-  if (op == "||") return (a != 0 || b != 0) ? 1 : 0;
+using BinaryFn = long long (*)(long long, long long);
+
+/// An operator's semantics, looked up once when its expression compiles
+/// rather than by name at every evaluation. `/` and `%` by zero yield 0.
+BinaryFn binary_fn(const std::string& op) {
+  using LL = long long;
+  if (op == "+") return [](LL a, LL b) -> LL { return a + b; };
+  if (op == "-") return [](LL a, LL b) -> LL { return a - b; };
+  if (op == "*") return [](LL a, LL b) -> LL { return a * b; };
+  if (op == "/") return [](LL a, LL b) -> LL { return b == 0 ? 0 : a / b; };
+  if (op == "%") return [](LL a, LL b) -> LL { return b == 0 ? 0 : a % b; };
+  if (op == "==") return [](LL a, LL b) -> LL { return a == b ? 1 : 0; };
+  if (op == "!=") return [](LL a, LL b) -> LL { return a != b ? 1 : 0; };
+  if (op == "<") return [](LL a, LL b) -> LL { return a < b ? 1 : 0; };
+  if (op == "<=") return [](LL a, LL b) -> LL { return a <= b ? 1 : 0; };
+  if (op == ">") return [](LL a, LL b) -> LL { return a > b ? 1 : 0; };
+  if (op == ">=") return [](LL a, LL b) -> LL { return a >= b ? 1 : 0; };
+  if (op == "&&") {
+    return [](LL a, LL b) -> LL { return (a != 0 && b != 0) ? 1 : 0; };
+  }
+  if (op == "||") {
+    return [](LL a, LL b) -> LL { return (a != 0 || b != 0) ? 1 : 0; };
+  }
   throw ExprError("unknown operator '" + op + "'");
 }
 
@@ -710,27 +739,52 @@ CompiledExpr compile_expr(const ExprPtr& node, const CompileEnv& env) {
     }
 
     case ExprNode::Kind::kBinary: {
-      CompiledExpr a = compile_expr(node->args[0], env);
-      // Short-circuit folding before compiling the right-hand side would
-      // skip its name resolution; compile both so typos always surface.
-      CompiledExpr b = compile_expr(node->args[1], env);
-      const std::string op = node->name;
-      if (a.is_const && b.is_const) {
-        return make_const(apply_binary(op, a.value, b.value));
+      // Folds args[0] ops[0] args[1] ... left to right into one flat
+      // closure, constant-folding each link exactly as if the chain were
+      // nested binary nodes, so no chain length deepens the stack here or
+      // at evaluation.
+      struct Link {
+        BinaryFn fn;
+        CompiledExpr rhs;
+      };
+      CompiledExpr first = compile_expr(node->args[0], env);
+      std::vector<Link> links;  // the non-constant tail after `first`
+      std::vector<VarId> reads = first.reads;
+      for (std::size_t i = 1; i < node->args.size(); ++i) {
+        // Short-circuit folding before compiling the right-hand side would
+        // skip its name resolution; compile every operand so typos always
+        // surface.
+        CompiledExpr b = compile_expr(node->args[i], env);
+        const std::string& op = node->ops[i - 1];
+        const BinaryFn fn = binary_fn(op);
+        const bool folded = links.empty() && first.is_const;
+        if (folded && b.is_const) {
+          first = make_const(fn(first.value, b.value));
+        } else if (op == "&&" && ((folded && first.value == 0) ||
+                                  (b.is_const && b.value == 0))) {
+          first = make_const(0);
+          links.clear();
+          reads.clear();
+        } else if (op == "||" && ((folded && first.value != 0) ||
+                                  (b.is_const && b.value != 0))) {
+          first = make_const(1);
+          links.clear();
+          reads.clear();
+        } else {
+          merge_reads(reads, b.reads);
+          links.push_back({fn, std::move(b)});
+        }
       }
-      if (op == "&&" && ((a.is_const && a.value == 0) ||
-                         (b.is_const && b.value == 0))) {
-        return make_const(0);
-      }
-      if (op == "||" && ((a.is_const && a.value != 0) ||
-                         (b.is_const && b.value != 0))) {
-        return make_const(1);
-      }
+      if (links.empty()) return first;
       CompiledExpr c;
-      c.reads = a.reads;
-      merge_reads(c.reads, b.reads);
-      c.fn = [a = std::move(a), b = std::move(b), op](const State& s) {
-        return static_cast<Value>(apply_binary(op, a.eval(s), b.eval(s)));
+      c.reads = std::move(reads);
+      c.fn = [first = std::move(first),
+              links = std::move(links)](const State& s) {
+        Value v = first.eval(s);
+        for (const Link& link : links) {
+          v = static_cast<Value>(link.fn(v, link.rhs.eval(s)));
+        }
+        return v;
       };
       return c;
     }

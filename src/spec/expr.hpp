@@ -66,7 +66,7 @@ struct ExprNode {
     kSubscript,      // name[args[0]]
     kCall,           // name(args...)
     kUnary,          // name is "!" or "-", args[0]
-    kBinary,         // name is the operator, args[0], args[1]
+    kBinary,         // args[0] ops[0] args[1] ops[1] ..., left-associative
     kTernary,        // args[0] ? args[1] : args[2]
     kComprehension,  // name(binder : args[0], args[1])
   };
@@ -75,10 +75,19 @@ struct ExprNode {
   std::string name;
   std::string binder;
   std::vector<ExprPtr> args;
+  std::vector<std::string> ops;  // kBinary: ops[i] joins args[i], args[i+1]
 };
 
+/// Deepest nesting parse_expr accepts: parentheses, unary operators,
+/// ternaries and call arguments count one level each. The parser and every
+/// later pass over the tree recurse per level, so the bound keeps a hostile
+/// expression from exhausting the stack. Operator chains (`a && b && ...`)
+/// are one flat node and do not nest.
+inline constexpr int kMaxExprDepth = 256;
+
 /// Parse one expression; the whole string must be consumed. Throws
-/// ExprError with a character position on malformed input.
+/// ExprError with a character position on malformed input or nesting past
+/// kMaxExprDepth.
 ExprPtr parse_expr(const std::string& text);
 
 /// The expansion-time view of a spec's topology. Built by the compiler

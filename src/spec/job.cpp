@@ -25,7 +25,6 @@ namespace {
 
 store::StoreConfig store_config(const JobDecl& job) {
   store::StoreConfig config;
-  if (job.backend == "store") config.backend = store::StoreBackend::kStore;
   if (job.state_budget > 0) config.budget = job.state_budget;
   config.threads = job.threads;
   return config;
@@ -37,7 +36,7 @@ std::string provenance_json(const CompiledSpec& spec) {
          ",\"content_hash\":" + util::json_quote(spec.content_hash) + "}";
 }
 
-/// Common preamble: provenance first, then the backend the job ran under.
+/// Common preamble: provenance first, then the engine the job ran under.
 void add_backend(obs::RunReport& report, const store::StoreConfig& config) {
   report.add_text("store_backend", store::to_string(config.backend));
   report.add_number("state_budget", config.budget);
@@ -59,8 +58,6 @@ JobResult run_check(const CompiledSpec& spec, const JobDecl& job) {
   obs::RunReport report("spec_check", design.name);
   report.add("spec", provenance_json(spec));
   add_backend(report, config);
-  const auto fallback = store::backend_fallback_reason(config, space);
-  report.add_text("backend_fallback_reason", fallback ? *fallback : "");
 
   const PredicateFn S = design.S();
   const PredicateFn T = design.fault_span;
@@ -159,7 +156,6 @@ JobResult run_campaign_job(const CompiledSpec& spec, const JobDecl& job,
   }
   opts.policy.max_retries = job.retries;
   opts.policy.backoff = std::chrono::milliseconds(job.backoff_ms);
-  opts.store = store_config(job);
 
   const CampaignResults results = run_campaign(design, config, opts);
 
@@ -170,9 +166,6 @@ JobResult run_campaign_job(const CompiledSpec& spec, const JobDecl& job,
   report.add("spec", provenance_json(spec));
   report.add_number("trials", std::uint64_t{config.trials});
   report.add_number("seed", config.seed);
-  report.add_text("store_backend", store::to_string(opts.store.backend));
-  report.add_number("state_budget", opts.store.budget);
-  report.add_text("backend_fallback_reason", "");
   report.add("campaign", obs::to_json(results.aggregate));
 
   const bool ok = results.failed == 0 && results.timed_out == 0;
@@ -317,7 +310,8 @@ JobResult run_certify(const CompiledSpec& spec, const JobDecl& job) {
   std::string extra;
   if (!ok && result.method == synth::CertMethod::kExhaustive) {
     // Certificate of last resort: the exhaustive checker's verdict.
-    const ToleranceReport tol = verify_tolerance(space, design);
+    const ToleranceReport tol =
+        store::verify_tolerance_via(config, space, design);
     ok = tol.tolerant();
     report.add("exhaustive_convergence", obs::to_json(tol.convergence));
     extra = ok ? " (exhaustive verdict: tolerant)"

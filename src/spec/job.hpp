@@ -5,10 +5,9 @@
 // version, FNV-1a content hash of the raw document) so any artifact can be
 // traced back to the exact spec text that produced it. Campaign reports
 // then mirror examples/parallel_campaign.cpp section for section — trials,
-// seed, store_backend, state_budget, backend_fallback_reason, campaign —
-// so a spec-driven campaign diffs byte-identically (modulo tool /
-// started_at / wall_ms / metrics / spec) against the hand-coded CLI path;
-// CI relies on this.
+// seed, campaign — so a spec-driven campaign diffs byte-identically
+// (modulo tool / started_at / wall_ms / metrics / spec) against the
+// hand-coded CLI path; CI relies on this.
 #pragma once
 
 #include <iosfwd>

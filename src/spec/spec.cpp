@@ -335,9 +335,9 @@ JobDecl parse_job(const JsonValue& v, const std::string& path) {
   expect_object(v, path);
   reject_unknown_keys(
       v, path,
-      {"type", "threads", "backend", "state_budget", "weakly_fair", "trials",
-       "seed", "max_steps", "daemon", "deadline_ms", "retries", "backoff_ms",
-       "walks", "walk_length", "byzantine", "max_candidates"});
+      {"type", "threads", "state_budget", "weakly_fair", "trials", "seed",
+       "max_steps", "daemon", "deadline_ms", "retries", "backoff_ms", "walks",
+       "walk_length", "byzantine", "max_candidates"});
   JobDecl d;
   d.line = v.line;
   if (const JsonValue* type = v.find("type")) {
@@ -367,12 +367,6 @@ JobDecl parse_job(const JsonValue& v, const std::string& path) {
     const long long parsed = expect_int(*threads, path + ".threads");
     if (parsed < 0) fail(path + ".threads", "must be >= 0", *threads);
     d.threads = static_cast<unsigned>(parsed);
-  }
-  if (const JsonValue* backend = v.find("backend")) {
-    d.backend = expect_string(*backend, path + ".backend");
-    if (d.backend != "dense" && d.backend != "store") {
-      fail(path + ".backend", "expected dense | store", *backend);
-    }
   }
   take_u64("state_budget", &d.state_budget);
   if (const JsonValue* weakly_fair = v.find("weakly_fair")) {

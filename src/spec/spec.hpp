@@ -105,7 +105,6 @@ struct JobDecl {
   std::string type = "check";  // check | falsify | campaign | containment |
                                // synthesize | certify
   unsigned threads = 1;
-  std::string backend;  // "" = dense | "store"
   std::uint64_t state_budget = 0;  // 0 = library default
   bool weakly_fair = false;
 

@@ -1,6 +1,6 @@
 // Compact per-state bookkeeping arrays.
 //
-// The legacy checker allocates a byte (or more) per code for flags, DFS
+// The dense oracle allocates a byte (or more) per code for flags, DFS
 // colors, and visited marks — 100+ MB per array at 10^8 states, which is
 // what capped exhaustive checking at ~32M. These containers pack the same
 // information at 1-2 bits per state:

@@ -1,16 +1,11 @@
 #include "store/config.hpp"
 
 #include <cstdlib>
-#include <cstring>
-#include <mutex>
-
-#include "util/logging.hpp"
 
 namespace nonmask::store {
 
 const char* to_string(StoreBackend b) noexcept {
   switch (b) {
-    case StoreBackend::kLegacyDense: return "dense";
     case StoreBackend::kStore: return "store";
   }
   return "?";
@@ -18,24 +13,6 @@ const char* to_string(StoreBackend b) noexcept {
 
 StoreConfig StoreConfig::from_env() {
   StoreConfig config;
-  if (const char* backend = std::getenv("NONMASK_STORE_BACKEND")) {
-    if (std::strcmp(backend, "store") == 0) {
-      config.backend = StoreBackend::kStore;
-    } else if (std::strcmp(backend, "dense") == 0 ||
-               std::strcmp(backend, "") == 0) {
-      config.backend = StoreBackend::kLegacyDense;
-    } else {
-      // A typo ("Store", "compact", ...) silently running the dense
-      // backend is exactly the failure a budget-motivated user won't
-      // notice until the run OOMs. Warn once per process.
-      static std::once_flag warned;
-      std::call_once(warned, [backend] {
-        NONMASK_WARN() << "NONMASK_STORE_BACKEND='" << backend
-                       << "' is not a backend (want 'dense' or 'store'); "
-                          "using dense";
-      });
-    }
-  }
   if (const char* budget = std::getenv("NONMASK_STATE_BUDGET")) {
     char* end = nullptr;
     const unsigned long long parsed = std::strtoull(budget, &end, 10);

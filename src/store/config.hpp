@@ -1,12 +1,7 @@
-// Configuration switch for the compact parallel state store.
-//
-// Every checker entry point that the store subsystem re-implements is
-// dispatched through a StoreConfig: `backend` selects between the legacy
-// dense-array path (src/checker/, per-state bookkeeping sized by the full
-// code range) and the store path (src/store/, packed bitmaps + interned
-// frontiers). The two backends are contractually byte-identical on every
-// report they produce — the store backend exists to lift the *state budget*
-// (from ~32M to 10^8-10^9 states), not to change any answer.
+// Configuration of the checker engine (store/facade.hpp): the state budget,
+// the worker count and chunk grain of its parallel passes, the concurrent
+// set's shape, and frontier spilling. No field changes an answer — reports
+// are byte-identical at any thread count, grain, or shard count.
 #pragma once
 
 #include <cstdint>
@@ -14,26 +9,28 @@
 
 namespace nonmask::store {
 
+/// The engine that produced a report, recorded in run reports as
+/// "store_backend". The compact store pipeline is the only one.
 enum class StoreBackend {
-  kLegacyDense,  ///< src/checker/ dense arrays (the seed implementation)
-  kStore,        ///< src/store/ packed bitmaps + frontier engine
+  kStore,  ///< src/store/ packed bitmaps + frontier engine
 };
 
 const char* to_string(StoreBackend b) noexcept;
 
 struct StoreConfig {
-  StoreBackend backend = StoreBackend::kLegacyDense;
+  StoreBackend backend = StoreBackend::kStore;
 
-  /// State budget passed to StateSpace construction. The legacy default
-  /// (32M) matches StateSpace::kDefaultBudget; the store backend is
-  /// routinely run two to three orders of magnitude higher.
+  /// State budget passed to StateSpace construction (the default matches
+  /// StateSpace::kDefaultBudget); the engine routinely runs two to three
+  /// orders of magnitude higher.
   std::uint64_t budget = 32'000'000;
 
-  /// Worker threads for the store sweeps; 0 = NONMASK_THREADS env, else
-  /// hardware concurrency (same resolution as the parallel sweeps).
+  /// Worker threads for the parallel passes; 0 = NONMASK_THREADS env, else
+  /// hardware concurrency.
   unsigned threads = 0;
 
-  /// Codes per scan chunk. Results never depend on it.
+  /// Codes per scan chunk. Results never depend on it; with `threads`,
+  /// it decides whether a space is split at all (one chunk runs inline).
   std::uint64_t grain = 1 << 16;
 
   /// log2 of the concurrent-set shard count (power-of-two shards).
@@ -50,7 +47,6 @@ struct StoreConfig {
   std::string spill_dir;
 
   /// Environment-driven default:
-  ///   NONMASK_STORE_BACKEND = "store" | "dense"  (default dense)
   ///   NONMASK_STATE_BUDGET  = max states for StateSpace construction
   ///   NONMASK_THREADS       = resolved by the pool as usual
   static StoreConfig from_env();

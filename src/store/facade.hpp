@@ -1,31 +1,33 @@
-// Backend-dispatch facade: every verification entry point in one place,
-// switched by StoreConfig::backend.
+// The checker engine: every exhaustive verification entry point, run on the
+// compact store pipeline (store_check.cpp for the scans and the DFS/SCC
+// passes, frontier.cpp for reachability).
 //
-//   kLegacyDense — the original dense-array checkers (serial, or the
-//     parallel sweep when threads allow); memory O(bytes per state), the
-//     configuration every result before the store existed was produced
-//     with.
-//   kStore       — the compact store pipeline (store_check.hpp /
-//     frontier.hpp); bits per state, viable at 10^8 codes.
+// The per-state footprint is bits, not bytes: predicate flags and DFS
+// colors live in 2-bit arrays, convergence distances start at 16 bits
+// (widened transparently if a run actually exceeds 65535 steps), the
+// Tarjan pass keeps a stamped u32 visit index per code plus lowlinks for
+// visited states only, scans ripple-decode with OdometerCursor instead of
+// per-code div/mod, and reachability runs through the FrontierEngine with
+// optional disk spill. With more than one worker, on spaces of more than
+// one chunk and at most 2^22 codes, the convergence passes generate their
+// successor lists in parallel before the serial DFS/SCC reads them.
 //
-// The two backends are contractually byte-identical: same report structs,
-// same counts, same counterexamples, at any thread count. scripts/check.sh
-// and CI diff them on every protocol in the suite. Callers (examples,
-// resilience, synthesis) go through *_via and never pick a backend
-// themselves — NONMASK_STORE_BACKEND / NONMASK_STATE_BUDGET select it at
-// run time via StoreConfig::from_env().
+// Contract: every report is byte-identical to the serial dense checker's
+// in src/checker/ (the reference oracle) at any thread count, grain, or
+// shard count — same counts, same verdicts, same counterexamples.
+// tests/store_equivalence_test.cpp checks it on every built-in protocol.
+// Callers (spec jobs, resilience, synthesis, triage, the engine-facing
+// examples) go through these functions; NONMASK_STATE_BUDGET /
+// NONMASK_THREADS reach them through StoreConfig::from_env().
 //
-// Every checker path — closure, convergence (unfair and weakly-fair SCC),
-// reachability/fault-span, and variant extraction — runs store-native
-// under kStore. The one residual fallback (state spaces whose code range
-// exceeds the u32 dense visit-id space of the compact Tarjan bookkeeping)
-// is no longer silent: backend_fallback_reason() names it, and run-report
-// writers record it.
+// Predicates are evaluated from several threads at once and must be
+// thread-safe; every PredicateFn built by the core DSL, the spec compiler,
+// and the shipped protocols is a pure function of the state.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <stdexcept>
 #include <vector>
 
 #include "checker/closure_check.hpp"
@@ -36,78 +38,73 @@
 
 namespace nonmask::store {
 
-/// The SuccessorSource every store-backed traversal uses: semantics
-/// identical to ProgramSuccessors (sorted distinct successor codes under
-/// the given actions), plus an expansion counter for throughput reporting.
-class StoreBackedSuccessors final : public SuccessorSource {
+/// Thrown by the weakly-fair check and variant extraction for a space of
+/// 2^32 - 1 codes or more: their bookkeeping numbers visited states with
+/// u32 ids (0xFFFFFFFF marks "unvisited"). The dense oracle would need
+/// >= 13 bytes per code there (>= 56 GB), so there is nothing to fall
+/// back to.
+class VisitIdRangeExceeded : public std::length_error {
  public:
-  StoreBackedSuccessors(const StateSpace& space,
-                        std::vector<std::size_t> actions);
-
-  void successors(std::uint64_t code,
-                  std::vector<std::uint64_t>& out) override;
-
-  /// States expanded so far (one per successors() call).
-  std::uint64_t expansions() const noexcept { return expansions_; }
+  explicit VisitIdRangeExceeded(std::uint64_t states);
+  std::uint64_t states() const noexcept { return states_; }
 
  private:
-  const StateSpace* space_;
-  std::vector<std::size_t> actions_;
-  State scratch_;
-  std::uint64_t expansions_ = 0;
+  std::uint64_t states_;
 };
 
+/// Closure of `predicate` under the given action indices: chunk-parallel
+/// odometer scans with an in-order reduction that replays the serial
+/// scan's early exit.
 ClosureReport check_closed_via(const StoreConfig& config,
                                const StateSpace& space,
                                const PredicateFn& predicate,
                                const std::vector<std::size_t>& actions);
 
+/// Closure under all non-fault actions.
 ClosureReport check_closed_via(const StoreConfig& config,
                                const StateSpace& space,
                                const PredicateFn& predicate);
 
+/// Unfair-daemon convergence (~2.5 bytes/state): parallel flag sweep into a
+/// TwoBitArray, then the shared DFS core (checker/convergence_core.hpp)
+/// over 2-bit colors and narrow distances.
 ConvergenceReport check_convergence_via(const StoreConfig& config,
                                         const StateSpace& space,
                                         const PredicateFn& S,
                                         const PredicateFn& T);
 
+/// Weakly-fair convergence (Tarjan/SCC + fair-escape analysis,
+/// checker/scc_core.hpp): a stamped u32 visit index per code, lowlinks in
+/// slabs indexed by visit id (a popped state's slot then holds its
+/// component id), and one on-stack bit per code. Throws
+/// VisitIdRangeExceeded past the u32 id range.
 ConvergenceReport check_convergence_weakly_fair_via(const StoreConfig& config,
                                                     const StateSpace& space,
                                                     const PredicateFn& S,
                                                     const PredicateFn& T);
 
-/// compute_variant through the selected backend (store-native single
-/// traversal under kStore; the legacy double traversal otherwise).
+/// Longest-path-to-S variant: one shared-core DFS with u32 distances
+/// materializes the distance vector directly. nullopt when no variant
+/// exists (a ¬S cycle or deadlock). Throws VisitIdRangeExceeded past the
+/// u32 range.
 std::optional<VariantFunction> compute_variant_via(const StoreConfig& config,
                                                    const StateSpace& space,
                                                    const PredicateFn& S);
 
-/// Why the compact backend cannot serve this state-space size, or nullopt
-/// when it can (or when the config never asked for it). Currently the one
-/// reason is a code range at or beyond 2^32-1, which would overflow the
-/// u32 dense visit ids of the compact Tarjan/DFS bookkeeping. Run-report
-/// writers surface this as `backend_fallback_reason` instead of silently
-/// checking on the dense path.
-std::optional<std::string> backend_fallback_reason_for_size(
-    const StoreConfig& config, std::uint64_t states);
-
-/// backend_fallback_reason_for_size over a built state space.
-std::optional<std::string> backend_fallback_reason(const StoreConfig& config,
-                                                   const StateSpace& space);
-
+/// BFS closure of `start` under `actions` through the FrontierEngine.
 StateSet compute_reachable_via(const StoreConfig& config,
                                const StateSpace& space,
                                const PredicateFn& start,
                                const std::vector<std::size_t>& actions,
                                const FaultSpanOptions& opts = {});
 
+/// Reachability from S under program + fault actions.
 StateSet compute_fault_span_via(const StoreConfig& config,
                                 const StateSpace& space, const PredicateFn& S,
                                 const std::vector<std::size_t>& fault_actions,
                                 const FaultSpanOptions& opts = {});
 
-/// verify_tolerance (closure of S and T + convergence) through the
-/// selected backend.
+/// verify_tolerance (closure of S and T + unfair convergence).
 ToleranceReport verify_tolerance_via(const StoreConfig& config,
                                      const StateSpace& space,
                                      const Design& design);

@@ -124,34 +124,18 @@ void SpillableFrontier::clear() {
   spilled_ = 0;
 }
 
+// A space of one scan chunk runs on the calling thread: its BFS levels are
+// too small to pay for waking workers.
 FrontierEngine::FrontierEngine(const StateSpace& space,
                                const StoreConfig& config)
-    : space_(&space), config_(config), pool_(config.threads) {}
-
-FrontierEngine::FrontierEngine(const StoreConfig& config)
-    : space_(nullptr), config_(config), pool_(config.threads) {}
-
-void FrontierEngine::for_items(
-    std::uint64_t begin, std::uint64_t end,
-    const std::function<void(std::uint64_t, unsigned)>& fn) {
-  obs::Span span("store.for_items");
-  parallel_for_chunked(pool_, begin, end, /*grain=*/1,
-                       [&](std::size_t chunk, std::uint64_t lo,
-                           std::uint64_t hi, unsigned worker) {
-                         (void)chunk;
-                         (void)hi;  // grain 1: [lo, hi) is a single item
-                         fn(lo, worker);
-                       });
-}
+    : space_(&space),
+      config_(config),
+      pool_(space.size() <= config.grain ? 1 : config.threads) {}
 
 StateSet FrontierEngine::reachable(const PredicateFn& start,
                                    const std::vector<std::size_t>& actions,
                                    const FaultSpanOptions& opts) {
   obs::Span span("store.reach");
-  if (space_ == nullptr) {
-    throw std::logic_error(
-        "FrontierEngine: reachable() needs the state-space constructor");
-  }
   stats_ = {};
   const StateSpace& space = *space_;
   const Program& p = space.program();
@@ -191,13 +175,13 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
     }
   }
 
-  // Level-synchronous BFS with the sweep's merge-in-pop-order contract
-  // (parallel/sweep.cpp): per-node successor lists depend only on the node,
-  // and the serial merge replays the serial BFS's insertion sequence and
-  // max_states truncation. Expansion additionally drops successors that
-  // were already in `set` when the level started — the merge would skip
-  // them anyway, so the result is unchanged but the per-level buffers stay
-  // proportional to the *new* states, not the total degree.
+  // Level-synchronous BFS with a merge in pop order: per-node successor
+  // lists depend only on the node, and the serial merge replays the serial
+  // BFS's insertion sequence and max_states truncation. Expansion
+  // additionally drops successors that were already in `set` when the
+  // level started — the merge would skip them anyway, so the result is
+  // unchanged but the per-level buffers stay proportional to the *new*
+  // states, not the total degree.
   struct NodeSuccs {
     std::vector<std::uint32_t> degree;  // kept successors per node
     std::vector<std::uint64_t> data;    // concatenated, in expansion order
@@ -219,6 +203,7 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
         pool_, 0, fsize, level_grain,
         [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi,
             unsigned worker) {
+          obs::Span chunk_span("store.reach.chunk");
           NodeSuccs& out = level[chunk];
           std::vector<std::uint64_t> codes;
           frontier->read(lo, hi, codes);
@@ -276,11 +261,6 @@ std::uint64_t FrontierEngine::backward_distances(
     const PredicateFn& target, const std::vector<std::size_t>& actions,
     StampedDistanceArray& dist, std::uint32_t max_rounds) {
   obs::Span span("store.backward");
-  if (space_ == nullptr) {
-    throw std::logic_error(
-        "FrontierEngine: backward_distances() needs the state-space "
-        "constructor");
-  }
   stats_ = {};
   const StateSpace& space = *space_;
   const Program& p = space.program();

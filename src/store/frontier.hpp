@@ -1,16 +1,14 @@
 // Chunked parallel frontier engine.
 //
-// Forward mode (`reachable`) is the store backend for fault-span /
-// reachability: a level-synchronous BFS whose frontier chunks are consumed
-// from the thread pool's shared queue (idle workers steal the next chunk),
-// each worker expanding into its own output buffer, with the buffers merged
+// Forward mode (`reachable`) is the engine's fault-span / reachability
+// pass: a level-synchronous BFS whose frontier chunks are consumed from
+// the thread pool's shared queue (idle workers steal the next chunk), each
+// worker expanding into its own output buffer, with the buffers merged
 // serially in chunk order. The merge replays the serial BFS's insertion
-// sequence exactly — same StateSet, same max_states truncation — which is
-// the determinism contract the legacy parallel sweep established
-// (parallel/sweep.hpp); the engine adds a visited pre-filter (safe: it only
-// drops successors the merge would skip anyway) and an optional disk spill
-// so frontiers larger than RAM stream through a temp file instead of
-// failing.
+// sequence exactly — same StateSet, same max_states truncation — with a
+// visited pre-filter (safe: it only drops successors the merge would skip
+// anyway) and an optional disk spill so frontiers larger than RAM stream
+// through a temp file instead of failing.
 //
 // Backward mode (`backward_distances`) computes min-steps-to-target for
 // every code without materializing a predecessor graph: each round scans
@@ -21,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -74,21 +71,6 @@ struct FrontierStats {
 class FrontierEngine {
  public:
   FrontierEngine(const StateSpace& space, const StoreConfig& config);
-
-  /// Work-distribution-only engine: owns the pool but no state space.
-  /// for_items works; reachable/backward_distances throw. This is the
-  /// engine the campaign runner routes its trial loop through, so trials
-  /// and store sweeps share one pool shape and config surface.
-  explicit FrontierEngine(const StoreConfig& config);
-
-  /// Dispatch items [begin, end) one at a time onto the pool's shared
-  /// queue (idle workers steal the next item — the same grain-1 dynamic
-  /// schedule the campaign trial loop has always used, so any
-  /// item-order-independent caller keeps byte-identical output). Blocks
-  /// until every item has run. `fn(item, worker)` may run concurrently
-  /// with itself on distinct items.
-  void for_items(std::uint64_t begin, std::uint64_t end,
-                 const std::function<void(std::uint64_t, unsigned)>& fn);
 
   /// Store-backed compute_reachable: BFS closure of `start` under
   /// `actions`, byte-identical to the serial checker's StateSet.

@@ -9,7 +9,7 @@
 // set, and the frontier engine all operate on.
 //
 // The companion OdometerCursor (store/odometer.hpp) removes the other
-// per-state cost of the legacy scans: decoding a mixed-radix code takes one
+// per-state cost of the dense scans: decoding a mixed-radix code takes one
 // div+mod per variable, but consecutive codes differ like an odometer, so a
 // full-range scan can ripple-increment the decoded state in O(1) amortized
 // instead.

@@ -1,9 +1,9 @@
-#include "store/store_check.hpp"
+#include "store/facade.hpp"
 
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <unordered_map>
+#include <string>
 
 #include "checker/convergence_core.hpp"
 #include "checker/scc_core.hpp"
@@ -12,7 +12,6 @@
 #include "obs/span.hpp"
 #include "parallel/thread_pool.hpp"
 #include "store/bitset.hpp"
-#include "store/facade.hpp"
 #include "store/frontier.hpp"
 #include "store/odometer.hpp"
 
@@ -63,8 +62,8 @@ ClosureReport scan_closure_range_odometer(
 }
 
 /// evaluate_flags into a TwoBitArray (2 bits/state instead of a byte),
-/// chunk-parallel with in-order count reduction — same counts as
-/// detail::evaluate_flags / evaluate_flags_parallel.
+/// chunk-parallel with in-order count reduction — same counts as the
+/// serial oracle's flag pass.
 TwoBitArray evaluate_flags_store(ThreadPool& pool, const StateSpace& space,
                                  const PredicateFn& S, const PredicateFn& T,
                                  std::uint64_t grain,
@@ -82,6 +81,7 @@ TwoBitArray evaluate_flags_store(ThreadPool& pool, const StateSpace& space,
       [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi,
           unsigned worker) {
         (void)worker;
+        obs::Span chunk_span("store.flags.chunk");
         OdometerCursor cur(space, lo);
         Counts c;
         for (std::uint64_t code = lo; code < hi; ++code) {
@@ -123,34 +123,19 @@ struct CompactDfsBookkeeping {
     if (d > std::numeric_limits<DistT>::max()) throw DistanceOverflow{};
     dist_[code] = static_cast<DistT>(d);
   }
-  std::int64_t stack_pos(std::uint64_t code) const {
-    const auto it = stack_pos_.find(code);
-    return it == stack_pos_.end() ? -1 : it->second;
-  }
-  void set_stack_pos(std::uint64_t code, std::int64_t pos) {
-    if (pos < 0) {
-      stack_pos_.erase(code);
-    } else {
-      stack_pos_[code] = pos;
-    }
-  }
 
   TwoBitArray color_;
   std::vector<DistT> dist_;
-  /// Only DFS-path states have a position — path depth, not range, sized.
-  std::unordered_map<std::uint64_t, std::int64_t> stack_pos_;
 };
 
 /// Store-native Tarjan bookkeeping (checker/scc_core.hpp contract). The
 /// per-code state is a stamped u32 visit index (kUnset = unvisited,
 /// reusable across runs without an O(n) clear) plus one on-stack bit;
 /// visit ids are dense, so lowlinks are indexed by id in fixed-size slabs
-/// appended as the traversal grows — 4 bytes per *visited* state with no
-/// realloc-copy spike at 2× peak, instead of 4 bytes per code up front.
-/// The legacy component array (4 bytes/code) is replaced by sorted member
-/// snapshots of the sealed (nontrivial) SCCs: membership queries only
-/// ever name sealed components, and states outside them answer false
-/// exactly like a component-id mismatch would.
+/// appended as the traversal grows — 4 bytes per *visited* state, touched
+/// only as ids are handed out, with no realloc-copy spike at 2x peak. Once
+/// a state's SCC is popped its lowlink is dead, so the slot holds the
+/// component id instead of a separate per-code component array.
 class CompactTarjanBookkeeping {
  public:
   explicit CompactTarjanBookkeeping(std::uint64_t size)
@@ -176,17 +161,12 @@ class CompactTarjanBookkeeping {
       on_stack_[code >> 6] &= ~mask;
     }
   }
-  void mark_component(std::uint64_t, std::int32_t) {}
-  void seal_component(std::int32_t comp,
-                      const std::vector<std::uint64_t>& scc) {
-    std::vector<std::uint64_t> sorted = scc;
-    std::sort(sorted.begin(), sorted.end());
-    sealed_.emplace(comp, std::move(sorted));
+  void mark_component(std::uint64_t code, std::int32_t comp) {
+    set_lowlink(code, static_cast<std::uint32_t>(comp));
   }
   bool in_component(std::uint64_t code, std::int32_t comp) const {
-    const auto it = sealed_.find(comp);
-    return it != sealed_.end() &&
-           std::binary_search(it->second.begin(), it->second.end(), code);
+    return visited(code) && !on_stack(code) &&
+           lowlink(code) == static_cast<std::uint32_t>(comp);
   }
 
  private:
@@ -199,10 +179,12 @@ class CompactTarjanBookkeeping {
   void slab_set(std::uint32_t id, std::uint32_t v) {
     const std::uint32_t slab = id >> kSlabBits;
     // Visit ids are assigned in push order, so at most one new slab at a
-    // time; the loop only guards the first touch.
+    // time; the loop only guards the first touch. Slabs are left
+    // uninitialized: every id's lowlink is written when it is assigned,
+    // before any read, so untouched pages never fault in.
     while (slabs_.size() <= slab) {
-      slabs_.push_back(
-          std::make_unique<std::uint32_t[]>(std::size_t{1} << kSlabBits));
+      slabs_.push_back(std::make_unique_for_overwrite<std::uint32_t[]>(
+          std::size_t{1} << kSlabBits));
     }
     slabs_[slab][id & kSlabMask] = v;
   }
@@ -210,15 +192,103 @@ class CompactTarjanBookkeeping {
   StampedDistanceArray index_;
   std::vector<std::unique_ptr<std::uint32_t[]>> slabs_;
   std::vector<std::uint64_t> on_stack_;
-  std::unordered_map<std::int32_t, std::vector<std::uint64_t>> sealed_;
 };
+
+/// Largest space whose ¬S successor lists are prefetched (4 bytes per code
+/// plus 4 per transition, ~120 MB for a Dijkstra ring this size). Past it
+/// the traversal generates successors itself and the engine keeps its ~2.5
+/// bytes per code.
+constexpr std::uint64_t kPrefetchMaxCodes = std::uint64_t{1} << 22;
+
+/// The sorted distinct successor codes of every ¬S code, generated
+/// chunk-parallel before the serial DFS/SCC pass reads them in traversal
+/// order — the same lists ProgramSuccessors returns, so reports do not
+/// change. Each chunk owns its list buffer and its slice of the per-code
+/// end offsets, so nothing is merged afterwards.
+class PrefetchedSuccessors {
+ public:
+  PrefetchedSuccessors(ThreadPool& pool, const StateSpace& space,
+                       const TwoBitArray& flags,
+                       const std::vector<std::size_t>& actions,
+                       std::uint64_t grain)
+      : grain_(grain),
+        ends_(space.size()),
+        lists_(chunk_count(space.size(), grain)) {
+    obs::Span span("store.prefetch");
+    std::vector<ProgramSuccessors> sources(pool.size(),
+                                           ProgramSuccessors(space, actions));
+    parallel_for_chunked(
+        pool, 0, space.size(), grain,
+        [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi,
+            unsigned worker) {
+          obs::Span chunk_span("store.prefetch.chunk");
+          std::vector<std::uint32_t>& list = lists_[chunk];
+          std::vector<std::uint64_t> succs;
+          for (std::uint64_t code = lo; code < hi; ++code) {
+            if ((flags[code] & detail::kFlagS) == 0) {  // S is never expanded
+              sources[worker].successors(code, succs);
+              for (std::uint64_t next : succs) {
+                list.push_back(static_cast<std::uint32_t>(next));
+              }
+            }
+            ends_[code] = static_cast<std::uint32_t>(list.size());
+          }
+        });
+  }
+
+  void successors(std::uint64_t code, std::vector<std::uint64_t>& out) const {
+    const std::uint32_t* list = lists_[code / grain_].data();
+    const std::uint32_t begin = code % grain_ == 0 ? 0 : ends_[code - 1];
+    out.assign(list + begin, list + ends_[code]);
+  }
+
+ private:
+  std::uint64_t grain_;
+  std::vector<std::uint32_t> ends_;  ///< end of each code's list in its chunk
+  std::vector<std::vector<std::uint32_t>> lists_;  ///< one per chunk
+};
+
+/// Runs `traverse(successors)` over the source the pass should read:
+/// prefetched lists when the pool has more than one worker, the space spans
+/// more than one chunk, and it fits kPrefetchMaxCodes (and a chunk's lists
+/// fit their u32 offsets); else ProgramSuccessors generating each list when
+/// the traversal asks for it.
+template <class Traverse>
+ConvergenceReport with_successors(ThreadPool& pool, const StateSpace& space,
+                                  const TwoBitArray& flags,
+                                  const std::vector<std::size_t>& actions,
+                                  std::uint64_t grain, Traverse&& traverse) {
+  if (pool.size() > 1 && space.size() > grain &&
+      space.size() <= kPrefetchMaxCodes &&
+      space.size() * actions.size() <=
+          std::numeric_limits<std::uint32_t>::max()) {
+    PrefetchedSuccessors succ(pool, space, flags, actions, grain);
+    return traverse(succ);
+  }
+  ProgramSuccessors succ(space, actions);
+  return traverse(succ);
+}
+
+/// Visit ids and variant distances are u32, with 0xFFFFFFFF reserved.
+void require_u32_ids(const StateSpace& space) {
+  if (space.size() >= StampedDistanceArray::kUnset) {
+    throw VisitIdRangeExceeded(space.size());
+  }
+}
 
 }  // namespace
 
-ClosureReport check_closed_store(const StateSpace& space,
-                                 const PredicateFn& predicate,
-                                 const std::vector<std::size_t>& actions,
-                                 const StoreConfig& config) {
+VisitIdRangeExceeded::VisitIdRangeExceeded(std::uint64_t states)
+    : std::length_error(
+          "state space of " + std::to_string(states) +
+          " codes reaches the u32 visit-id range of the checker engine (max " +
+          std::to_string(StampedDistanceArray::kUnset - 1) + " codes)"),
+      states_(states) {}
+
+ClosureReport check_closed_via(const StoreConfig& config,
+                               const StateSpace& space,
+                               const PredicateFn& predicate,
+                               const std::vector<std::size_t>& actions) {
   obs::Span span("store.closure");
   obs::ProgressMeter meter("closure", space.size());
   ThreadPool pool(config.threads);
@@ -229,13 +299,13 @@ ClosureReport check_closed_store(const StateSpace& space,
       [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi,
           unsigned worker) {
         (void)worker;
+        obs::Span chunk_span("store.closure.chunk");
         chunks[chunk] =
             scan_closure_range_odometer(space, predicate, actions, lo, hi);
         meter.add(hi - lo);
       });
 
-  // In-order reduction replaying the serial scan's early exit (the same
-  // reduction as the parallel sweep's).
+  // In-order reduction replaying the serial scan's early exit.
   ClosureReport report;
   for (ClosureReport& c : chunks) {
     report.states_checked += c.states_checked;
@@ -252,96 +322,116 @@ ClosureReport check_closed_store(const StateSpace& space,
   return report;
 }
 
-ClosureReport check_closed_store(const StateSpace& space,
-                                 const PredicateFn& predicate,
-                                 const StoreConfig& config) {
-  return check_closed_store(space, predicate,
-                            non_fault_actions(space.program()), config);
+ClosureReport check_closed_via(const StoreConfig& config,
+                               const StateSpace& space,
+                               const PredicateFn& predicate) {
+  return check_closed_via(config, space, predicate,
+                          non_fault_actions(space.program()));
 }
 
-ConvergenceReport check_convergence_store(const StateSpace& space,
-                                          const PredicateFn& S,
-                                          const PredicateFn& T,
-                                          const StoreConfig& config) {
+ConvergenceReport check_convergence_via(const StoreConfig& config,
+                                        const StateSpace& space,
+                                        const PredicateFn& S,
+                                        const PredicateFn& T) {
   obs::Span span("store.convergence");
   ThreadPool pool(config.threads);
+  const std::uint64_t grain = aligned_grain(config);
   ConvergenceReport report;
   const TwoBitArray flags =
-      evaluate_flags_store(pool, space, S, T, aligned_grain(config), report);
-  const std::vector<std::size_t> actions = non_fault_actions(space.program());
-
-  // First pass with 16-bit distances (~5 bytes/state total). Convergence
-  // spans beyond 65535 steps are possible in principle, so on overflow the
-  // identical traversal restarts from the post-flags report with 32-bit
-  // distances — flags are reused, bookkeeping and successor state are
-  // rebuilt fresh.
-  {
-    ConvergenceReport attempt = report;
-    CompactDfsBookkeeping<std::uint16_t> bk(space.size());
-    StoreBackedSuccessors succ(space, actions);
-    try {
-      return detail::check_convergence_core_impl(space, flags, succ,
-                                                 std::move(attempt), bk);
-    } catch (const DistanceOverflow&) {
-    }
-  }
-  CompactDfsBookkeeping<std::uint32_t> bk(space.size());
-  StoreBackedSuccessors succ(space, actions);
-  return detail::check_convergence_core_impl(space, flags, succ,
-                                             std::move(report), bk);
+      evaluate_flags_store(pool, space, S, T, grain, report);
+  return with_successors(
+      pool, space, flags, non_fault_actions(space.program()), grain,
+      [&](auto& succ) {
+        // First pass with 16-bit distances (~2.5 bytes/state total).
+        // Convergence spans beyond 65535 steps are possible in principle,
+        // so on overflow the identical traversal restarts from the
+        // post-flags report with 32-bit distances — flags and successor
+        // lists are reused, bookkeeping is rebuilt fresh.
+        {
+          ConvergenceReport attempt = report;
+          CompactDfsBookkeeping<std::uint16_t> bk(space.size());
+          try {
+            return detail::check_convergence_core_impl(space, flags, succ,
+                                                       std::move(attempt), bk);
+          } catch (const DistanceOverflow&) {
+          }
+        }
+        CompactDfsBookkeeping<std::uint32_t> bk(space.size());
+        return detail::check_convergence_core_impl(space, flags, succ,
+                                                   std::move(report), bk);
+      });
 }
 
-ConvergenceReport check_convergence_weakly_fair_store(
-    const StateSpace& space, const PredicateFn& S, const PredicateFn& T,
-    const StoreConfig& config) {
+ConvergenceReport check_convergence_weakly_fair_via(const StoreConfig& config,
+                                                    const StateSpace& space,
+                                                    const PredicateFn& S,
+                                                    const PredicateFn& T) {
   obs::Span span("store.convergence_fair");
+  require_u32_ids(space);
   ThreadPool pool(config.threads);
+  const std::uint64_t grain = aligned_grain(config);
   ConvergenceReport report;
   const TwoBitArray flags =
-      evaluate_flags_store(pool, space, S, T, aligned_grain(config), report);
+      evaluate_flags_store(pool, space, S, T, grain, report);
   const std::vector<std::size_t> actions = non_fault_actions(space.program());
-  StoreBackedSuccessors succ(space, actions);
-  CompactTarjanBookkeeping bk(space.size());
-  return detail::check_convergence_weakly_fair_core_impl(
-      space, flags, succ, actions, std::move(report), bk);
+  return with_successors(
+      pool, space, flags, actions, grain, [&](auto& succ) {
+        CompactTarjanBookkeeping bk(space.size());
+        return detail::check_convergence_weakly_fair_core_impl(
+            space, flags, succ, actions, std::move(report), bk);
+      });
 }
 
-std::optional<VariantFunction> compute_variant_store(const StateSpace& space,
-                                                     const PredicateFn& S,
-                                                     const StoreConfig& config) {
+std::optional<VariantFunction> compute_variant_via(const StoreConfig& config,
+                                                   const StateSpace& space,
+                                                   const PredicateFn& S) {
   obs::Span span("store.variant");
+  require_u32_ids(space);
   ThreadPool pool(config.threads);
+  const std::uint64_t grain = aligned_grain(config);
   ConvergenceReport report;
   const TwoBitArray flags = evaluate_flags_store(
-      pool, space, S, true_predicate(), aligned_grain(config), report);
-  const std::vector<std::size_t> actions = non_fault_actions(space.program());
-  StoreBackedSuccessors succ(space, actions);
+      pool, space, S, true_predicate(), grain, report);
   // u32 distances directly: the dist vector doubles as the variant values,
   // so the u16 first-attempt trick would force a copy-widen on success.
   CompactDfsBookkeeping<std::uint32_t> bk(space.size());
-  report = detail::check_convergence_core_impl(space, flags, succ,
-                                               std::move(report), bk);
+  report = with_successors(
+      pool, space, flags, non_fault_actions(space.program()), grain,
+      [&](auto& succ) {
+        return detail::check_convergence_core_impl(space, flags, succ,
+                                                   std::move(report), bk);
+      });
   if (report.verdict != ConvergenceVerdict::kConverges) return std::nullopt;
   return VariantFunction(space, std::move(bk.dist_));
 }
 
-StateSet compute_reachable_store(const StateSpace& space,
-                                 const PredicateFn& start,
-                                 const std::vector<std::size_t>& actions,
-                                 const StoreConfig& config,
-                                 const FaultSpanOptions& opts) {
+StateSet compute_reachable_via(const StoreConfig& config,
+                               const StateSpace& space,
+                               const PredicateFn& start,
+                               const std::vector<std::size_t>& actions,
+                               const FaultSpanOptions& opts) {
   FrontierEngine engine(space, config);
   return engine.reachable(start, actions, opts);
 }
 
-StateSet compute_fault_span_store(const StateSpace& space,
-                                  const PredicateFn& S,
-                                  const std::vector<std::size_t>& fault_actions,
-                                  const StoreConfig& config,
-                                  const FaultSpanOptions& opts) {
+StateSet compute_fault_span_via(const StoreConfig& config,
+                                const StateSpace& space, const PredicateFn& S,
+                                const std::vector<std::size_t>& fault_actions,
+                                const FaultSpanOptions& opts) {
   std::vector<std::size_t> actions = non_fault_actions(space.program());
   actions.insert(actions.end(), fault_actions.begin(), fault_actions.end());
-  return compute_reachable_store(space, S, actions, config, opts);
+  return compute_reachable_via(config, space, S, actions, opts);
+}
+
+ToleranceReport verify_tolerance_via(const StoreConfig& config,
+                                     const StateSpace& space,
+                                     const Design& design) {
+  ToleranceReport report;
+  report.S_closed = check_closed_via(config, space, design.S()).closed;
+  report.T_closed = check_closed_via(config, space, design.T()).closed;
+  report.convergence =
+      check_convergence_via(config, space, design.S(), design.T());
+  return report;
 }
 
 }  // namespace nonmask::store

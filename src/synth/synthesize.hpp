@@ -59,10 +59,9 @@ struct SynthesisOptions {
   /// Budget for the exact oracle's state space; synthesis requires the
   /// candidate program to fit (the exact checker is the final judge).
   std::uint64_t state_budget = StateSpace::kDefaultBudget;
-  /// Backend for the exact oracle (legacy dense arrays or the compact
-  /// store); results are byte-identical, the switch only changes memory
-  /// and scale. Defaults honor NONMASK_STORE_BACKEND / NONMASK_STATE_BUDGET
-  /// when constructed via StoreConfig::from_env() by the callers.
+  /// Checker-engine configuration for the exact oracle (threads, grain);
+  /// results never depend on it. Callers build it with
+  /// StoreConfig::from_env() to honor NONMASK_STATE_BUDGET.
   store::StoreConfig store;
   /// Name given to the synthesized design ("<program>-synth" when empty).
   std::string design_name;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 namespace nonmask::util {
 
@@ -75,8 +76,19 @@ class Parser {
     v.col = col_;
     const char c = peek();
     switch (c) {
-      case '{': parse_object(v); return v;
-      case '[': parse_array(v); return v;
+      case '{':
+      case '[':
+        if (++depth_ > kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        }
+        if (c == '{') {
+          parse_object(v);
+        } else {
+          parse_array(v);
+        }
+        --depth_;
+        return v;
       case '"':
         v.type = JsonValue::Type::kString;
         v.string_value = parse_string();
@@ -306,6 +318,7 @@ class Parser {
   std::size_t pos_ = 0;
   int line_ = 1;
   int col_ = 1;
+  int depth_ = 0;  ///< arrays/objects open at the current position
 };
 
 }  // namespace

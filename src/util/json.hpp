@@ -99,8 +99,13 @@ JsonValue jstr(std::string v);
 JsonValue jarr();
 JsonValue jobj();
 
+/// Deepest array/object nesting parse_json accepts. The parser recurses
+/// once per level, so the bound keeps a hostile document (a few hundred KB
+/// of '[' fits well under any request cap) from exhausting the stack.
+inline constexpr int kMaxJsonDepth = 256;
+
 /// Parse one JSON document (trailing whitespace allowed, trailing garbage
-/// rejected). Throws JsonParseError.
+/// rejected, nesting past kMaxJsonDepth rejected). Throws JsonParseError.
 JsonValue parse_json(std::string_view text);
 
 /// Render with 2-space indentation and "key": value member order as built.

@@ -1,7 +1,7 @@
 // Minimal leveled logger. Off by default; enabled per-binary for the
 // examples' live traces. Thread-safe: level and sink are atomics and sink
 // writes are serialized under a mutex, so concurrent NONMASK_LOG lines from
-// the parallel sweep and campaign workers (src/parallel/) never interleave
+// the thread-pool and campaign workers (src/parallel/) never interleave
 // mid-line. Reconfiguring level/sink while workers log is safe but takes
 // effect per-line.
 #pragma once

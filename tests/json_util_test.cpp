@@ -109,6 +109,31 @@ TEST(JsonUtilTest, ErrorsReportPosition) {
   }
 }
 
+// Nesting is bounded: exactly kMaxJsonDepth levels parse, one more is a
+// JsonParseError, and a 400 KB run of '[' (which used to overflow the
+// parser's stack) fails the same way instead of crashing.
+TEST(JsonUtilTest, RejectsNestingPastTheDepthLimit) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(parse_json(nested(util::kMaxJsonDepth)).type,
+            JsonValue::Type::kArray);
+  try {
+    parse_json(nested(util::kMaxJsonDepth + 1));
+    FAIL() << "expected JsonParseError";
+  } catch (const JsonParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(parse_json(std::string(200'000, '[')), JsonParseError);
+  EXPECT_THROW(parse_json(std::string(200'000, '{')), JsonParseError);
+  std::string objects;
+  for (int i = 0; i < 100'000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(parse_json(objects), JsonParseError);
+}
+
 TEST(JsonUtilTest, BuildersChainAndDump) {
   JsonValue doc = jobj();
   doc.add("name", jstr("demo"))

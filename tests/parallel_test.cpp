@@ -1,27 +1,22 @@
-// Tests for the parallel verification & campaign subsystem: the thread
-// pool primitive, parallel-vs-serial bit-equivalence of every sweep, the
-// campaign runner, and logging thread-safety.
+// Tests for the parallel campaign subsystem: the thread pool primitive, the
+// campaign runner, and logging thread-safety. The checker engine's
+// parallel-vs-serial equivalence lives in store_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "checker/closure_check.hpp"
-#include "checker/convergence_check.hpp"
-#include "checker/fault_span.hpp"
-#include "checker/state_space.hpp"
 #include "engine/experiment.hpp"
+#include "obs/telemetry.hpp"
 #include "parallel/campaign.hpp"
-#include "parallel/sweep.hpp"
 #include "parallel/thread_pool.hpp"
 #include "protocols/coloring.hpp"
 #include "protocols/diffusing.hpp"
-#include "protocols/running_example.hpp"
 #include "protocols/token_ring.hpp"
-#include "protocols/token_ring_small.hpp"
 #include "util/logging.hpp"
 
 namespace nonmask {
@@ -91,189 +86,39 @@ TEST(ThreadPoolTest, WorkerIndicesStayInRange) {
   EXPECT_TRUE(ok.load());
 }
 
+// Workers start on the first submit: work that parallel_for_chunked runs
+// inline (one chunk, or a one-worker pool) never starts a thread.
+TEST(ThreadPoolTest, InlineWorkStartsNoThread) {
+  auto& live = obs::Telemetry::depth().workers_live;
+  const std::int64_t before = live.load();
+  {
+    ThreadPool pool(4);
+    const auto caller = std::this_thread::get_id();
+    parallel_for_chunked(pool, 0, 10, 100,
+                         [&](std::size_t, std::uint64_t, std::uint64_t,
+                             unsigned worker) {
+                           EXPECT_EQ(worker, 0u);
+                           EXPECT_EQ(std::this_thread::get_id(), caller);
+                         });
+    EXPECT_EQ(live.load(), before);
+    ThreadPool serial(1);
+    parallel_for_chunked(serial, 0, 1000, 10,
+                         [](std::size_t, std::uint64_t, std::uint64_t,
+                            unsigned) {});
+    EXPECT_EQ(live.load(), before);
+    parallel_for_chunked(pool, 0, 1000, 10,
+                         [](std::size_t, std::uint64_t, std::uint64_t,
+                            unsigned) {});
+    EXPECT_EQ(live.load(), before + 4);
+  }
+  EXPECT_EQ(live.load(), before);
+}
+
 TEST(ThreadPoolTest, EnvOverrideControlsDefaultThreads) {
   setenv("NONMASK_THREADS", "3", 1);
   EXPECT_EQ(default_threads(), 3u);
   unsetenv("NONMASK_THREADS");
   EXPECT_GE(default_threads(), 1u);
-}
-
-// ----------------------------------------------------- sweep equivalence
-
-void expect_same_closure(const ClosureReport& a, const ClosureReport& b) {
-  EXPECT_EQ(a.closed, b.closed);
-  EXPECT_EQ(a.states_checked, b.states_checked);
-  EXPECT_EQ(a.transitions_checked, b.transitions_checked);
-  ASSERT_EQ(a.violation.has_value(), b.violation.has_value());
-  if (a.violation) {
-    EXPECT_EQ(a.violation->state, b.violation->state);
-    EXPECT_EQ(a.violation->action, b.violation->action);
-    EXPECT_EQ(a.violation->successor, b.violation->successor);
-  }
-}
-
-void expect_same_convergence(const ConvergenceReport& a,
-                             const ConvergenceReport& b) {
-  EXPECT_EQ(a.verdict, b.verdict);
-  EXPECT_EQ(a.states_in_T, b.states_in_T);
-  EXPECT_EQ(a.states_in_S, b.states_in_S);
-  EXPECT_EQ(a.region_states, b.region_states);
-  EXPECT_EQ(a.transitions, b.transitions);
-  EXPECT_EQ(a.max_steps_to_S, b.max_steps_to_S);
-  ASSERT_EQ(a.cycle.has_value(), b.cycle.has_value());
-  if (a.cycle) {
-    EXPECT_EQ(*a.cycle, *b.cycle);
-  }
-  ASSERT_EQ(a.deadlock.has_value(), b.deadlock.has_value());
-  if (a.deadlock) {
-    EXPECT_EQ(*a.deadlock, *b.deadlock);
-  }
-}
-
-SweepOptions sweep_opts(unsigned threads) {
-  SweepOptions opts;
-  opts.threads = threads;
-  opts.grain = 64;  // small grain so several chunks exist even on tiny spaces
-  return opts;
-}
-
-TEST(SweepTest, ClosureMatchesSerialAcrossThreadCounts) {
-  const auto dd = make_diffusing(RootedTree::balanced(7, 2), true);
-  StateSpace space(dd.design.program);
-  const auto serial = check_closed(space, dd.design.S());
-  for (unsigned threads : {1u, 2u, 8u}) {
-    expect_same_closure(
-        serial,
-        check_closed_parallel(space, dd.design.S(), sweep_opts(threads)));
-  }
-}
-
-TEST(SweepTest, ClosureViolationMatchesSerial) {
-  // x != y alone is not closed under the write-x-both variant (fix-leq sets
-  // x := z, which can land on y), so the first violating (state, action,
-  // successor) triple must match exactly.
-  const Design d = make_running_example(RunningExampleVariant::kWriteXBoth);
-  StateSpace space(d.program);
-  const VarId x = d.program.find_variable("x");
-  const VarId y = d.program.find_variable("y");
-  const PredicateFn only_first = [x, y](const State& s) {
-    return s.get(x) != s.get(y);
-  };
-  const auto serial = check_closed(space, only_first);
-  ASSERT_FALSE(serial.closed);
-  for (unsigned threads : {2u, 8u}) {
-    expect_same_closure(
-        serial, check_closed_parallel(space, only_first, sweep_opts(threads)));
-  }
-}
-
-TEST(SweepTest, ConvergenceMatchesSerialOnShippedProtocols) {
-  struct Case {
-    std::string name;
-    Design design;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"running-example",
-                   make_running_example(RunningExampleVariant::kWriteYZ)});
-  cases.push_back(
-      {"diffusing", make_diffusing(RootedTree::balanced(7, 2), true).design});
-  cases.push_back({"dijkstra-ring", make_dijkstra_ring(4, 5).design});
-  cases.push_back(
-      {"bounded-ring", make_token_ring_bounded(4, 3, true).design});
-  cases.push_back(
-      {"three-state-ring", make_dijkstra_three_state(4).design});
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.name);
-    StateSpace space(c.design.program);
-    const auto serial =
-        check_convergence(space, c.design.S(), c.design.T());
-    for (unsigned threads : {1u, 2u, 8u}) {
-      expect_same_convergence(
-          serial, check_convergence_parallel(space, c.design.S(),
-                                             c.design.T(),
-                                             sweep_opts(threads)));
-    }
-  }
-}
-
-TEST(SweepTest, ConvergenceViolationMatchesSerial) {
-  // The kWriteXBoth variant livelocks: verdicts and the extracted
-  // counterexample must agree.
-  const Design d = make_running_example(RunningExampleVariant::kWriteXBoth);
-  StateSpace space(d.program);
-  const auto serial = check_convergence(space, d.S(), d.T());
-  ASSERT_EQ(serial.verdict, ConvergenceVerdict::kViolated);
-  for (unsigned threads : {2u, 8u}) {
-    expect_same_convergence(
-        serial,
-        check_convergence_parallel(space, d.S(), d.T(), sweep_opts(threads)));
-  }
-}
-
-TEST(SweepTest, WeaklyFairMatchesSerial) {
-  const auto tr = make_dijkstra_ring(4, 5);
-  StateSpace space(tr.design.program);
-  const auto serial =
-      check_convergence_weakly_fair(space, tr.design.S(), tr.design.T());
-  for (unsigned threads : {2u, 8u}) {
-    expect_same_convergence(
-        serial,
-        check_convergence_weakly_fair_parallel(
-            space, tr.design.S(), tr.design.T(), sweep_opts(threads)));
-  }
-}
-
-TEST(SweepTest, FaultSpanMatchesSerial) {
-  const auto dd = make_diffusing(RootedTree::chain(6), true);
-  StateSpace space(dd.design.program);
-  const auto serial = compute_fault_span(space, dd.design.S(), {});
-  for (unsigned threads : {2u, 8u}) {
-    const auto par = compute_fault_span_parallel(space, dd.design.S(), {},
-                                                 {}, sweep_opts(threads));
-    EXPECT_EQ(par.size(), serial.size());
-    for (std::uint64_t code = 0; code < space.size(); ++code) {
-      ASSERT_EQ(par.contains_code(code), serial.contains_code(code))
-          << "code " << code;
-    }
-  }
-}
-
-TEST(SweepTest, CappedReachabilityMatchesSerial) {
-  const auto dd = make_diffusing(RootedTree::chain(6), true);
-  StateSpace space(dd.design.program);
-  FaultSpanOptions span_opts;
-  span_opts.max_states = 37;  // force mid-BFS truncation
-  const auto actions = non_fault_actions(dd.design.program);
-  const auto serial =
-      compute_reachable(space, dd.design.S(), actions, span_opts);
-  for (unsigned threads : {2u, 8u}) {
-    const auto par = compute_reachable_parallel(
-        space, dd.design.S(), actions, span_opts, sweep_opts(threads));
-    EXPECT_EQ(par.size(), serial.size());
-    for (std::uint64_t code = 0; code < space.size(); ++code) {
-      ASSERT_EQ(par.contains_code(code), serial.contains_code(code))
-          << "code " << code;
-    }
-  }
-}
-
-TEST(SweepTest, StateSpaceTooLargeBoundary) {
-  const auto dd = make_diffusing(RootedTree::balanced(7, 2), true);
-  const auto count = dd.design.program.state_count();
-  ASSERT_TRUE(count.has_value());
-  // Exactly at budget: constructible and sweepable.
-  StateSpace exact(dd.design.program, *count);
-  EXPECT_TRUE(
-      check_closed_parallel(exact, dd.design.S(), sweep_opts(2)).closed);
-  // One below budget: the parallel paths see the same exception the serial
-  // ones do, at construction time.
-  try {
-    StateSpace too_small(dd.design.program, *count - 1);
-    FAIL() << "expected StateSpaceTooLarge";
-  } catch (const StateSpaceTooLarge& e) {
-    EXPECT_EQ(e.requested(), *count);
-    EXPECT_EQ(e.budget(), *count - 1);
-  }
 }
 
 // ------------------------------------------------------------- campaign
@@ -367,43 +212,6 @@ TEST(CampaignTest, JsonlIsStreamedInTrialOrderAndThreadInvariant) {
   // Byte-identical at any thread count.
   EXPECT_EQ(render(2), serial);
   EXPECT_EQ(render(8), serial);
-}
-
-// Routing the multi-threaded trial loop through the store's FrontierEngine
-// (CampaignOptions::store.backend = kStore) must leave every output —
-// streamed JSONL and the aggregates — byte-identical to the legacy pool at
-// 1/2/8 threads, because the engine replays the same grain-1 dynamic
-// schedule over item-order-independent trials.
-TEST(CampaignTest, StoreRoutedTrialLoopIsByteIdentical) {
-  const auto dd = make_diffusing(RootedTree::chain(5), true);
-  ConvergenceExperiment config;
-  config.trials = 16;
-  config.seed = 3;
-
-  auto render = [&](unsigned threads, store::StoreBackend backend,
-                    SampleStats* steps_out) {
-    std::ostringstream out;
-    CampaignOptions opts;
-    opts.threads = threads;
-    opts.store.backend = backend;
-    opts.jsonl = &out;
-    const auto campaign = run_campaign(dd.design, config, opts);
-    *steps_out = campaign.aggregate.steps;
-    return out.str();
-  };
-
-  SampleStats legacy_steps;
-  const std::string legacy =
-      render(1, store::StoreBackend::kLegacyDense, &legacy_steps);
-  for (unsigned threads : {1u, 2u, 8u}) {
-    SampleStats store_steps;
-    const std::string routed =
-        render(threads, store::StoreBackend::kStore, &store_steps);
-    EXPECT_EQ(routed, legacy) << threads << " threads";
-    EXPECT_EQ(store_steps.mean, legacy_steps.mean) << threads << " threads";
-    EXPECT_EQ(store_steps.max, legacy_steps.max) << threads << " threads";
-    EXPECT_EQ(store_steps.sum, legacy_steps.sum) << threads << " threads";
-  }
 }
 
 TEST(CampaignTest, RecordsCarrySeedsAndOutcomes) {

@@ -454,6 +454,42 @@ TEST(ServeRoutesTest, EndToEndSubmitPollReport) {
   mgr.drain();
 }
 
+// Nesting past the parsers' depth limits — 200,000 '[' (a 400 KB body,
+// far under the request cap) or a constraint of 300,000 '!' — is a 422 at
+// submit, and the accept loop that parsed it keeps serving.
+TEST(ServeRoutesTest, DeeplyNestedSubmissionsAre422AndServerStaysUp) {
+  ServeOptions opts;
+  opts.state_dir = fresh_dir("nesting");
+  opts.workers = 1;
+  JobManager mgr(opts);
+  HttpServer server(0);
+  std::thread t([&] { server.serve_forever(make_handler(mgr)); });
+
+  const auto deep_json = http_request(server.port(), "POST", "/jobs",
+                                      std::string(200'000, '['));
+  EXPECT_EQ(deep_json.status, 422);
+  EXPECT_NE(deep_json.body.find("nesting deeper than"), std::string::npos);
+
+  std::string deep_expr = check_spec();
+  deep_expr.replace(deep_expr.find("x == 0"), 6,
+                    std::string(300'000, '!') + "x");
+  const auto rejected =
+      http_request(server.port(), "POST", "/jobs", deep_expr);
+  EXPECT_EQ(rejected.status, 422);
+  EXPECT_NE(rejected.body.find("nested deeper than"), std::string::npos);
+
+  EXPECT_EQ(http_request(server.port(), "GET", "/healthz").status, 200);
+  const auto posted =
+      http_request(server.port(), "POST", "/jobs", check_spec());
+  ASSERT_EQ(posted.status, 201);
+  const std::string id = util::parse_json(posted.body).find("id")->string_value;
+  EXPECT_EQ(wait_done(mgr, id).state, JobState::kDone);
+
+  server.shutdown();
+  t.join();
+  mgr.drain();
+}
+
 TEST(ServeRoutesTest, ReportBeforeCompletionIs404) {
   ServeOptions opts;
   opts.state_dir = fresh_dir("notready");

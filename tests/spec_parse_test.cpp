@@ -80,6 +80,45 @@ TEST(SpecExprTest, IntegerLiteralOverflowIsAParseError) {
   EXPECT_THROW(idx("1 + 18446744073709551616"), ExprError);
 }
 
+// Nesting is bounded (kMaxExprDepth): parentheses, unary operators and
+// ternaries count, and a deeper expression is an ExprError rather than a
+// stack overflow in the parser or a later pass over its tree.
+TEST(SpecExprTest, RejectsNestingPastTheDepthLimit) {
+  const auto parens = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '(') + "1" +
+           std::string(static_cast<std::size_t>(depth), ')');
+  };
+  // The whole expression is one level; each parenthesis adds one.
+  EXPECT_EQ(idx(parens(spec::kMaxExprDepth - 1)), 1);
+  EXPECT_THROW(idx(parens(spec::kMaxExprDepth)), ExprError);
+  try {
+    parse_expr(std::string(300'000, '!') + "0");
+    FAIL() << "expected ExprError";
+  } catch (const ExprError& e) {
+    EXPECT_NE(std::string(e.what()).find("nested deeper than"),
+              std::string::npos);
+  }
+  EXPECT_THROW(parse_expr(std::string(300'000, '-') + "1"), ExprError);
+  std::string ternaries;
+  for (int i = 0; i < 100'000; ++i) ternaries += "1?";
+  EXPECT_THROW(parse_expr(ternaries + "1"), ExprError);
+}
+
+// Operator chains are one flat node, not nesting: a conjunction over a few
+// hundred processes, or a 300,000-term sum, parses, compiles and evaluates
+// left to right without deepening the stack.
+TEST(SpecExprTest, LongOperatorChainsAreFlat) {
+  const auto chain = [](int links, const std::string& op) {
+    std::string text = "1";
+    for (int i = 0; i < links; ++i) text += " " + op + " 1";
+    return text;
+  };
+  EXPECT_EQ(idx(chain(999, "&&")), 1);
+  EXPECT_EQ(idx(chain(999, "-")), -998);
+  EXPECT_EQ(idx(chain(300'000, "+")), 300'001);
+  EXPECT_EQ(parse_expr(chain(999, "||"))->args.size(), 1000u);
+}
+
 Topology ring4() {
   Topology t;
   t.kind = Topology::Kind::kRing;
@@ -221,6 +260,37 @@ TEST(SpecParseTest, ContentHashIsStableAndTextSensitive) {
   EXPECT_EQ(spec::fnv1a64_hex(a), spec::fnv1a64_hex(a));
   EXPECT_EQ(spec::fnv1a64_hex(a).size(), 16u);
   EXPECT_NE(spec::fnv1a64_hex(a), spec::fnv1a64_hex(a + " "));
+}
+
+// Hostile documents fail validation instead of crashing it: a 400 KB run of
+// '[' and a constraint of 300,000 '!' each throw, the way `spec_tool
+// validate` and a server submit see them.
+TEST(SpecParseTest, DeeplyNestedDocumentsAreRejected) {
+  EXPECT_THROW(parse_spec(std::string(400'000, '[')), std::exception);
+  const std::string deep_constraint = minimal_spec().replace(
+      minimal_spec().find("x == 0"), 6, std::string(300'000, '!') + "x");
+  try {
+    compile_spec_text(deep_constraint);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.path(), "$.constraints[0].expr");
+    EXPECT_NE(std::string(e.what()).find("nested deeper than"),
+              std::string::npos);
+  }
+}
+
+// A constraint of 1000 conjuncts compiles to a state closure and evaluates
+// either way.
+TEST(SpecParseTest, LongConjunctionConstraintCompiles) {
+  std::string conj = "x == 0";
+  for (int i = 1; i < 1000; ++i) conj += " && x < 3";
+  const CompiledSpec cs = compile_spec_text(
+      minimal_spec().replace(minimal_spec().find("x == 0"), 6, conj));
+  const PredicateFn S = cs.design.S();
+  State s(1);
+  EXPECT_TRUE(S(s));
+  s.set(VarId(0), 2);
+  EXPECT_FALSE(S(s));
 }
 
 // --- compilation semantics ------------------------------------------------

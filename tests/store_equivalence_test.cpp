@@ -1,12 +1,16 @@
-// The two-backend contract (store/facade.hpp): every report the store
-// backend produces must be byte-identical to the legacy dense backend, on
-// every protocol, at every thread count. This suite checks the contract
-// field-by-field — counts, verdicts, and full counterexample states — for
-// closure, convergence, reachability, fault span, and the end-to-end
-// tolerance verdict, across 1/2/8 worker threads.
+// The engine-vs-oracle contract (store/facade.hpp): every report the
+// checker engine produces must be byte-identical to the serial dense
+// checkers' in src/checker/, on every built-in protocol, at every thread
+// count. Each report is rendered to text — counts, verdicts, and the full
+// counterexample states — and the renderings are compared for closure(S),
+// closure(T), unfair and weakly-fair convergence, the tolerance verdict,
+// variant extraction, and capped and uncapped reachability, across 1/2/8
+// worker threads. At one thread the convergence passes generate successors
+// inside the traversal; at two and eight they read the parallel prefetch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,210 +20,194 @@
 #include "checker/state_space.hpp"
 #include "checker/variant.hpp"
 #include "core/candidate.hpp"
-#include "protocols/coloring.hpp"
+#include "obs/report.hpp"
 #include "protocols/diffusing.hpp"
-#include "protocols/distributed_reset.hpp"
-#include "protocols/running_example.hpp"
-#include "protocols/token_ring.hpp"
-#include "protocols/token_ring_small.hpp"
+#include "spec/registry.hpp"
 #include "store/facade.hpp"
 
 namespace nonmask {
 namespace {
 
-struct Case {
-  std::string label;
-  Design design;
-};
-
-std::vector<Case> equivalence_cases() {
-  std::vector<Case> cases;
-  // kWriteXBoth is deliberately broken: its convergence check produces a
-  // cycle counterexample, so the counterexample paths are compared too.
-  cases.push_back({"running-example",
-                   make_running_example(RunningExampleVariant::kWriteYZ)});
-  cases.push_back({"running-example-broken",
-                   make_running_example(RunningExampleVariant::kWriteXBoth)});
-  cases.push_back(
-      {"diffusing", make_diffusing(RootedTree::balanced(3, 2), true).design});
-  cases.push_back({"token-ring-small", make_dijkstra_three_state(3).design});
-  cases.push_back({"dijkstra-ring", make_dijkstra_ring(4, 5).design});
-  cases.push_back(
-      {"coloring", make_coloring(UndirectedGraph::cycle(4)).design});
-  return cases;
-}
-
-store::StoreConfig config_for(store::StoreBackend backend, unsigned threads) {
+store::StoreConfig config_for(unsigned threads) {
   store::StoreConfig cfg;
-  cfg.backend = backend;
   cfg.threads = threads;
-  cfg.grain = 128;  // small grain: tiny spaces still cross chunk boundaries
+  cfg.grain = 128;  // small grain: tiny spaces still span several chunks
   return cfg;
 }
 
-void expect_same_closure(const ClosureReport& a, const ClosureReport& b,
-                         const std::string& ctx) {
-  EXPECT_EQ(a.closed, b.closed) << ctx;
-  EXPECT_EQ(a.states_checked, b.states_checked) << ctx;
-  EXPECT_EQ(a.transitions_checked, b.transitions_checked) << ctx;
-  ASSERT_EQ(a.violation.has_value(), b.violation.has_value()) << ctx;
-  if (a.violation) {
-    EXPECT_EQ(a.violation->state, b.violation->state) << ctx;
-    EXPECT_EQ(a.violation->action, b.violation->action) << ctx;
-    EXPECT_EQ(a.violation->successor, b.violation->successor) << ctx;
+std::string render(const State& s) {
+  std::string out = "(";
+  for (std::size_t i = 0; i < s.values().size(); ++i) {
+    if (i > 0) out += ",";
+    out += std::to_string(s.values()[i]);
   }
+  return out + ")";
 }
 
-void expect_same_convergence(const ConvergenceReport& a,
-                             const ConvergenceReport& b,
-                             const std::string& ctx) {
-  EXPECT_EQ(a.verdict, b.verdict) << ctx;
-  EXPECT_EQ(a.states_in_T, b.states_in_T) << ctx;
-  EXPECT_EQ(a.states_in_S, b.states_in_S) << ctx;
-  EXPECT_EQ(a.region_states, b.region_states) << ctx;
-  EXPECT_EQ(a.transitions, b.transitions) << ctx;
-  EXPECT_EQ(a.max_steps_to_S, b.max_steps_to_S) << ctx;
-  ASSERT_EQ(a.cycle.has_value(), b.cycle.has_value()) << ctx;
-  if (a.cycle) {
-    EXPECT_EQ(*a.cycle, *b.cycle) << ctx;
+std::string render(const ClosureReport& r) {
+  std::string out = obs::to_json(r);
+  if (r.violation) {
+    out += " violation " + render(r.violation->state) + " action " +
+           std::to_string(r.violation->action) + " -> " +
+           render(r.violation->successor);
   }
-  ASSERT_EQ(a.deadlock.has_value(), b.deadlock.has_value()) << ctx;
-  if (a.deadlock) {
-    EXPECT_EQ(*a.deadlock, *b.deadlock) << ctx;
-  }
+  return out;
 }
 
-void expect_same_set(const StateSet& a, const StateSet& b,
-                     const std::string& ctx) {
-  ASSERT_EQ(a.size(), b.size()) << ctx;
-  for (std::uint64_t code = 0; code < a.space().size(); ++code) {
-    ASSERT_EQ(a.contains_code(code), b.contains_code(code))
-        << ctx << " code " << code;
+std::string render(const ConvergenceReport& r) {
+  std::string out = obs::to_json(r);
+  if (r.cycle) {
+    out += " cycle";
+    for (const State& s : *r.cycle) out += " " + render(s);
   }
+  if (r.deadlock) out += " deadlock " + render(*r.deadlock);
+  return out;
+}
+
+std::string render(const std::optional<VariantFunction>& v) {
+  if (!v) return "no variant";
+  std::ostringstream out;
+  for (std::uint32_t d : v->raw()) out << d << ' ';
+  return out.str();
+}
+
+std::string render(const StateSet& set) {
+  std::ostringstream out;
+  out << set.size() << ':';
+  for (std::uint64_t code = 0; code < set.space().size(); ++code) {
+    if (set.contains_code(code)) out << ' ' << code;
+  }
+  return out.str();
+}
+
+/// Every registry protocol at its fixed instance size.
+std::vector<Design> builtins() {
+  std::vector<Design> out;
+  for (const spec::RegistryEntry& entry : spec::registry()) {
+    out.push_back(entry.make());
+  }
+  return out;
 }
 
 class BackendEquivalenceTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(BackendEquivalenceTest, AllReportsByteIdentical) {
   const unsigned threads = GetParam();
-  for (const auto& c : equivalence_cases()) {
-    const StateSpace space(c.design.program);
-    const auto dense =
-        config_for(store::StoreBackend::kLegacyDense, threads);
-    const auto packed = config_for(store::StoreBackend::kStore, threads);
-    const std::string ctx = c.label + " @" + std::to_string(threads) + "t";
+  const auto cfg = config_for(threads);
+  const auto designs = builtins();
+  ASSERT_EQ(designs.size(), 21u);
+  for (const Design& d : designs) {
+    SCOPED_TRACE(d.name + " @" + std::to_string(threads) + "t");
+    const StateSpace space(d.program);
+    EXPECT_EQ(render(store::check_closed_via(cfg, space, d.S())),
+              render(check_closed(space, d.S())));
+    EXPECT_EQ(render(store::check_closed_via(cfg, space, d.T())),
+              render(check_closed(space, d.T())));
+    EXPECT_EQ(render(store::check_convergence_via(cfg, space, d.S(), d.T())),
+              render(check_convergence(space, d.S(), d.T())));
 
-    expect_same_closure(check_closed(space, c.design.S()),
-                        store::check_closed_via(packed, space, c.design.S()),
-                        ctx + " closure(S) vs serial");
-    expect_same_closure(store::check_closed_via(dense, space, c.design.T()),
-                        store::check_closed_via(packed, space, c.design.T()),
-                        ctx + " closure(T)");
+    const auto faults = d.program.actions_of_kind(ActionKind::kFault);
+    EXPECT_EQ(render(store::compute_fault_span_via(cfg, space, d.S(), faults)),
+              render(compute_fault_span(space, d.S(), faults)));
 
-    expect_same_convergence(
-        check_convergence(space, c.design.S(), c.design.T()),
-        store::check_convergence_via(packed, space, c.design.S(),
-                                     c.design.T()),
-        ctx + " convergence vs serial");
-    expect_same_convergence(
-        store::check_convergence_via(dense, space, c.design.S(),
-                                     c.design.T()),
-        store::check_convergence_via(packed, space, c.design.S(),
-                                     c.design.T()),
-        ctx + " convergence");
-
-    const auto faults = c.design.program.actions_of_kind(ActionKind::kFault);
-    expect_same_set(
-        compute_fault_span(space, c.design.S(), faults),
-        store::compute_fault_span_via(packed, space, c.design.S(), faults),
-        ctx + " fault-span");
-
-    const auto tol_dense = store::verify_tolerance_via(dense, space, c.design);
-    const auto tol_store =
-        store::verify_tolerance_via(packed, space, c.design);
-    EXPECT_EQ(tol_dense.S_closed, tol_store.S_closed) << ctx;
-    EXPECT_EQ(tol_dense.T_closed, tol_store.T_closed) << ctx;
-    expect_same_convergence(tol_dense.convergence, tol_store.convergence,
-                            ctx + " tolerance");
-    EXPECT_EQ(tol_dense.tolerant(), tol_store.tolerant()) << ctx;
+    const ToleranceReport engine = store::verify_tolerance_via(cfg, space, d);
+    const ToleranceReport oracle = verify_tolerance(space, d);
+    EXPECT_EQ(engine.S_closed, oracle.S_closed);
+    EXPECT_EQ(engine.T_closed, oracle.T_closed);
+    EXPECT_EQ(render(engine.convergence), render(oracle.convergence));
   }
 }
 
-// A capped reachability run truncates at the same state under both
-// backends — the cap is part of the determinism contract, not best-effort.
+// A closure violation's (state, action, successor) triple is the first in
+// code order at any thread count: x != y alone is not closed under the
+// write-x-both variant (fix-leq sets x := z, which can land on y).
+TEST_P(BackendEquivalenceTest, ClosureViolationMatchesOracle) {
+  const Design d = spec::find_protocol("running-example-write-x-both")->make();
+  const StateSpace space(d.program);
+  const VarId x = d.program.find_variable("x");
+  const VarId y = d.program.find_variable("y");
+  const PredicateFn only_first = [x, y](const State& s) {
+    return s.get(x) != s.get(y);
+  };
+  const ClosureReport oracle = check_closed(space, only_first);
+  ASSERT_FALSE(oracle.closed);
+  EXPECT_EQ(render(store::check_closed_via(config_for(GetParam()), space,
+                                           only_first)),
+            render(oracle));
+}
+
+// A capped reachability run truncates at the same state as the serial BFS
+// — the cap is part of the determinism contract, not best-effort. The cap
+// is set to half the uncapped result so every protocol truncates mid-BFS.
 TEST_P(BackendEquivalenceTest, CappedReachabilityTruncatesIdentically) {
   const unsigned threads = GetParam();
-  const auto dd = make_dijkstra_ring(4, 5);
-  const StateSpace space(dd.design.program);
-  const auto actions = non_fault_actions(dd.design.program);
-  FaultSpanOptions opts;
-  opts.max_states = 101;
-
-  const auto dense = config_for(store::StoreBackend::kLegacyDense, threads);
-  const auto packed = config_for(store::StoreBackend::kStore, threads);
-  expect_same_set(
-      store::compute_reachable_via(dense, space, dd.design.S(), actions,
-                                   opts),
-      store::compute_reachable_via(packed, space, dd.design.S(), actions,
-                                   opts),
-      "capped reach @" + std::to_string(threads) + "t");
-}
-
-// The weakly-fair (Tarjan/SCC) checker runs store-native under kStore:
-// the compact bookkeeping must reproduce the dense reports byte for byte,
-// including the closed-SCC cycle counterexample of the broken running
-// example and the fairness-rescued distributed reset (where the unfair
-// check is kViolated but the SCC escape analysis proves convergence).
-TEST_P(BackendEquivalenceTest, WeaklyFairReportsByteIdentical) {
-  const unsigned threads = GetParam();
-  auto cases = equivalence_cases();
-  cases.push_back(
-      {"distributed-reset",
-       make_distributed_reset(RootedTree::balanced(3, 2), 2, true).design});
-  for (const auto& c : cases) {
-    const StateSpace space(c.design.program);
-    const auto dense =
-        config_for(store::StoreBackend::kLegacyDense, threads);
-    const auto packed = config_for(store::StoreBackend::kStore, threads);
-    const std::string ctx =
-        c.label + " fair @" + std::to_string(threads) + "t";
-
-    expect_same_convergence(
-        check_convergence_weakly_fair(space, c.design.S(), c.design.T()),
-        store::check_convergence_weakly_fair_via(packed, space, c.design.S(),
-                                                 c.design.T()),
-        ctx + " vs serial");
-    expect_same_convergence(
-        store::check_convergence_weakly_fair_via(dense, space, c.design.S(),
-                                                 c.design.T()),
-        store::check_convergence_weakly_fair_via(packed, space, c.design.S(),
-                                                 c.design.T()),
-        ctx);
+  const auto cfg = config_for(threads);
+  for (const Design& d : builtins()) {
+    SCOPED_TRACE(d.name + " @" + std::to_string(threads) + "t");
+    const StateSpace space(d.program);
+    std::vector<std::size_t> actions = non_fault_actions(d.program);
+    const auto faults = d.program.actions_of_kind(ActionKind::kFault);
+    actions.insert(actions.end(), faults.begin(), faults.end());
+    const StateSet full = compute_reachable(space, d.S(), actions);
+    FaultSpanOptions opts;
+    opts.max_states = full.size() / 2 + 1;
+    EXPECT_EQ(
+        render(store::compute_reachable_via(cfg, space, d.S(), actions, opts)),
+        render(compute_reachable(space, d.S(), actions, opts)));
   }
 }
 
-// Variant extraction through the store facade produces the same function
-// (the raw per-state distance table) as the legacy serial extraction, and
-// the same "no variant exists" answer for a non-converging design.
+// The weakly-fair (Tarjan/SCC) pass reproduces the oracle byte for byte,
+// including closed-SCC cycle counterexamples, fairness-rescued designs
+// (the unfair check is kViolated but the SCC escape analysis proves
+// convergence), and the environment variant's many two-state SCCs, whose
+// component ids live in dead lowlink slots.
+TEST_P(BackendEquivalenceTest, WeaklyFairReportsByteIdentical) {
+  const unsigned threads = GetParam();
+  const auto cfg = config_for(threads);
+  for (const Design& d : builtins()) {
+    SCOPED_TRACE(d.name + " fair @" + std::to_string(threads) + "t");
+    const StateSpace space(d.program);
+    EXPECT_EQ(render(store::check_convergence_weakly_fair_via(cfg, space,
+                                                              d.S(), d.T())),
+              render(check_convergence_weakly_fair(space, d.S(), d.T())));
+  }
+}
+
+// Variant extraction produces the same function (the raw per-state
+// distance table) as the serial extraction, and the same "no variant
+// exists" answer for a non-converging design.
 TEST_P(BackendEquivalenceTest, VariantExtractionMatchesDense) {
   const unsigned threads = GetParam();
-  for (const auto& c : equivalence_cases()) {
-    const StateSpace space(c.design.program);
-    const auto packed = config_for(store::StoreBackend::kStore, threads);
-    const std::string ctx =
-        c.label + " variant @" + std::to_string(threads) + "t";
-
-    const auto serial = compute_variant(space, c.design.S());
-    const auto via = store::compute_variant_via(packed, space, c.design.S());
-    ASSERT_EQ(serial.has_value(), via.has_value()) << ctx;
-    if (serial) {
-      EXPECT_EQ(serial->raw(), via->raw()) << ctx;
-    }
+  const auto cfg = config_for(threads);
+  for (const Design& d : builtins()) {
+    SCOPED_TRACE(d.name + " variant @" + std::to_string(threads) + "t");
+    const StateSpace space(d.program);
+    EXPECT_EQ(render(store::compute_variant_via(cfg, space, d.S())),
+              render(compute_variant(space, d.S())));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, BackendEquivalenceTest,
                          ::testing::Values(1u, 2u, 8u));
+
+TEST(EngineBudgetTest, StateSpaceTooLargeBoundary) {
+  const auto dd = make_diffusing(RootedTree::balanced(7, 2), true);
+  const auto count = dd.design.program.state_count();
+  ASSERT_TRUE(count.has_value());
+  // Exactly at budget: constructible and checkable.
+  StateSpace exact(dd.design.program, *count);
+  EXPECT_TRUE(
+      store::check_closed_via(config_for(2), exact, dd.design.S()).closed);
+  // One below budget: construction throws before any pass runs.
+  try {
+    StateSpace too_small(dd.design.program, *count - 1);
+    FAIL() << "expected StateSpaceTooLarge";
+  } catch (const StateSpaceTooLarge& e) {
+    EXPECT_EQ(e.requested(), *count);
+    EXPECT_EQ(e.budget(), *count - 1);
+  }
+}
 
 }  // namespace
 }  // namespace nonmask

@@ -4,7 +4,8 @@
 // encode/decode, and OdometerCursor ripple decoding, intern into the
 // sharded concurrent set, and run on the compact falsification paths.
 // These spaces (3^33 ≈ 5.6e15 codes) are far beyond exhaustive checking,
-// so coverage is randomized round-trips plus bounded compact-backend runs.
+// so coverage is randomized round-trips, bounded compact runs, and the
+// engine's refusal past its u32 visit-id range.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -161,20 +162,25 @@ TEST(StoreMultiwordTest, CompactFalsificationPathsRunOnTwoWordRecords) {
   EXPECT_FALSE(probe.violated);
 }
 
-TEST(StoreMultiwordTest, FallbackReasonNamesOversizedSpaces) {
-  store::StoreConfig cfg;
-  cfg.backend = store::StoreBackend::kStore;
-  // 3^33 codes exceed the u32 dense visit-id range of the compact Tarjan
-  // bookkeeping; the facade must say so instead of silently going dense.
-  const auto reason =
-      store::backend_fallback_reason_for_size(cfg, pow3(kNodes));
-  ASSERT_TRUE(reason.has_value());
-  EXPECT_NE(reason->find("u32"), std::string::npos);
-  EXPECT_FALSE(
-      store::backend_fallback_reason_for_size(cfg, 1'000'000).has_value());
-  cfg.backend = store::StoreBackend::kLegacyDense;
-  EXPECT_FALSE(
-      store::backend_fallback_reason_for_size(cfg, pow3(kNodes)).has_value());
+TEST(StoreMultiwordTest, VisitIdRangeErrorNamesOversizedSpaces) {
+  // 3^33 codes exceed the u32 visit ids of the Tarjan and variant
+  // bookkeeping: both passes refuse up front with a named error instead of
+  // allocating anything.
+  const auto cd = multiword_design();
+  const StateSpace space(cd.design.program, kBudget);
+  const store::StoreConfig cfg;
+  try {
+    store::check_convergence_weakly_fair_via(cfg, space, cd.design.S(),
+                                             cd.design.T());
+    FAIL() << "expected VisitIdRangeExceeded";
+  } catch (const store::VisitIdRangeExceeded& e) {
+    EXPECT_EQ(e.states(), pow3(kNodes));
+    EXPECT_NE(std::string(e.what()).find("u32 visit-id range"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(store::compute_variant_via(cfg, space, cd.design.S()),
+               store::VisitIdRangeExceeded);
 }
 
 }  // namespace

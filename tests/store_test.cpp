@@ -413,7 +413,6 @@ TEST(SpillableFrontierTest, ClearAfterSpillRestartsFromEmpty) {
 store::StoreConfig engine_config(unsigned threads,
                                  std::uint64_t spill_threshold = 0) {
   store::StoreConfig cfg;
-  cfg.backend = store::StoreBackend::kStore;
   cfg.threads = threads;
   cfg.grain = 64;  // small grain so the tiny spaces exercise many chunks
   cfg.shard_bits = 2;
@@ -557,26 +556,6 @@ TEST(FrontierEngineTest, BackwardDistancesAreExactMinSteps) {
     }
     EXPECT_EQ(resolved, expect_resolved);
   }
-}
-
-TEST(StoreConfigTest, FromEnvAcceptsBothBackendNames) {
-  // "store" and the explicit "dense" are both valid; anything else falls
-  // back to dense (with a one-time warning, not silently).
-  ::setenv("NONMASK_STORE_BACKEND", "store", 1);
-  EXPECT_EQ(store::StoreConfig::from_env().backend,
-            store::StoreBackend::kStore);
-  ::setenv("NONMASK_STORE_BACKEND", "dense", 1);
-  EXPECT_EQ(store::StoreConfig::from_env().backend,
-            store::StoreBackend::kLegacyDense);
-  ::setenv("NONMASK_STORE_BACKEND", "", 1);
-  EXPECT_EQ(store::StoreConfig::from_env().backend,
-            store::StoreBackend::kLegacyDense);
-  ::setenv("NONMASK_STORE_BACKEND", "compact", 1);  // typo -> dense + warn
-  EXPECT_EQ(store::StoreConfig::from_env().backend,
-            store::StoreBackend::kLegacyDense);
-  ::unsetenv("NONMASK_STORE_BACKEND");
-  EXPECT_EQ(store::StoreConfig::from_env().backend,
-            store::StoreBackend::kLegacyDense);
 }
 
 TEST(StoreConfigTest, FromEnvParsesBudget) {

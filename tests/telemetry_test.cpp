@@ -175,6 +175,48 @@ TEST(TelemetryTest, SamplerWithOneWriter) { run_sampler_race(1); }
 TEST(TelemetryTest, SamplerWithTwoWriters) { run_sampler_race(2); }
 TEST(TelemetryTest, SamplerWithEightWriters) { run_sampler_race(8); }
 
+// set_aggregate() (the run-report "store" section) samples live sets while
+// other threads construct and destroy theirs — what a server does when one
+// worker writes a report while another runs a falsify job with one
+// short-lived set per walk. Every set must be sampled while alive (ASan
+// and TSan replay this in CI), and once all are gone the aggregate counts
+// every insert exactly once.
+TEST(TelemetryTest, SetAggregateRacesSetLifetimes) {
+  const auto tr = make_dijkstra_ring(3, 4);  // 4^3 = 64 states
+  const StateSpace space(tr.design.program);
+  const store::PackedLayout layout(tr.design.program);
+  const std::uint64_t entries_before = Telemetry::set_aggregate().entries;
+
+  constexpr unsigned kWriters = 4;
+  constexpr unsigned kSetsPerWriter = 200;
+  std::atomic<unsigned> running{kWriters};
+  std::vector<std::thread> writers;
+  for (unsigned t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&] {
+      std::vector<std::uint64_t> words(layout.words());
+      State s(space.program().num_variables());
+      for (unsigned i = 0; i < kSetsPerWriter; ++i) {
+        store::ConcurrentPackedSet set(layout, /*shard_bits=*/2, /*seed=*/1);
+        for (std::uint64_t code = 0; code < space.size(); ++code) {
+          space.decode_into(code, s);
+          layout.pack(s, words.data());
+          set.insert(words.data());
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::uint64_t last = entries_before;
+  while (running.load() > 0) {
+    const std::uint64_t entries = Telemetry::set_aggregate().entries;
+    EXPECT_GE(entries, last);  // retired sets only accumulate
+    last = entries;
+  }
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(Telemetry::set_aggregate().entries - entries_before,
+            std::uint64_t{kWriters} * kSetsPerWriter * space.size());
+}
+
 // The accounting identity behind the store_scale dashboard: the weakly-fair
 // SCC pass pushes each ¬S region state exactly once (the flags pre-pass is
 // deliberately not classified as exploration), so the final heartbeat's
@@ -183,7 +225,6 @@ TEST(TelemetryTest, FinalHeartbeatMatchesWeaklyFairCheck) {
   const auto tr = make_dijkstra_ring(4, 6);
   const StateSpace space(tr.design.program);
   store::StoreConfig cfg;
-  cfg.backend = store::StoreBackend::kStore;
   cfg.threads = 2;
 
   const std::uint64_t explored_before =
