@@ -124,7 +124,9 @@ echo "ok: workbench and weakly-fair store_scale byte-identical at 1/2/8 threads"
 # Telemetry + dashboard smoke: a weakly-fair store run with the heartbeat
 # sampler on must write parseable JSONL whose final cumulative states count
 # equals the report's region_states (the accounting identity behind the
-# dashboard), and the dashboard must be one self-contained HTML file.
+# dashboard), and the dashboard must be one self-contained HTML file. A
+# campaign leg checks that the heartbeat's `counters` object is the metrics
+# registry's: its final heartbeat counts every trial once.
 echo "== telemetry dashboard smoke =="
 NONMASK_TELEMETRY="${store_dir}/heartbeats.jsonl" NONMASK_TELEMETRY_MS=10 \
   ./build/examples/store_scale 6 8 --weakly-fair --threads=4 \
@@ -147,6 +149,17 @@ for banned in ("http://", "https://", "src=", "<link", "@import"):
     assert banned not in html, f"dashboard not self-contained: {banned}"
 print(f"ok: {len(beats)} heartbeats, final count {final} matches report; "
       f"dashboard is {len(html)} bytes, self-contained")
+EOF
+fi
+NONMASK_TELEMETRY="${store_dir}/campaign_heartbeats.jsonl" \
+  ./build/examples/parallel_campaign dijkstra 64 4 7 >/dev/null
+if command -v python3 >/dev/null; then
+  python3 - "${store_dir}/campaign_heartbeats.jsonl" <<'EOF'
+import json, sys
+beats = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
+counters = beats[-1]["counters"]
+assert counters.get("campaign.trials") == 64, counters
+print(f"ok: final campaign heartbeat counts {counters['campaign.trials']} trials")
 EOF
 fi
 

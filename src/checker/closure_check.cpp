@@ -61,7 +61,7 @@ ClosureReport check_closed(const StateSpace& space,
                            const PredicateFn& predicate,
                            const std::vector<std::size_t>& actions) {
   obs::Span span("checker.closure");
-  obs::ProgressMeter meter("closure", space.size());
+  obs::ProgressMeter meter("closure", space.size(), obs::explored_states());
   State scratch(space.program().num_variables());
 
   // The serial scan is the in-order concatenation of slices (the same

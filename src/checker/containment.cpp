@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "checker/fault_span.hpp"
-#include "obs/json.hpp"
 #include "parallel/thread_pool.hpp"
+#include "util/json.hpp"
 
 namespace nonmask {
 
@@ -166,7 +166,7 @@ ContainmentReport measure_containment(const Program& program,
 std::string containment_to_json(const Program& program,
                                 const ContainmentReport& report) {
   std::string out;
-  obs::JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("protocol");
   w.value(program.name());

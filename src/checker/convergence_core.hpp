@@ -45,7 +45,7 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
                                               ConvergenceReport report,
                                               Bookkeeping& bk) {
   obs::Span dfs_span("checker.dfs");
-  obs::ProgressMeter meter("convergence-dfs");
+  obs::ProgressMeter meter("convergence-dfs", 0, obs::explored_states());
 
   struct DfsFrame {
     std::uint64_t code;

@@ -48,7 +48,7 @@ StateSet compute_reachable(const StateSpace& space, const PredicateFn& start,
   StateSet set(space);
   const std::uint64_t cap =
       opts.max_states == 0 ? space.size() : opts.max_states;
-  obs::ProgressMeter meter("reach", cap);
+  obs::ProgressMeter meter("reach", cap, obs::explored_states());
 
   std::deque<std::uint64_t> frontier;
   State s(p.num_variables());

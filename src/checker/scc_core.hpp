@@ -5,8 +5,8 @@
 //   - the serial oracle (convergence_check.cpp): int32 index/lowlink,
 //     byte on-stack marks, and an int32 component array, all sized by the
 //     full code range (~13 bytes/state);
-//   - the engine (store/store_check.cpp): a stamped u32 visit-index array
-//     over the codes, slab-grown u32 lowlinks indexed by dense visit id
+//   - the engine (store/store_check.cpp): a u32 visit-index array over
+//     the codes, slab-grown u32 lowlinks indexed by dense visit id
 //     (a popped state's slot then holds its component id), and 1-bit
 //     on-stack marks.
 //
@@ -91,7 +91,7 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
     const std::vector<std::size_t>& actions, ConvergenceReport report,
     Bookkeeping& bk) {
   obs::Span scc_span("checker.scc");
-  obs::ProgressMeter meter("convergence-scc");
+  obs::ProgressMeter meter("convergence-scc", 0, obs::explored_states());
   const Program& p = space.program();
 
   struct TarjanFrame {

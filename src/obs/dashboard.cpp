@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "obs/span.hpp"
+#include "util/json.hpp"
 
 namespace nonmask::obs {
 
@@ -127,23 +127,13 @@ std::vector<double> nice_ticks(double hi, int target) {
   return ticks;
 }
 
-enum class Unit { kCount, kRate, kMegabytes, kBytes };
+enum class Unit { kCount, kRate, kMegabytes };
 
 const char* unit_tag(Unit u) {
   switch (u) {
     case Unit::kRate: return "rate";
     case Unit::kMegabytes: return "mb";
-    case Unit::kBytes: return "bytes";
     default: return "count";
-  }
-}
-
-std::string unit_label(Unit u, double v) {
-  switch (u) {
-    case Unit::kRate: return human_count(v) + "/s";
-    case Unit::kMegabytes: return fmt(v, v >= 100 ? 0 : 1) + " MB";
-    case Unit::kBytes: return human_bytes(v);
-    default: return human_count(v);
   }
 }
 
@@ -206,8 +196,7 @@ void render_line_chart(std::ostream& out, const ChartDef& def,
         << fmt(kW - kMR, 1) << "\" y2=\"" << fmt(y, 1) << "\"/>\n";
     out << "<text class=\"tick\" x=\"" << fmt(kML - 6, 1) << "\" y=\""
         << fmt(y + 3.5, 1) << "\" text-anchor=\"end\">"
-        << html_escape(def.unit == Unit::kBytes ? human_bytes(t)
-                                                : human_count(t))
+        << html_escape(human_count(t))
         << "</text>\n";
   }
   // X ticks: round time values.
@@ -258,8 +247,8 @@ void render_line_chart(std::ostream& out, const ChartDef& def,
   out << "],\"series\":[";
   for (std::size_t si = 0; si < def.series.size(); ++si) {
     if (si != 0) out << ',';
-    out << "{\"name\":\"" << json_escape(def.series[si].name)
-        << "\",\"y\":[";
+    out << "{\"name\":" << util::json_quote(def.series[si].name)
+        << ",\"y\":[";
     for (std::size_t i = 0; i < def.series[si].y.size(); ++i) {
       if (i != 0) out << ',';
       out << fmt(def.series[si].y[i], 3);
@@ -451,16 +440,9 @@ const char kJs[] = R"JS(
     if (a >= 1e3) return (v / 1e3).toFixed(a >= 1e4 ? 0 : 1) + 'K';
     return a >= 10 || v === Math.floor(v) ? v.toFixed(0) : v.toFixed(1);
   }
-  function fmtBytes(v) {
-    if (v >= 1073741824) return (v / 1073741824).toFixed(1) + ' GiB';
-    if (v >= 1048576) return (v / 1048576).toFixed(1) + ' MiB';
-    if (v >= 1024) return (v / 1024).toFixed(1) + ' KiB';
-    return v.toFixed(0) + ' B';
-  }
   function fmtVal(v, unit) {
     if (unit === 'rate') return fmtCount(v) + '/s';
     if (unit === 'mb') return v.toFixed(v >= 100 ? 0 : 1) + ' MB';
-    if (unit === 'bytes') return fmtBytes(v);
     return fmtCount(v);
   }
   function fmtTime(s) {
@@ -684,13 +666,6 @@ void write_dashboard_html(std::ostream& out, const DashboardSpec& spec) {
                         {"Frontier size", Unit::kCount, {{"states", frontier}}},
                         xs);
     }
-    const std::vector<double> spill = collect(
-        [](const HeartbeatSample& s) { return s.frontier_spill_bytes; });
-    if (any_nonzero(spill)) {
-      render_line_chart(
-          out, {"Frontier spill (cumulative)", Unit::kBytes, {{"bytes", spill}}},
-          xs);
-    }
     out << "</div>\n";
     render_heatmap(out, samples, xs);
   }
@@ -701,24 +676,15 @@ void write_dashboard_html(std::ostream& out, const DashboardSpec& spec) {
     render_data_table(out, table);
   }
   if (last != nullptr) {
-    std::vector<std::pair<std::string, std::string>> rows = {
-        {"set probes", with_commas(last->set_probes)},
-        {"set grows", with_commas(last->set_grows)},
-        {"set CAS retries", with_commas(last->set_cas_retries)},
-        {"arena slab allocs", with_commas(last->arena_slab_allocs)},
-        {"arena slab bytes",
-         human_bytes(static_cast<double>(last->arena_slab_bytes))},
-        {"frontier spill flushes", with_commas(last->frontier_spill_flushes)},
-        {"frontier spill bytes",
-         human_bytes(static_cast<double>(last->frontier_spill_bytes))},
-        {"frontier levels", with_commas(last->frontier_levels)},
-        {"frontier merge rounds", with_commas(last->frontier_merge_rounds)},
-        {"campaign trials", with_commas(last->campaign_trials)},
-        {"campaign retries", with_commas(last->campaign_retries)},
-        {"campaign timeouts", with_commas(last->campaign_timeouts)},
-        {"live workers at stop", std::to_string(last->workers)},
-    };
-    render_kv_table(out, "Depth counters (final heartbeat)", rows);
+    std::vector<std::pair<std::string, std::string>> rows;
+    for (const auto& [name, value] : last->counters) {
+      rows.emplace_back(std::string(name),
+                        name.ends_with("_bytes")
+                            ? human_bytes(static_cast<double>(value))
+                            : with_commas(value));
+    }
+    rows.emplace_back("live workers at stop", std::to_string(last->workers));
+    render_kv_table(out, "Counters (final heartbeat)", rows);
     if (!last->sets.empty()) {
       out << "<div class=\"card\">\n<h3>Visited sets (final heartbeat)</h3>\n"
           << "<table>\n<tr><th class=\"num\">shards</th>"

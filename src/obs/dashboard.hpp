@@ -2,9 +2,9 @@
 // (obs/telemetry.hpp), the Chrome-trace span aggregate (obs/span.hpp), and
 // a caller-supplied run summary into one dependency-free HTML file —
 // inline SVG time-series (instantaneous states/s, cumulative states, RSS,
-// frontier, spill), a shard-occupancy heatmap, counter and heartbeat
-// tables, and a crosshair hover layer, with dark mode via CSS custom
-// properties. The file references nothing external: no scripts, fonts,
+// frontier), a shard-occupancy heatmap, counter and heartbeat tables, and
+// a crosshair hover layer, with dark mode via CSS custom properties. The
+// file references nothing external: no scripts, fonts,
 // images, or stylesheets are fetched, so it renders offline and can be
 // archived as a CI artifact next to the JSONL it was built from.
 #pragma once

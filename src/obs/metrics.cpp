@@ -155,13 +155,13 @@ Histogram& Registry::histogram(std::string_view name) {
 }
 
 RegistrySnapshot Registry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   RegistrySnapshot snap;
-  for (const auto& [name, c] : counters_) {
-    snap.counters.emplace_back(name, c->value());
-  }
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges.emplace_back(name, g->value());
+  snap.counters = counter_values();
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (Metrics::enabled()) {
+    for (const auto& [name, g] : gauges_) {
+      snap.gauges.emplace_back(name, g->value());
+    }
   }
   for (const auto& [name, h] : histograms_) {
     snap.histograms.emplace_back(name, h->snapshot());
@@ -169,10 +169,19 @@ RegistrySnapshot Registry::snapshot() const {
   return snap;
 }
 
+std::vector<CounterValue> Registry::counter_values() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<CounterValue> values;
+  values.reserve(counters_.size());
+  for (const auto& [name, c] : counters_) {
+    values.emplace_back(name, c->value());
+  }
+  return values;
+}
+
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 

@@ -1,14 +1,22 @@
 // Process-wide metrics registry: named counters, gauges, and histograms
 // with lock-free record paths, designed so the checker and parallel
-// subsystems can stay instrumented permanently.
+// subsystems can stay instrumented permanently. It is the one store of
+// counts: end-of-pass totals, the live counters the telemetry sampler
+// polls (set probes, arena slabs, BFS levels, campaign trials), and the
+// explored-states count progress meters feed.
 //
-// Cost model. Collection is off by default: every record call first reads
-// one relaxed atomic flag (Metrics::enabled) and returns, so dormant
-// instrumentation is a load + predicted branch. The instrumentation points
-// themselves sit at batch granularity (per chunk, per trial, per completed
-// check), never per state, so even enabled collection is far off the hot
-// paths. Registration (`Registry::counter(...)` etc.) takes a mutex and is
-// meant for call-site setup, not inner loops — hold the returned reference.
+// Cost model. Collection is off by default (Metrics::enabled is the only
+// switch that gates counts; Telemetry::start turns it on): every record
+// call first reads one relaxed atomic flag and returns, so dormant
+// instrumentation is a load + predicted branch. Most instrumentation
+// points sit at batch granularity (per chunk, per level, per trial, per
+// completed check). A few tick per state or per insert — the DFS and SCC
+// cores' progress meters and the concurrent set's probe count — and those
+// pay a relaxed RMW or two per tick while collection is on. Registration
+// (`Registry::counter(...)` etc.) takes a mutex and is meant for call-site
+// setup, not inner loops — hold the returned reference. Register a counter
+// only while collection is on, so a dormant run's report does not grow a
+// zero entry for it.
 //
 // Concurrency. Counter/Gauge are single atomics. Histogram shards its
 // accumulators per thread slot: a record touches only the calling thread's
@@ -57,21 +65,24 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
+/// A level its owner keeps current whether or not collection is on, so a
+/// collector switched on mid-run reads the true value (the thread pool's
+/// live-worker count is the one in use). Updates are therefore not gated,
+/// and owners make them at rare events only.
 class Gauge {
  public:
   explicit Gauge(std::string name) : name_(std::move(name)) {}
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
-  void set(double v) noexcept {
-    if (!Metrics::enabled()) return;
-    value_.store(v, std::memory_order_relaxed);
+  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
+  void add(double delta) noexcept {
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
   const std::string& name() const noexcept { return name_; }
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::string name_;
@@ -131,9 +142,15 @@ class Histogram {
   std::array<std::atomic<Shard*>, kShardSlots> shards_{};
 };
 
-/// Everything the registry knows, keyed and sorted by metric name.
+/// One counter at snapshot time. The name views the registry's own copy,
+/// which lives as long as the process.
+using CounterValue = std::pair<std::string_view, std::uint64_t>;
+
+/// Everything the registry knows, keyed and sorted by metric name. Gauges
+/// are listed only while collection is on: they are kept current even on
+/// a dormant run, and its report carries nothing it did not collect.
 struct RegistrySnapshot {
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<CounterValue> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
 };
@@ -149,8 +166,12 @@ class Registry {
   Histogram& histogram(std::string_view name);
 
   RegistrySnapshot snapshot() const;
-  /// Zero every registered metric (names survive). For tests and CLI runs
-  /// that want a per-phase snapshot.
+  /// Just the counters, sorted by name: the telemetry heartbeat's
+  /// `counters` object.
+  std::vector<CounterValue> counter_values() const;
+  /// Zero every counter and histogram (names survive; gauges are levels,
+  /// not accumulations, and keep theirs). For tests and CLI runs that want
+  /// a per-phase snapshot.
   void reset();
 
  private:

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -12,21 +11,6 @@
 namespace nonmask::obs {
 
 namespace {
-
-/// Labels whose add() units are explored states — the meters that feed the
-/// cumulative states_explored depth counter. "flags" is deliberately
-/// absent: the flags pass precedes the DFS/SCC pass over the same codes,
-/// and counting both would double every state.
-bool is_explored_label(const char* label) {
-  static const char* const kExplored[] = {
-      "convergence-dfs", "convergence-scc", "store-reach",
-      "store-backward",  "reach",           "closure",
-  };
-  for (const char* candidate : kExplored) {
-    if (std::strcmp(label, candidate) == 0) return true;
-  }
-  return false;
-}
 
 std::atomic<std::ostream*> g_sink{nullptr};
 std::atomic<unsigned> g_interval_ms{500};
@@ -54,6 +38,13 @@ std::string human_count(double v) {
 }
 
 }  // namespace
+
+Counter* explored_states() {
+  if (!Metrics::enabled()) return nullptr;
+  static Counter& states =
+      Registry::instance().counter("checker.states_explored");
+  return &states;
+}
 
 void Progress::enable(std::ostream* sink, unsigned interval_ms) {
   g_interval_ms.store(interval_ms, std::memory_order_relaxed);
@@ -100,35 +91,31 @@ void Progress::write_line(const char* label, std::uint64_t done,
   sink->flush();
 }
 
-ProgressMeter::ProgressMeter(const char* label, std::uint64_t total) noexcept
-    : label_(label), total_(total) {
-  telemetry_ = Telemetry::counting();
-  if (telemetry_) {
-    explored_ = is_explored_label(label);
-    Telemetry::register_meter(this);
-  }
-  if (!Progress::active() && !telemetry_) return;
+ProgressMeter::ProgressMeter(const char* label, std::uint64_t total,
+                             Counter* states) noexcept
+    : label_(label), total_(total), states_(states) {
+  collecting_ = Metrics::enabled();
+  if (collecting_) Telemetry::register_meter(this);
+  if (!Progress::active() && !collecting_) return;
   start_us_ = wall_us();
   last_report_us_.store(start_us_, std::memory_order_relaxed);
 }
 
 ProgressMeter::~ProgressMeter() {
   if (reported_.load(std::memory_order_relaxed)) maybe_report(true);
-  if (telemetry_) Telemetry::unregister_meter(this);
+  if (collecting_) Telemetry::unregister_meter(this);
 }
 
 void ProgressMeter::add(std::uint64_t n) noexcept {
   const bool progress = Progress::active();
-  if (!progress && !telemetry_) return;
+  if (!progress && !collecting_) return;
   done_.fetch_add(n, std::memory_order_relaxed);
-  if (telemetry_ && explored_) {
-    Telemetry::depth().states_explored.fetch_add(n, std::memory_order_relaxed);
-  }
+  if (states_ != nullptr) states_->add(n);
   if (progress) maybe_report(false);
 }
 
 void ProgressMeter::aux(const char* label, std::uint64_t value) noexcept {
-  if (!Progress::active() && !telemetry_) return;
+  if (!Progress::active() && !collecting_) return;
   for (AuxSlot& slot : aux_) {
     const char* cur = slot.label.load(std::memory_order_acquire);
     if (cur == nullptr) {

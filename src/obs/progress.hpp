@@ -2,28 +2,38 @@
 // runs: a process-wide sink plus per-operation meters that print at most
 // one line per interval ("states explored, states/sec, frontier size, ...").
 //
-// Off by default: with no sink configured, ProgressMeter::add is one
-// relaxed atomic load and a return. Instrumentation points call add() at
-// batch granularity (per slice, chunk, BFS level, or trial), so enabled
-// reporting stays off the hot paths too. Meters are safe to tick from many
-// threads: counts accumulate with relaxed atomics and the interval gate
-// elects one reporting thread by compare-exchange.
+// Off by default: with no sink configured and metrics off, ProgressMeter::
+// add is one relaxed atomic load, a member test, and a return. Most
+// instrumentation points call add() at batch granularity (per slice,
+// chunk, BFS level, or trial); the DFS and SCC cores tick once per state.
+// Meters are safe to tick from many threads: counts accumulate with
+// relaxed atomics and the interval gate elects one reporting thread by
+// compare-exchange.
 //
 // Meters double as the telemetry sampler's work-progress source: when
-// Telemetry::counting() is true at construction, the meter registers
-// itself, keeps done_ accumulating even without a progress sink, and — if
-// its label names a state-exploration pass — feeds the process-wide
-// states_explored depth counter. With both progress and telemetry off the
-// cost of add() is unchanged (one relaxed load plus a member test).
+// metrics collection is on at construction (Telemetry::start turns it on),
+// the meter registers itself and keeps done_ accumulating even without a
+// progress sink. A pass that explores states hands its meter the
+// explored_states() counter, as a Span takes a histogram, and every add()
+// also feeds that registry counter — the heartbeat's cumulative `states`.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
 
+#include "obs/metrics.hpp"
+
 namespace nonmask::obs {
 
 struct MeterSample;
+
+/// The registry counter of explored states ("checker.states_explored").
+/// Only passes that visit each state once hand it to their meter: the
+/// flags pre-pass scans the same codes its DFS/SCC pass then explores, so
+/// it does not. Null while metrics are off, so a dormant run registers
+/// nothing.
+Counter* explored_states();
 
 /// Process-wide progress configuration.
 class Progress {
@@ -41,11 +51,13 @@ class Progress {
 };
 
 /// Progress over one long-running operation. `total` == 0 means unknown
-/// (no percentage is printed). Construction is cheap; destruction emits a
-/// final line only if a periodic line was already printed.
+/// (no percentage is printed). `states`, when set, also receives every
+/// add(). Construction is cheap; destruction emits a final line only if a
+/// periodic line was already printed.
 class ProgressMeter {
  public:
-  explicit ProgressMeter(const char* label, std::uint64_t total = 0) noexcept;
+  explicit ProgressMeter(const char* label, std::uint64_t total = 0,
+                         Counter* states = nullptr) noexcept;
   ~ProgressMeter();
   ProgressMeter(const ProgressMeter&) = delete;
   ProgressMeter& operator=(const ProgressMeter&) = delete;
@@ -71,8 +83,8 @@ class ProgressMeter {
 
   const char* label_;
   std::uint64_t total_;
-  bool telemetry_ = false;  ///< Telemetry::counting() at construction
-  bool explored_ = false;   ///< label counts explored states
+  Counter* states_;
+  bool collecting_ = false;  ///< Metrics::enabled() at construction
   std::atomic<std::uint64_t> done_{0};
   std::uint64_t start_us_ = 0;
   std::atomic<std::uint64_t> last_report_us_{0};

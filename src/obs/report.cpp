@@ -5,8 +5,8 @@
 #include <fstream>
 #include <ostream>
 
-#include "obs/json.hpp"
 #include "obs/telemetry.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace nonmask::obs {
@@ -20,7 +20,7 @@ std::uint64_t wall_us() {
           .count());
 }
 
-void stats_fields(JsonWriter& w, const SampleStats& stats) {
+void stats_fields(util::JsonWriter& w, const SampleStats& stats) {
   w.begin_object();
   w.key("count");
   w.value(static_cast<std::uint64_t>(stats.count));
@@ -47,14 +47,14 @@ void stats_fields(JsonWriter& w, const SampleStats& stats) {
 
 std::string to_json(const SampleStats& stats) {
   std::string out;
-  JsonWriter w(&out);
+  util::JsonWriter w(&out);
   stats_fields(w, stats);
   return out;
 }
 
 std::string to_json(const ClosureReport& report) {
   std::string out;
-  JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("closed");
   w.value(report.closed);
@@ -74,7 +74,7 @@ std::string to_json(const ClosureReport& report) {
 
 std::string to_json(const ConvergenceReport& report) {
   std::string out;
-  JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("verdict");
   w.value(to_string(report.verdict));
@@ -102,7 +102,7 @@ std::string to_json(const ConvergenceReport& report) {
 
 std::string to_json(const ConvergenceResults& results) {
   std::string out;
-  JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("converged_fraction");
   w.value(results.converged_fraction);
@@ -118,7 +118,7 @@ std::string to_json(const ConvergenceResults& results) {
 
 std::string to_json(const HistogramSnapshot& snapshot) {
   std::string out;
-  JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("count");
   w.value(snapshot.count);
@@ -143,7 +143,7 @@ std::string to_json(const HistogramSnapshot& snapshot) {
 std::string metrics_to_json() {
   const RegistrySnapshot snap = Registry::instance().snapshot();
   std::string out;
-  JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("counters");
   w.begin_object();
@@ -182,28 +182,28 @@ void RunReport::add(std::string key, std::string json_value) {
 
 void RunReport::add_text(std::string key, std::string_view text) {
   std::string value;
-  JsonWriter w(&value);
+  util::JsonWriter w(&value);
   w.value(text);
   sections_.emplace_back(std::move(key), std::move(value));
 }
 
 void RunReport::add_number(std::string key, double value) {
   std::string rendered;
-  JsonWriter w(&rendered);
+  util::JsonWriter w(&rendered);
   w.value(value);
   sections_.emplace_back(std::move(key), std::move(rendered));
 }
 
 void RunReport::add_number(std::string key, std::uint64_t value) {
   std::string rendered;
-  JsonWriter w(&rendered);
+  util::JsonWriter w(&rendered);
   w.value(value);
   sections_.emplace_back(std::move(key), std::move(rendered));
 }
 
 std::string RunReport::to_json() const {
   std::string out;
-  JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("tool");
   w.value(tool_);

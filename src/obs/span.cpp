@@ -8,7 +8,7 @@
 #include <ostream>
 #include <string_view>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace nonmask::obs {
@@ -64,7 +64,7 @@ void Trace::write_chrome_trace(std::ostream& out) {
   const auto snapshot = events();
   std::string json;
   json.reserve(snapshot.size() * 96 + 64);
-  JsonWriter w(&json);
+  util::JsonWriter w(&json);
   w.begin_object();
   w.key("displayTimeUnit");
   w.value("ms");

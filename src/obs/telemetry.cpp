@@ -4,14 +4,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
-#include "obs/json.hpp"
 #include "obs/progress.hpp"
 #include "obs/rss.hpp"
+#include "util/json.hpp"
 
 namespace nonmask::obs {
 
@@ -25,21 +26,20 @@ std::uint64_t wall_us() {
 }
 
 struct TelemetryState {
-  std::atomic<bool> counting{false};
-  DepthCounters depth;
-
   std::mutex mutex;  // guards everything below
   std::condition_variable cv;
   bool running = false;
   bool stop_requested = false;
+  bool metrics_before = false;  // Metrics::enabled() when start() ran
   std::thread sampler;
   TelemetryOptions opts;
   std::ofstream out;
+  Counter* states = nullptr;  // explored_states(), bound by start()
   std::uint64_t start_us = 0;
   std::uint64_t seq = 0;
   std::uint64_t prev_states = 0;
   std::uint64_t prev_t_us = 0;
-  std::vector<HeartbeatSample> series;
+  std::deque<HeartbeatSample> series;  // the newest kMaxSamples
   std::vector<const ProgressMeter*> meters;
   std::vector<const SetTelemetrySource*> sets;
   SetSample retired;          // aggregate of destroyed sets
@@ -66,36 +66,21 @@ HeartbeatSample sample_locked(TelemetryState& s) {
   const std::uint64_t now_us = wall_us();
   hb.seq = s.seq++;
   hb.t_ms = (now_us - s.start_us) / 1000;
-  hb.states_explored = s.depth.states_explored.load(std::memory_order_relaxed);
+  hb.states_explored = s.states->value();
+  // A Registry::reset() mid-run rewinds the counter; count no negative rate.
+  const std::uint64_t delta = hb.states_explored >= s.prev_states
+                                  ? hb.states_explored - s.prev_states
+                                  : 0;
   const std::uint64_t dt_us = now_us - s.prev_t_us;
-  hb.states_per_sec =
-      dt_us == 0 ? 0.0
-                 : static_cast<double>(hb.states_explored - s.prev_states) *
-                       1e6 / static_cast<double>(dt_us);
+  hb.states_per_sec = dt_us == 0 ? 0.0
+                                 : static_cast<double>(delta) * 1e6 /
+                                       static_cast<double>(dt_us);
   s.prev_states = hb.states_explored;
   s.prev_t_us = now_us;
   hb.rss_mb = current_rss_mb();
   hb.peak_rss_mb = peak_rss_mb();
-  hb.workers = s.depth.workers_live.load(std::memory_order_relaxed);
-  hb.set_probes = s.depth.set_probes.load(std::memory_order_relaxed);
-  hb.set_grows = s.depth.set_grows.load(std::memory_order_relaxed);
-  hb.set_cas_retries = s.depth.set_cas_retries.load(std::memory_order_relaxed);
-  hb.arena_slab_allocs =
-      s.depth.arena_slab_allocs.load(std::memory_order_relaxed);
-  hb.arena_slab_bytes =
-      s.depth.arena_slab_bytes.load(std::memory_order_relaxed);
-  hb.frontier_spill_flushes =
-      s.depth.frontier_spill_flushes.load(std::memory_order_relaxed);
-  hb.frontier_spill_bytes =
-      s.depth.frontier_spill_bytes.load(std::memory_order_relaxed);
-  hb.frontier_levels = s.depth.frontier_levels.load(std::memory_order_relaxed);
-  hb.frontier_merge_rounds =
-      s.depth.frontier_merge_rounds.load(std::memory_order_relaxed);
-  hb.campaign_trials = s.depth.campaign_trials.load(std::memory_order_relaxed);
-  hb.campaign_retries =
-      s.depth.campaign_retries.load(std::memory_order_relaxed);
-  hb.campaign_timeouts =
-      s.depth.campaign_timeouts.load(std::memory_order_relaxed);
+  hb.workers = static_cast<std::int64_t>(workers_live().value());
+  hb.counters = Registry::instance().counter_values();
   for (const ProgressMeter* meter : s.meters) {
     MeterSample ms;
     meter->sample_into(ms);
@@ -108,6 +93,7 @@ HeartbeatSample sample_locked(TelemetryState& s) {
     hb.sets.push_back(set->sample_set_telemetry());
   }
   s.series.push_back(hb);
+  if (s.series.size() > Telemetry::kMaxSamples) s.series.pop_front();
   if (s.out.is_open()) {
     s.out << to_json(hb) << '\n';
     s.out.flush();
@@ -129,9 +115,21 @@ void sampler_loop() {
 
 }  // namespace
 
+Gauge& workers_live() {
+  static Gauge& gauge = Registry::instance().gauge("pool.workers_live");
+  return gauge;
+}
+
+std::uint64_t HeartbeatSample::counter(std::string_view name) const noexcept {
+  for (const auto& [counter_name, value] : counters) {
+    if (counter_name == name) return value;
+  }
+  return 0;
+}
+
 std::string to_json(const HeartbeatSample& hb) {
   std::string out;
-  JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("seq");
   w.value(hb.seq);
@@ -151,30 +149,10 @@ std::string to_json(const HeartbeatSample& hb) {
   w.value(static_cast<std::int64_t>(hb.workers));
   w.key("counters");
   w.begin_object();
-  w.key("set_probes");
-  w.value(hb.set_probes);
-  w.key("set_grows");
-  w.value(hb.set_grows);
-  w.key("set_cas_retries");
-  w.value(hb.set_cas_retries);
-  w.key("arena_slab_allocs");
-  w.value(hb.arena_slab_allocs);
-  w.key("arena_slab_bytes");
-  w.value(hb.arena_slab_bytes);
-  w.key("frontier_spill_flushes");
-  w.value(hb.frontier_spill_flushes);
-  w.key("frontier_spill_bytes");
-  w.value(hb.frontier_spill_bytes);
-  w.key("frontier_levels");
-  w.value(hb.frontier_levels);
-  w.key("frontier_merge_rounds");
-  w.value(hb.frontier_merge_rounds);
-  w.key("campaign_trials");
-  w.value(hb.campaign_trials);
-  w.key("campaign_retries");
-  w.value(hb.campaign_retries);
-  w.key("campaign_timeouts");
-  w.value(hb.campaign_timeouts);
+  for (const auto& [name, value] : hb.counters) {
+    w.key(name);
+    w.value(value);
+  }
   w.end_object();
   w.key("meters");
   w.begin_array();
@@ -237,12 +215,14 @@ void Telemetry::start(const TelemetryOptions& opts) {
   s.opts = opts;
   s.running = true;
   s.stop_requested = false;
+  s.metrics_before = Metrics::enabled();
+  Metrics::set_enabled(true);
+  s.states = explored_states();
   s.start_us = wall_us();
   s.seq = 0;
-  s.prev_states = s.depth.states_explored.load(std::memory_order_relaxed);
+  s.prev_states = s.states->value();
   s.prev_t_us = s.start_us;
   s.series.clear();
-  s.counting.store(true, std::memory_order_relaxed);
   s.sampler = std::thread(sampler_loop);
 }
 
@@ -273,7 +253,7 @@ void Telemetry::stop() {
   {
     std::lock_guard<std::mutex> lock(s.mutex);
     sample_locked(s);  // final heartbeat: cumulative count == report count
-    s.counting.store(false, std::memory_order_relaxed);
+    Metrics::set_enabled(s.metrics_before);
     s.running = false;
     if (s.out.is_open()) s.out.close();
   }
@@ -285,12 +265,6 @@ bool Telemetry::running() noexcept {
   return s.running;
 }
 
-bool Telemetry::counting() noexcept {
-  return state().counting.load(std::memory_order_relaxed);
-}
-
-DepthCounters& Telemetry::depth() noexcept { return state().depth; }
-
 HeartbeatSample Telemetry::sample_now() {
   TelemetryState& s = state();
   std::lock_guard<std::mutex> lock(s.mutex);
@@ -299,9 +273,15 @@ HeartbeatSample Telemetry::sample_now() {
 }
 
 std::vector<HeartbeatSample> Telemetry::samples() {
+  return samples_tail(kMaxSamples);
+}
+
+std::vector<HeartbeatSample> Telemetry::samples_tail(std::size_t n) {
   TelemetryState& s = state();
   std::lock_guard<std::mutex> lock(s.mutex);
-  return s.series;
+  const std::size_t begin = s.series.size() > n ? s.series.size() - n : 0;
+  return {s.series.begin() + static_cast<std::ptrdiff_t>(begin),
+          s.series.end()};
 }
 
 void Telemetry::register_meter(const ProgressMeter* meter) noexcept {

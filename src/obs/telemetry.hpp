@@ -1,21 +1,23 @@
 // Live run telemetry: a background sampler thread that turns a long
 // verification run into a JSONL heartbeat series — cumulative states
-// explored, instantaneous states/s, frontier size and spill bytes,
-// per-shard visited-set occupancy, arena bytes, RSS, live workers, and
-// campaign trial counters — so a throughput collapse at minute 3 of a
-// 4-minute run is visible instead of averaged away by the end-of-run
-// report.
+// explored, instantaneous states/s, frontier size, per-shard visited-set
+// occupancy, RSS, live workers, and every metrics-registry counter (set
+// probes, arena slabs, BFS levels, campaign trials, ...) — so a throughput
+// collapse at minute 3 of a 4-minute run is visible instead of averaged
+// away by the end-of-run report.
 //
-// Cost model (the same contract as obs/metrics.hpp): telemetry is off by
-// default, and every depth-counter site in the store/parallel layers first
-// reads one relaxed atomic flag (Telemetry::counting) and returns. The
-// sampler thread only exists between start() and stop(). Enable with
-// NONMASK_TELEMETRY=<jsonl-path> (interval via NONMASK_TELEMETRY_MS,
+// Cost model (the contract of obs/metrics.hpp, whose registry holds every
+// count the sampler reads): telemetry is off by default, and start() turns
+// metrics collection on for the run (stop() restores the switch as start()
+// found it), so a dormant run pays one relaxed load per instrumentation
+// point. The sampler thread only exists between start() and stop(). Enable
+// with NONMASK_TELEMETRY=<jsonl-path> (interval via NONMASK_TELEMETRY_MS,
 // default 200) or programmatically with TelemetryOptions — an empty path
 // keeps the series in memory only, which is how --dashboard-out runs
-// collect their data without touching disk.
+// collect their data without touching disk. The in-memory series keeps the
+// newest kMaxSamples heartbeats; the JSONL sink gets every one.
 //
-// Samplable objects register themselves while telemetry is counting:
+// Samplable objects register themselves while metrics are collected:
 // ProgressMeter registers in its constructor (progress.hpp) so the sampler
 // can read done/total/aux without cooperation from the meter's owner, and
 // ConcurrentPackedSet implements SetTelemetrySource. Set registration is
@@ -23,36 +25,22 @@
 // also feeds the run-report store section when telemetry is off.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace nonmask::obs {
 
 class ProgressMeter;
 
-/// Relaxed-atomic depth counters fed by the store and parallel layers.
-/// Every site is gated on Telemetry::counting() except workers_live,
-/// which ThreadPool maintains unconditionally (one RMW per pool lifetime)
-/// so a sampler started mid-run never underflows it.
-struct DepthCounters {
-  std::atomic<std::uint64_t> states_explored{0};   ///< fed by ProgressMeter
-  std::atomic<std::uint64_t> set_probes{0};        ///< linear-probe steps
-  std::atomic<std::uint64_t> set_grows{0};         ///< shard table doublings
-  std::atomic<std::uint64_t> set_cas_retries{0};   ///< lost shard-touch races
-  std::atomic<std::uint64_t> arena_slab_allocs{0};
-  std::atomic<std::uint64_t> arena_slab_bytes{0};
-  std::atomic<std::uint64_t> frontier_spill_flushes{0};
-  std::atomic<std::uint64_t> frontier_spill_bytes{0};
-  std::atomic<std::uint64_t> frontier_levels{0};       ///< forward BFS levels
-  std::atomic<std::uint64_t> frontier_merge_rounds{0}; ///< backward rounds
-  std::atomic<std::uint64_t> campaign_trials{0};
-  std::atomic<std::uint64_t> campaign_retries{0};
-  std::atomic<std::uint64_t> campaign_timeouts{0};
-  std::atomic<std::int64_t> workers_live{0};
-};
+/// Live pool workers across the process: the registry's one gauge
+/// ("pool.workers_live"). ThreadPool keeps it unconditionally (one update
+/// per pool lifetime), so a sampler started mid-run never underflows it.
+Gauge& workers_live();
 
 /// One registered ProgressMeter, as seen by the sampler.
 struct MeterSample {
@@ -88,26 +76,18 @@ class SetTelemetrySource {
 struct HeartbeatSample {
   std::uint64_t seq = 0;
   std::uint64_t t_ms = 0;  ///< since Telemetry::start()
-  std::uint64_t states_explored = 0;
+  std::uint64_t states_explored = 0;  ///< the explored_states() counter
   double states_per_sec = 0.0;
   std::uint64_t frontier = 0;  ///< summed "frontier" aux across meters
   double rss_mb = 0.0;
   double peak_rss_mb = 0.0;
-  std::int64_t workers = 0;
-  std::uint64_t set_probes = 0;
-  std::uint64_t set_grows = 0;
-  std::uint64_t set_cas_retries = 0;
-  std::uint64_t arena_slab_allocs = 0;
-  std::uint64_t arena_slab_bytes = 0;
-  std::uint64_t frontier_spill_flushes = 0;
-  std::uint64_t frontier_spill_bytes = 0;
-  std::uint64_t frontier_levels = 0;
-  std::uint64_t frontier_merge_rounds = 0;
-  std::uint64_t campaign_trials = 0;
-  std::uint64_t campaign_retries = 0;
-  std::uint64_t campaign_timeouts = 0;
+  std::int64_t workers = 0;  ///< the workers_live() gauge
+  std::vector<CounterValue> counters;  ///< the registry's counters
   std::vector<MeterSample> meters;
   std::vector<SetSample> sets;
+
+  /// The registry counter `name` at this heartbeat; 0 when not registered.
+  std::uint64_t counter(std::string_view name) const noexcept;
 };
 
 /// One JSONL heartbeat line (no trailing newline). The key set and order
@@ -121,27 +101,31 @@ struct TelemetryOptions {
 
 class Telemetry {
  public:
-  /// Start the sampler thread. No-op if already running. Throws when the
-  /// JSONL path cannot be opened.
+  /// Heartbeats kept in memory (the newest ones): 13 minutes at the 200 ms
+  /// default interval.
+  static constexpr std::size_t kMaxSamples = 4096;
+
+  /// Turn metrics collection on and start the sampler thread. No-op if
+  /// already running. Throws when the JSONL path cannot be opened.
   static void start(const TelemetryOptions& opts);
   /// Start from NONMASK_TELEMETRY / NONMASK_TELEMETRY_MS; no-op when the
   /// variable is unset. Returns true when the sampler was started.
   static bool start_from_env();
   /// Join the sampler after taking one final sample (so the last
-  /// heartbeat's cumulative state count matches the end-of-run report).
-  /// No-op when not running.
+  /// heartbeat's cumulative state count matches the end-of-run report),
+  /// then put the metrics switch back as start() found it. No-op when not
+  /// running.
   static void stop();
   static bool running() noexcept;
-
-  /// The one relaxed load every gated instrumentation site pays when off.
-  static bool counting() noexcept;
-  static DepthCounters& depth() noexcept;
 
   /// Take a sample immediately (also appended to the series and the JSONL
   /// sink). Requires a prior start(); used by stop() and tests.
   static HeartbeatSample sample_now();
-  /// Copy of the in-memory heartbeat series recorded since start().
+  /// Copy of the in-memory heartbeat series: the newest kMaxSamples
+  /// recorded since start(), oldest first.
   static std::vector<HeartbeatSample> samples();
+  /// The newest `n` heartbeats of that series, oldest first.
+  static std::vector<HeartbeatSample> samples_tail(std::size_t n);
 
   static void register_meter(const ProgressMeter* meter) noexcept;
   static void unregister_meter(const ProgressMeter* meter) noexcept;

@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/span.hpp"
-#include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace nonmask {
@@ -112,16 +111,18 @@ CampaignResults run_campaign(const Design& design,
     record.attempts = r.attempts;
     record.error = r.error;
     span.end();
-    if (obs::Telemetry::counting()) {
-      auto& depth = obs::Telemetry::depth();
-      depth.campaign_trials.fetch_add(1, std::memory_order_relaxed);
-      if (r.attempts > 1) {
-        depth.campaign_retries.fetch_add(r.attempts - 1,
-                                         std::memory_order_relaxed);
-      }
-      if (r.outcome.timed_out) {
-        depth.campaign_timeouts.fetch_add(1, std::memory_order_relaxed);
-      }
+    // Each trial is counted once, as it finishes (resumed ones only in the
+    // end-of-run total below); the counters bind on the first use while on.
+    if (obs::Metrics::enabled()) {
+      static obs::Counter& trials =
+          obs::Registry::instance().counter("campaign.trials");
+      static obs::Counter& retries =
+          obs::Registry::instance().counter("campaign.trial_retries");
+      static obs::Counter& timed_out =
+          obs::Registry::instance().counter("campaign.trials_timed_out");
+      trials.add(1);
+      retries.add(r.attempts - 1);
+      if (r.outcome.timed_out) timed_out.add(1);
     }
     lines[trial] = to_jsonl(design.name, record);
     streamer.on_complete(trial);
@@ -158,10 +159,8 @@ CampaignResults run_campaign(const Design& design,
   results.aggregate.moves = summarize(std::move(moves));
   if (obs::Metrics::enabled()) {
     auto& registry = obs::Registry::instance();
-    registry.counter("campaign.trials").add(config.trials);
     registry.counter("campaign.trials_converged").add(converged);
     registry.counter("campaign.trials_resumed").add(results.resumed_trials);
-    registry.counter("campaign.trials_timed_out").add(results.timed_out);
     registry.counter("campaign.trials_failed").add(results.failed);
   }
   return results;

@@ -30,8 +30,7 @@ ThreadPool::~ThreadPool() {
   }
   work_available_.notify_all();
   for (auto& w : workers_) w.join();
-  obs::Telemetry::depth().workers_live.fetch_sub(
-      static_cast<std::int64_t>(workers_.size()), std::memory_order_relaxed);
+  obs::workers_live().add(-static_cast<double>(workers_.size()));
 }
 
 void ThreadPool::submit(std::function<void(unsigned)> task) {
@@ -44,8 +43,7 @@ void ThreadPool::submit(std::function<void(unsigned)> task) {
       }
       // Unconditional (one RMW per pool lifetime) so a telemetry sampler
       // started mid-run sees a consistent live-worker count.
-      obs::Telemetry::depth().workers_live.fetch_add(
-          static_cast<std::int64_t>(threads_), std::memory_order_relaxed);
+      obs::workers_live().add(threads_);
     }
     queue_.push_back(std::move(task));
   }

@@ -8,10 +8,10 @@
 #include "checker/state_space.hpp"
 #include "engine/simulator.hpp"
 #include "faults/byzantine.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sched/daemons.hpp"
 #include "store/bitset.hpp"
+#include "util/json.hpp"
 
 namespace nonmask {
 
@@ -316,7 +316,7 @@ AdversaryResult hill_climb_adversary(const Design& design,
   return result;
 }
 
-void write_state_values(obs::JsonWriter& w, const State& s) {
+void write_state_values(util::JsonWriter& w, const State& s) {
   w.begin_array();
   for (std::uint32_t i = 0; i < s.size(); ++i) {
     w.value(static_cast<std::int64_t>(s.get(VarId(i))));
@@ -630,7 +630,7 @@ ByzantinePlacementResult find_worst_byzantine_placement(
 std::string byzantine_placement_json(const Design& design,
                                      const ByzantinePlacementResult& r) {
   std::string out;
-  obs::JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("design");
   w.value(design.name);
@@ -656,7 +656,7 @@ std::string byzantine_placement_json(const Design& design,
 
 std::string worst_trace_json(const Design& design, const AdversaryResult& r) {
   std::string out;
-  obs::JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("design");
   w.value(design.name);

@@ -19,7 +19,7 @@
 //     max_steps scores above every converging run.
 //
 // Both modes are deterministic per seed, and both report the worst trace
-// found as a JSON artifact (worst_trace_json, rendered with obs::JsonWriter).
+// found as a JSON artifact (worst_trace_json, rendered with util::JsonWriter).
 #pragma once
 
 #include <cstdint>

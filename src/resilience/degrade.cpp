@@ -1,8 +1,8 @@
 #include "resilience/degrade.hpp"
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "store/facade.hpp"
+#include "util/json.hpp"
 
 namespace nonmask {
 
@@ -39,7 +39,7 @@ ResilientVerification verify_resilient(const Design& design,
 
 std::string to_json(const ResilientVerification& v) {
   std::string out;
-  obs::JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("exhaustive");
   w.value(v.exhaustive);
@@ -74,7 +74,7 @@ void record_verification(obs::RunReport& report,
   report.add("verification", to_json(v));
   if (v.degraded) {
     std::string out;
-    obs::JsonWriter w(&out);
+    util::JsonWriter w(&out);
     w.begin_object();
     w.key("reason");
     w.value("StateSpaceTooLarge");

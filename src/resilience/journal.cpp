@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <fstream>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 
 namespace nonmask {
 
@@ -45,8 +45,9 @@ bool find_bool(const std::string& line, const char* key, bool* out) {
   return false;
 }
 
-/// Parse the JSON string value after `"key":"`, undoing json_escape. Only
-/// the escapes our writer emits (\" \\ \n \r \t \uXXXX controls) appear.
+/// Parse the JSON string value after `"key":"`, undoing json_quote. Only
+/// the escapes our writer emits (\" \\ \n \r \t \b \f \uXXXX controls)
+/// appear.
 bool find_string(const std::string& line, const char* key, std::string* out) {
   const std::string needle = std::string("\"") + key + "\":\"";
   const auto pos = line.find(needle);
@@ -66,6 +67,8 @@ bool find_string(const std::string& line, const char* key, std::string* out) {
       case 'n': out->push_back('\n'); break;
       case 'r': out->push_back('\r'); break;
       case 't': out->push_back('\t'); break;
+      case 'b': out->push_back('\b'); break;
+      case 'f': out->push_back('\f'); break;
       case 'u': {
         if (i + 4 >= line.size()) return false;
         unsigned code = 0;
@@ -91,9 +94,9 @@ bool find_string(const std::string& line, const char* key, std::string* out) {
 
 std::string to_jsonl(const std::string& design_name,
                      const TrialRecord& record) {
-  std::string out = "{\"design\":\"";
-  out += obs::json_escape(design_name);
-  out += "\",\"trial\":" + std::to_string(record.trial);
+  std::string out = "{\"design\":";
+  out += util::json_quote(design_name);
+  out += ",\"trial\":" + std::to_string(record.trial);
   out += ",\"daemon_seed\":" + std::to_string(record.seeds.daemon);
   out += ",\"start_seed\":" + std::to_string(record.seeds.start);
   append_bool(out, "converged", record.outcome.converged);
@@ -106,9 +109,8 @@ std::string to_jsonl(const std::string& design_name,
   out += ",\"rounds\":" + std::to_string(record.outcome.rounds);
   out += ",\"moves\":" + std::to_string(record.outcome.moves);
   if (!record.error.empty()) {
-    out += ",\"error\":\"";
-    out += obs::json_escape(record.error);
-    out += "\"";
+    out += ",\"error\":";
+    out += util::json_quote(record.error);
   }
   out += "}";
   return out;

@@ -4,8 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "obs/metrics.hpp"
-
 namespace nonmask {
 
 namespace {
@@ -56,17 +54,11 @@ ResilientOutcome run_trial_resilient(const Design& design,
       result.outcome = TrialOutcome{};
       result.outcome.timed_out = true;
       result.error = e.what();
-      if (obs::Metrics::enabled()) {
-        obs::Registry::instance().counter("resilience.trial_timeouts").add(1);
-      }
       return result;
     } catch (const std::exception& e) {
       result.error = e.what();
     } catch (...) {
       result.error = "unknown exception";
-    }
-    if (obs::Metrics::enabled()) {
-      obs::Registry::instance().counter("resilience.trial_errors").add(1);
     }
     if (attempt >= policy.max_retries) {
       result.outcome = TrialOutcome{};

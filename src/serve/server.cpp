@@ -51,19 +51,15 @@ std::string job_status_json(const JobManager& manager, const JobInfo& info,
   if (obs::Telemetry::running() && telemetry_tail > 0) {
     // Heartbeat tail: the service-wide sampler's most recent samples, so a
     // poll shows live throughput without waiting for the final report.
-    const auto samples = obs::Telemetry::samples();
     JsonValue tail = jarr();
-    const std::size_t begin =
-        samples.size() > telemetry_tail ? samples.size() - telemetry_tail : 0;
-    for (std::size_t i = begin; i < samples.size(); ++i) {
-      const auto& s = samples[i];
+    for (const auto& s : obs::Telemetry::samples_tail(telemetry_tail)) {
       JsonValue hb = jobj();
       hb.add("seq", jint(static_cast<std::int64_t>(s.seq)));
       hb.add("t_ms", jint(static_cast<std::int64_t>(s.t_ms)));
       hb.add("states_explored",
              jint(static_cast<std::int64_t>(s.states_explored)));
       hb.add("campaign_trials",
-             jint(static_cast<std::int64_t>(s.campaign_trials)));
+             jint(static_cast<std::int64_t>(s.counter("campaign.trials"))));
       hb.add("workers", jint(s.workers));
       tail.push(std::move(hb));
     }

@@ -1,6 +1,6 @@
 #include "store/arena.hpp"
 
-#include "obs/telemetry.hpp"
+#include "obs/metrics.hpp"
 
 namespace nonmask::store {
 
@@ -17,11 +17,13 @@ std::uint64_t PackedStateStore::intern(const std::uint64_t* words) {
     slabs_.emplace_back(static_cast<std::uint64_t*>(
         ::operator new[](slab_words * sizeof(std::uint64_t),
                          std::align_val_t{64})));
-    if (obs::Telemetry::counting()) {
-      auto& depth = obs::Telemetry::depth();
-      depth.arena_slab_allocs.fetch_add(1, std::memory_order_relaxed);
-      depth.arena_slab_bytes.fetch_add(slab_words * sizeof(std::uint64_t),
-                                       std::memory_order_relaxed);
+    if (obs::Metrics::enabled()) {  // bound on the first use while on
+      static obs::Counter& allocs =
+          obs::Registry::instance().counter("store.arena.slab_allocs");
+      static obs::Counter& bytes =
+          obs::Registry::instance().counter("store.arena.slab_bytes");
+      allocs.add(1);
+      bytes.add(slab_words * sizeof(std::uint64_t));
     }
   }
   std::uint64_t* out = slabs_[slab].get() +

@@ -5,10 +5,8 @@
 // what capped exhaustive checking at ~32M. These containers pack the same
 // information at 1-2 bits per state:
 //
-//   AtomicBitSet          1 bit,  concurrent test_and_set (frontier dedup)
-//   TwoBitArray           2 bits, serial (S/T flags, DFS colors)
-//   StampedDistanceArray  stamped distances — reusable across BFS
-//                         generations without an O(n) clear
+//   AtomicBitSet  1 bit,  concurrent test_and_set (frontier dedup)
+//   TwoBitArray   2 bits, serial (S/T flags, DFS colors)
 #pragma once
 
 #include <atomic>
@@ -69,39 +67,6 @@ class TwoBitArray {
 
  private:
   std::vector<std::uint64_t> words_;
-};
-
-/// Distance array with a generation stamp per entry: advancing the
-/// generation invalidates every entry in O(1), so one allocation serves
-/// many BFS runs (the frontier engine reuses it across backward-BFS
-/// generations; the resilience adversary re-evaluates per placement).
-class StampedDistanceArray {
- public:
-  static constexpr std::uint32_t kUnset = ~std::uint32_t{0};
-
-  explicit StampedDistanceArray(std::uint64_t entries)
-      : stamp_(entries, 0), dist_(entries, 0) {}
-
-  /// Invalidate every entry (lazily, via the generation counter).
-  void next_generation() noexcept { ++generation_; }
-
-  std::uint32_t get(std::uint64_t i) const noexcept {
-    return stamp_[i] == generation_ ? dist_[i] : kUnset;
-  }
-
-  void set(std::uint64_t i, std::uint32_t d) noexcept {
-    stamp_[i] = generation_;
-    dist_[i] = d;
-  }
-
-  bool known(std::uint64_t i) const noexcept {
-    return stamp_[i] == generation_;
-  }
-
- private:
-  std::uint32_t generation_ = 1;
-  std::vector<std::uint32_t> stamp_;
-  std::vector<std::uint32_t> dist_;
 };
 
 }  // namespace nonmask::store

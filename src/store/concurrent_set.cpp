@@ -1,5 +1,7 @@
 #include "store/concurrent_set.hpp"
 
+#include "obs/metrics.hpp"
+
 namespace nonmask::store {
 
 namespace {
@@ -8,6 +10,19 @@ std::size_t round_up_pow2(std::uint64_t n) {
   std::size_t cap = 64;
   while (cap < n) cap <<= 1;
   return cap;
+}
+
+/// The set's live counters, bound on first use while metrics are on.
+struct SetCounters {
+  obs::Counter& probes = obs::Registry::instance().counter("store.set.probes");
+  obs::Counter& grows = obs::Registry::instance().counter("store.set.grows");
+  obs::Counter& cas_retries =
+      obs::Registry::instance().counter("store.set.cas_retries");
+};
+
+SetCounters& set_counters() {
+  static SetCounters counters;
+  return counters;
 }
 
 }  // namespace
@@ -51,10 +66,7 @@ ConcurrentPackedSet::Shard& ConcurrentPackedSet::shard_at(
                                             std::memory_order_acquire)) {
     return *fresh.release();
   }
-  if (obs::Telemetry::counting()) {
-    obs::Telemetry::depth().set_cas_retries.fetch_add(
-        1, std::memory_order_relaxed);
-  }
+  if (obs::Metrics::enabled()) set_counters().cas_retries.add(1);
   return *expected;
 }
 
@@ -80,16 +92,13 @@ std::pair<std::uint64_t, bool> ConcurrentPackedSet::insert(
   std::lock_guard<std::mutex> lock(shard.mutex);
   if ((shard.entries + 1) * 10 > shard.table.size() * 7) {
     grow(shard);
-    if (obs::Telemetry::counting()) {
-      obs::Telemetry::depth().set_grows.fetch_add(1,
-                                                  std::memory_order_relaxed);
-    }
+    if (obs::Metrics::enabled()) set_counters().grows.add(1);
   }
   const std::uint64_t mask = shard.table.size() - 1;
   std::uint64_t pos = h & mask;
   // Probe depth is tracked per shard unconditionally (a register increment
-  // and one compare under a mutex already held); the process-wide counter
-  // is the gated one.
+  // and one compare under a mutex already held); the registry counter is
+  // the gated one.
   std::uint64_t probes = 1;
   while (true) {
     const std::uint64_t slot = shard.table[pos];
@@ -98,18 +107,12 @@ std::pair<std::uint64_t, bool> ConcurrentPackedSet::insert(
       shard.table[pos] = local + 1;
       ++shard.entries;
       if (probes > shard.max_probe) shard.max_probe = probes;
-      if (obs::Telemetry::counting()) {
-        obs::Telemetry::depth().set_probes.fetch_add(
-            probes, std::memory_order_relaxed);
-      }
+      if (obs::Metrics::enabled()) set_counters().probes.add(probes);
       return {(local << shard_bits_) | shard_idx, true};
     }
     if (equal(*layout_, shard.arena.get(slot - 1), words)) {
       if (probes > shard.max_probe) shard.max_probe = probes;
-      if (obs::Telemetry::counting()) {
-        obs::Telemetry::depth().set_probes.fetch_add(
-            probes, std::memory_order_relaxed);
-      }
+      if (obs::Metrics::enabled()) set_counters().probes.add(probes);
       return {((slot - 1) << shard_bits_) | shard_idx, false};
     }
     pos = (pos + 1) & mask;

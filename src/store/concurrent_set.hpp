@@ -46,7 +46,7 @@ namespace nonmask::store {
 /// sample_set_telemetry(), and the destructor folds a final sample into
 /// the retired-set aggregate the run reports print. Registration is a
 /// registry mutex hop at construction/destruction — never on the insert
-/// path; the gated depth counters there cost one relaxed load when off.
+/// path; the gated registry counters there cost one relaxed load when off.
 class ConcurrentPackedSet final : public obs::SetTelemetrySource {
  public:
   /// 2^shard_bits shards; `expected` sizes each shard's table for

@@ -1,11 +1,10 @@
 // Configuration of the checker engine (store/facade.hpp): the state budget,
-// the worker count and chunk grain of its parallel passes, the concurrent
-// set's shape, and frontier spilling. No field changes an answer — reports
-// are byte-identical at any thread count, grain, or shard count.
+// the worker count and chunk grain of its parallel passes, and the
+// concurrent set's shape. No field changes an answer — reports are
+// byte-identical at any thread count, grain, or shard count.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace nonmask::store {
 
@@ -39,12 +38,6 @@ struct StoreConfig {
   /// Seed for the set's mixing-finalizer hash (any value works; fixed by
   /// default so shard occupancy is reproducible).
   std::uint64_t hash_seed = 0x5307e5eedULL;
-
-  /// Frontier codes kept in memory per BFS level before spilling the level
-  /// to a temp file; 0 disables spilling.
-  std::uint64_t spill_threshold = 0;
-  /// Directory for spill files; empty = $TMPDIR, else /tmp.
-  std::string spill_dir;
 
   /// Environment-driven default:
   ///   NONMASK_STATE_BUDGET  = max states for StateSpace construction

@@ -5,10 +5,10 @@
 // The per-state footprint is bits, not bytes: predicate flags and DFS
 // colors live in 2-bit arrays, convergence distances start at 16 bits
 // (widened transparently if a run actually exceeds 65535 steps), the
-// Tarjan pass keeps a stamped u32 visit index per code plus lowlinks for
-// visited states only, scans ripple-decode with OdometerCursor instead of
-// per-code div/mod, and reachability runs through the FrontierEngine with
-// optional disk spill. With more than one worker, on spaces of more than
+// Tarjan pass keeps a u32 visit index per code plus lowlinks for visited
+// states only, scans ripple-decode with OdometerCursor instead of per-code
+// div/mod, and reachability runs through the FrontierEngine's in-memory
+// level-synchronous BFS. With more than one worker, on spaces of more than
 // one chunk and at most 2^22 codes, the convergence passes generate their
 // successor lists in parallel before the serial DFS/SCC reads them.
 //
@@ -74,7 +74,7 @@ ConvergenceReport check_convergence_via(const StoreConfig& config,
                                         const PredicateFn& T);
 
 /// Weakly-fair convergence (Tarjan/SCC + fair-escape analysis,
-/// checker/scc_core.hpp): a stamped u32 visit index per code, lowlinks in
+/// checker/scc_core.hpp): a u32 visit index per code, lowlinks in
 /// slabs indexed by visit id (a popped state's slot then holds its
 /// component id), and one on-stack bit per code. Throws
 /// VisitIdRangeExceeded past the u32 id range.

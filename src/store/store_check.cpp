@@ -128,27 +128,32 @@ struct CompactDfsBookkeeping {
   std::vector<DistT> dist_;
 };
 
+/// Marks an unvisited code in the Tarjan visit index; visit ids stay below.
+constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
+
 /// Store-native Tarjan bookkeeping (checker/scc_core.hpp contract). The
-/// per-code state is a stamped u32 visit index (kUnset = unvisited,
-/// reusable across runs without an O(n) clear) plus one on-stack bit;
-/// visit ids are dense, so lowlinks are indexed by id in fixed-size slabs
-/// appended as the traversal grows — 4 bytes per *visited* state, touched
-/// only as ids are handed out, with no realloc-copy spike at 2x peak. Once
-/// a state's SCC is popped its lowlink is dead, so the slot holds the
-/// component id instead of a separate per-code component array.
+/// per-code state is a u32 visit index (kUnvisited until visited) plus one
+/// on-stack bit; visit ids are dense, so lowlinks are indexed by id in
+/// fixed-size slabs appended as the traversal grows — 4 bytes per
+/// *visited* state, touched only as ids are handed out, with no
+/// realloc-copy spike at 2x peak. Once a state's SCC is popped its lowlink
+/// is dead, so the slot holds the component id instead of a separate
+/// per-code component array.
 class CompactTarjanBookkeeping {
  public:
   explicit CompactTarjanBookkeeping(std::uint64_t size)
-      : index_(size), on_stack_((size + 63) / 64, 0) {}
+      : index_(size, kUnvisited), on_stack_((size + 63) / 64, 0) {}
 
-  bool visited(std::uint64_t code) const { return index_.known(code); }
-  std::uint32_t index(std::uint64_t code) const { return index_.get(code); }
-  void set_index(std::uint64_t code, std::uint32_t v) { index_.set(code, v); }
+  bool visited(std::uint64_t code) const {
+    return index_[code] != kUnvisited;
+  }
+  std::uint32_t index(std::uint64_t code) const { return index_[code]; }
+  void set_index(std::uint64_t code, std::uint32_t v) { index_[code] = v; }
   std::uint32_t lowlink(std::uint64_t code) const {
-    return slab_get(index_.get(code));
+    return slab_get(index_[code]);
   }
   void set_lowlink(std::uint64_t code, std::uint32_t v) {
-    slab_set(index_.get(code), v);
+    slab_set(index_[code], v);
   }
   bool on_stack(std::uint64_t code) const {
     return (on_stack_[code >> 6] >> (code & 63)) & 1;
@@ -189,7 +194,7 @@ class CompactTarjanBookkeeping {
     slabs_[slab][id & kSlabMask] = v;
   }
 
-  StampedDistanceArray index_;
+  std::vector<std::uint32_t> index_;
   std::vector<std::unique_ptr<std::uint32_t[]>> slabs_;
   std::vector<std::uint64_t> on_stack_;
 };
@@ -271,7 +276,7 @@ ConvergenceReport with_successors(ThreadPool& pool, const StateSpace& space,
 
 /// Visit ids and variant distances are u32, with 0xFFFFFFFF reserved.
 void require_u32_ids(const StateSpace& space) {
-  if (space.size() >= StampedDistanceArray::kUnset) {
+  if (space.size() >= kUnvisited) {
     throw VisitIdRangeExceeded(space.size());
   }
 }
@@ -282,7 +287,7 @@ VisitIdRangeExceeded::VisitIdRangeExceeded(std::uint64_t states)
     : std::length_error(
           "state space of " + std::to_string(states) +
           " codes reaches the u32 visit-id range of the checker engine (max " +
-          std::to_string(StampedDistanceArray::kUnset - 1) + " codes)"),
+          std::to_string(kUnvisited - 1) + " codes)"),
       states_(states) {}
 
 ClosureReport check_closed_via(const StoreConfig& config,
@@ -290,7 +295,7 @@ ClosureReport check_closed_via(const StoreConfig& config,
                                const PredicateFn& predicate,
                                const std::vector<std::size_t>& actions) {
   obs::Span span("store.closure");
-  obs::ProgressMeter meter("closure", space.size());
+  obs::ProgressMeter meter("closure", space.size(), obs::explored_states());
   ThreadPool pool(config.threads);
   const std::uint64_t grain = aligned_grain(config);
   std::vector<ClosureReport> chunks(chunk_count(space.size(), grain));

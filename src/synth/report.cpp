@@ -2,13 +2,13 @@
 
 #include <fstream>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 
 namespace nonmask::synth {
 
 std::string render_synthesis_report(const SynthesisResult& result) {
   std::string out;
-  obs::JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_object();
   w.key("success");
   w.value(result.success);

@@ -4,8 +4,8 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/json.hpp"
 #include "store/facade.hpp"
+#include "util/json.hpp"
 
 namespace nonmask::synth {
 
@@ -211,7 +211,7 @@ std::vector<TriageEntry> triage_designs(const std::vector<Design>& designs,
 
 std::string triage_to_json(const std::vector<TriageEntry>& entries) {
   std::string out;
-  obs::JsonWriter w(&out);
+  util::JsonWriter w(&out);
   w.begin_array();
   for (const TriageEntry& e : entries) {
     w.begin_object();

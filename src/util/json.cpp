@@ -446,4 +446,85 @@ std::string dump_json(const JsonValue& v) {
   return out;
 }
 
+void JsonWriter::separate() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (!has_element_.empty()) {
+    if (has_element_.back()) out_->push_back(',');
+    has_element_.back() = true;
+  }
+}
+
+void JsonWriter::begin_object() {
+  separate();
+  out_->push_back('{');
+  has_element_.push_back(false);
+}
+
+void JsonWriter::end_object() {
+  has_element_.pop_back();
+  out_->push_back('}');
+}
+
+void JsonWriter::begin_array() {
+  separate();
+  out_->push_back('[');
+  has_element_.push_back(false);
+}
+
+void JsonWriter::end_array() {
+  has_element_.pop_back();
+  out_->push_back(']');
+}
+
+void JsonWriter::key(std::string_view k) {
+  separate();
+  *out_ += json_quote(k);
+  out_->push_back(':');
+  after_key_ = true;
+}
+
+void JsonWriter::value(std::string_view v) {
+  separate();
+  *out_ += json_quote(v);
+}
+
+void JsonWriter::value(std::uint64_t v) {
+  separate();
+  *out_ += std::to_string(v);
+}
+
+void JsonWriter::value(std::int64_t v) {
+  separate();
+  *out_ += std::to_string(v);
+}
+
+void JsonWriter::value(double v) {
+  separate();
+  if (!std::isfinite(v)) {
+    *out_ += "null";
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  *out_ += buf;
+}
+
+void JsonWriter::value(bool v) {
+  separate();
+  *out_ += v ? "true" : "false";
+}
+
+void JsonWriter::null() {
+  separate();
+  *out_ += "null";
+}
+
+void JsonWriter::raw(std::string_view json) {
+  separate();
+  *out_ += json;
+}
+
 }  // namespace nonmask::util

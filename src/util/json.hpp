@@ -1,6 +1,9 @@
 // Hand-rolled recursive-descent JSON parser (RFC 8259 subset, no external
-// dependency). The spec DSL (src/spec/) and the job server (src/serve/)
-// parse documents through this module; obs/json.hpp remains the *writer*.
+// dependency) plus the two writers: a JsonValue tree dumped with
+// indentation, and a streaming JsonWriter for compact one-line documents
+// (metrics snapshots, Chrome trace events, run reports, heartbeats). The
+// spec DSL (src/spec/) and the job server (src/serve/) parse documents
+// through this module. Every writer quotes strings with json_quote.
 //
 // Every parsed value carries the line/column where it started, so the spec
 // schema validator can report field-precise errors ("$.actions[2].guard:
@@ -114,5 +117,43 @@ std::string dump_json(const JsonValue& v);
 
 /// Escape and quote one string as a JSON literal.
 std::string json_quote(std::string_view s);
+
+/// Streaming writer of compact JSON: handles comma insertion and string
+/// quoting; callers are responsible for pairing begin/end calls.
+class JsonWriter {
+ public:
+  /// Appends to `out`; the string must outlive the writer.
+  explicit JsonWriter(std::string* out) : out_(out) {}
+
+  void begin_object();
+  void end_object();
+  void begin_array();
+  void end_array();
+
+  /// Object key; must be followed by exactly one value or container.
+  void key(std::string_view k);
+
+  void value(std::string_view v);  ///< quoted + escaped
+  void value(const char* v) { value(std::string_view(v)); }
+  void value(std::uint64_t v);
+  void value(std::int64_t v);
+  /// Plain int / size_t literals would otherwise be ambiguous between the
+  /// integer overloads; forward them explicitly.
+  void value(int v) { value(static_cast<std::int64_t>(v)); }
+  void value(unsigned v) { value(static_cast<std::uint64_t>(v)); }
+  void value(double v);  ///< non-finite values serialize as null
+  void value(bool v);
+  void null();
+  /// Splice a pre-rendered JSON value verbatim.
+  void raw(std::string_view json);
+
+ private:
+  void separate();
+
+  std::string* out_;
+  // One frame per open container: true once the first element was written.
+  std::vector<bool> has_element_;
+  bool after_key_ = false;
+};
 
 }  // namespace nonmask::util

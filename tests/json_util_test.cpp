@@ -1,8 +1,10 @@
 // The hand-rolled JSON reader underneath the spec DSL: exact int64 vs
 // double tokens, escape decoding, line/col error positions, duplicate-key
-// rejection, builder chaining, and dump -> parse round-trips.
+// rejection, builder chaining, and dump -> parse round-trips; plus the
+// streaming writer.
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -157,6 +159,26 @@ TEST(JsonUtilTest, QuoteEscapesControlCharacters) {
   EXPECT_EQ(json_quote("a\"b"), "\"a\\\"b\"");
   EXPECT_EQ(json_quote("tab\there"), "\"tab\\there\"");
   EXPECT_EQ(json_quote(std::string(1, '\x01')), "\"\\u0001\"");
+}
+
+// The streaming writer quotes through json_quote, so \b and \f take their
+// short escapes like every other writer in the library.
+TEST(JsonUtilTest, WriterEscapesAndNests) {
+  std::string out;
+  util::JsonWriter w(&out);
+  w.begin_object();
+  w.key("s");
+  w.value(std::string_view("a\"b\\c\n\b"));
+  w.key("n");
+  w.value(std::uint64_t{42});
+  w.key("list");
+  w.begin_array();
+  w.value(true);
+  w.null();
+  w.end_array();
+  w.end_object();
+  EXPECT_EQ(out,
+            "{\"s\":\"a\\\"b\\\\c\\n\\b\",\"n\":42,\"list\":[true,null]}");
 }
 
 }  // namespace

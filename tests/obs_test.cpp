@@ -1,7 +1,7 @@
 // Tests for the observability subsystem (src/obs/): metrics registry
 // concurrency (these run under the ThreadSanitizer job too), tracing spans
-// and Chrome trace export, progress meters, run reports, JSON writing, and
-// the opt-in log line prefix.
+// and Chrome trace export, progress meters, run reports, and the opt-in log
+// line prefix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/report.hpp"
@@ -291,23 +290,6 @@ TEST(ObsProgressTest, EnabledMeterReportsRateAndAux) {
   obs::ProgressMeter after("post", 10);
   after.add(10);
   EXPECT_EQ(after.done(), 0u);
-}
-
-TEST(ObsJsonTest, WriterEscapesAndNests) {
-  std::string out;
-  obs::JsonWriter w(&out);
-  w.begin_object();
-  w.key("s");
-  w.value(std::string_view("a\"b\\c\n"));
-  w.key("n");
-  w.value(std::uint64_t{42});
-  w.key("list");
-  w.begin_array();
-  w.value(true);
-  w.null();
-  w.end_array();
-  w.end_object();
-  EXPECT_EQ(out, "{\"s\":\"a\\\"b\\\\c\\n\",\"n\":42,\"list\":[true,null]}");
 }
 
 TEST(ObsReportTest, RunReportContainsSectionsAndMetrics) {

@@ -89,8 +89,8 @@ TEST(ThreadPoolTest, WorkerIndicesStayInRange) {
 // Workers start on the first submit: work that parallel_for_chunked runs
 // inline (one chunk, or a one-worker pool) never starts a thread.
 TEST(ThreadPoolTest, InlineWorkStartsNoThread) {
-  auto& live = obs::Telemetry::depth().workers_live;
-  const std::int64_t before = live.load();
+  const obs::Gauge& live = obs::workers_live();
+  const double before = live.value();
   {
     ThreadPool pool(4);
     const auto caller = std::this_thread::get_id();
@@ -100,18 +100,18 @@ TEST(ThreadPoolTest, InlineWorkStartsNoThread) {
                            EXPECT_EQ(worker, 0u);
                            EXPECT_EQ(std::this_thread::get_id(), caller);
                          });
-    EXPECT_EQ(live.load(), before);
+    EXPECT_EQ(live.value(), before);
     ThreadPool serial(1);
     parallel_for_chunked(serial, 0, 1000, 10,
                          [](std::size_t, std::uint64_t, std::uint64_t,
                             unsigned) {});
-    EXPECT_EQ(live.load(), before);
+    EXPECT_EQ(live.value(), before);
     parallel_for_chunked(pool, 0, 1000, 10,
                          [](std::size_t, std::uint64_t, std::uint64_t,
                             unsigned) {});
-    EXPECT_EQ(live.load(), before + 4);
+    EXPECT_EQ(live.value(), before + 4);
   }
-  EXPECT_EQ(live.load(), before);
+  EXPECT_EQ(live.value(), before);
 }
 
 TEST(ThreadPoolTest, EnvOverrideControlsDefaultThreads) {

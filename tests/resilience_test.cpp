@@ -14,6 +14,7 @@
 #include "core/builder.hpp"
 #include "core/predicate.hpp"
 #include "engine/experiment.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "parallel/campaign.hpp"
 #include "protocols/diffusing.hpp"
@@ -387,6 +388,41 @@ TEST(WatchdogTest, CampaignTimeoutDoesNotStallOtherWorkers) {
     ++n;
   }
   EXPECT_EQ(n, config.trials);
+}
+
+// A timed-out trial is counted once, as it finishes: no watchdog count and
+// no end-of-run total beside the campaign's own trial counters.
+TEST(WatchdogTest, CampaignCountsEachTimeoutOnce) {
+  const Design design = make_spinner();
+  ConvergenceExperiment config;
+  config.trials = 4;
+  config.seed = 5;
+  config.max_steps = 1'000'000'000;
+  CampaignOptions opts;
+  opts.threads = 2;
+  opts.policy.deadline = std::chrono::milliseconds(20);
+  auto& registry = obs::Registry::instance();
+  obs::Metrics::set_enabled(true);
+  registry.reset();
+  const CampaignResults results = run_campaign(design, config, opts);
+  const obs::RegistrySnapshot snap = registry.snapshot();
+  registry.reset();
+  obs::Metrics::set_enabled(false);
+
+  ASSERT_EQ(results.timed_out, config.trials);
+  std::vector<std::string> timeout_counters;
+  std::uint64_t trials = 0;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.find("time") != std::string_view::npos) {
+      timeout_counters.emplace_back(name);
+      EXPECT_EQ(value, config.trials) << name;
+    }
+    if (name == "campaign.trials") trials = value;
+    EXPECT_NE(name, "resilience.trial_errors");
+  }
+  EXPECT_EQ(timeout_counters,
+            std::vector<std::string>{"campaign.trials_timed_out"});
+  EXPECT_EQ(trials, config.trials);
 }
 
 TEST(WatchdogTest, PolicylessTrialMatchesRunTrialExactly) {

@@ -1,16 +1,11 @@
 // Tests for the compact state store (src/store/): packed layouts, the
 // interning arena, the sharded concurrent set, the compact bookkeeping
-// containers, the spillable frontier, and the frontier engine against the
-// serial reference implementations.
+// containers, and the frontier engine against the serial reference
+// implementations.
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -27,7 +22,6 @@
 #include "store/concurrent_set.hpp"
 #include "store/config.hpp"
 #include "store/frontier.hpp"
-#include "store/config.hpp"
 #include "store/odometer.hpp"
 #include "store/packed.hpp"
 
@@ -277,20 +271,6 @@ TEST(TwoBitArrayTest, HoldsAllFourValuesWithoutNeighborInterference) {
   EXPECT_EQ(arr[34], 2u);
 }
 
-TEST(StampedDistanceArrayTest, GenerationAdvanceInvalidatesInO1) {
-  store::StampedDistanceArray dist(10);
-  EXPECT_FALSE(dist.known(3));
-  EXPECT_EQ(dist.get(3), store::StampedDistanceArray::kUnset);
-  dist.set(3, 7);
-  EXPECT_TRUE(dist.known(3));
-  EXPECT_EQ(dist.get(3), 7u);
-  dist.next_generation();
-  EXPECT_FALSE(dist.known(3));
-  EXPECT_EQ(dist.get(3), store::StampedDistanceArray::kUnset);
-  dist.set(3, 1);
-  EXPECT_EQ(dist.get(3), 1u);
-}
-
 // -------------------------------------------------------------- odometer
 
 TEST(OdometerCursorTest, MatchesDecodeForEveryCode) {
@@ -319,104 +299,11 @@ TEST(OdometerCursorTest, StartsMidRange) {
 
 // -------------------------------------------------------------- frontier
 
-TEST(SpillableFrontierTest, InMemoryRoundTrip) {
-  store::SpillableFrontier f(/*threshold=*/0, "");
-  for (std::uint64_t i = 0; i < 100; ++i) f.append(i * 3);
-  EXPECT_EQ(f.size(), 100u);
-  EXPECT_FALSE(f.spilled());
-  std::vector<std::uint64_t> out;
-  f.read(10, 20, out);
-  ASSERT_EQ(out.size(), 10u);
-  for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(out[i], (10 + i) * 3);
-  f.clear();
-  EXPECT_EQ(f.size(), 0u);
-}
-
-TEST(SpillableFrontierTest, SpillsToDiskAndReadsAcrossTheBoundary) {
-  store::SpillableFrontier f(/*threshold=*/16, "");
-  for (std::uint64_t i = 0; i < 100; ++i) f.append(i * 7 + 1);
-  EXPECT_EQ(f.size(), 100u);
-  EXPECT_TRUE(f.spilled());
-
-  std::vector<std::uint64_t> out;
-  f.read(0, 100, out);  // spans disk and memory
-  ASSERT_EQ(out.size(), 100u);
-  for (std::uint64_t i = 0; i < 100; ++i) EXPECT_EQ(out[i], i * 7 + 1);
-
-  f.read(90, 100, out);  // pure tail
-  ASSERT_EQ(out.size(), 10u);
-  for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(out[i], (90 + i) * 7 + 1);
-
-  f.clear();
-  EXPECT_EQ(f.size(), 0u);
-  for (std::uint64_t i = 0; i < 5; ++i) f.append(i);
-  f.read(0, 5, out);
-  ASSERT_EQ(out.size(), 5u);
-  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(out[i], i);
-}
-
-// Count directory entries other than "." / ".." — the spill file is
-// mkstemp'd and unlinked immediately, so a correctly-anonymous spill never
-// leaves a visible entry, even while the frontier is live.
-int visible_entries(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return -1;
-  int n = 0;
-  while (const dirent* e = ::readdir(d)) {
-    if (std::strcmp(e->d_name, ".") != 0 && std::strcmp(e->d_name, "..") != 0) {
-      ++n;
-    }
-  }
-  ::closedir(d);
-  return n;
-}
-
-TEST(SpillableFrontierTest, SpillFileIsAnonymousSoCrashesLeaveNoDebris) {
-  char tmpl[] = "/tmp/nonmask-spill-test-XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-  {
-    store::SpillableFrontier f(/*threshold=*/4, dir);
-    for (std::uint64_t i = 0; i < 64; ++i) f.append(i * 11);
-    ASSERT_TRUE(f.spilled());
-    // The flush already happened, yet the directory shows nothing: the
-    // backing file was unlinked at creation, so a crash at any later
-    // point cannot strand a spill file for an operator to clean up.
-    EXPECT_EQ(visible_entries(dir), 0);
-    // The anonymous file still serves reads for the frontier's lifetime.
-    std::vector<std::uint64_t> out;
-    f.read(0, 64, out);
-    ASSERT_EQ(out.size(), 64u);
-    for (std::uint64_t i = 0; i < 64; ++i) EXPECT_EQ(out[i], i * 11);
-  }
-  EXPECT_EQ(visible_entries(dir), 0);
-  EXPECT_EQ(::rmdir(dir.c_str()), 0);
-}
-
-TEST(SpillableFrontierTest, ClearAfterSpillRestartsFromEmpty) {
-  store::SpillableFrontier f(/*threshold=*/4, "");
-  for (std::uint64_t i = 0; i < 32; ++i) f.append(i);
-  ASSERT_TRUE(f.spilled());
-  f.clear();
-  EXPECT_EQ(f.size(), 0u);
-  EXPECT_FALSE(f.spilled());
-  // Refill past the threshold again: offsets restart at zero, so the
-  // truncated file must not leak stale codes into the new contents.
-  for (std::uint64_t i = 0; i < 32; ++i) f.append(100 + i);
-  ASSERT_TRUE(f.spilled());
-  std::vector<std::uint64_t> out;
-  f.read(0, 32, out);
-  ASSERT_EQ(out.size(), 32u);
-  for (std::uint64_t i = 0; i < 32; ++i) EXPECT_EQ(out[i], 100 + i);
-}
-
-store::StoreConfig engine_config(unsigned threads,
-                                 std::uint64_t spill_threshold = 0) {
+store::StoreConfig engine_config(unsigned threads) {
   store::StoreConfig cfg;
   cfg.threads = threads;
   cfg.grain = 64;  // small grain so the tiny spaces exercise many chunks
   cfg.shard_bits = 2;
-  cfg.spill_threshold = spill_threshold;
   return cfg;
 }
 
@@ -457,40 +344,6 @@ TEST(FrontierEngineTest, ReachableHonorsMaxStatesCapIdentically) {
   }
 }
 
-TEST(FrontierEngineTest, SpillingDoesNotChangeTheAnswer) {
-  const auto dd = make_dijkstra_ring(4, 5);
-  const StateSpace space(dd.design.program);
-  const auto actions = non_fault_actions(dd.design.program);
-  const StateSet expect =
-      compute_reachable(space, dd.design.S(), actions);
-
-  // Threshold 8 forces nearly every level through the temp file.
-  store::FrontierEngine engine(space, engine_config(2, /*spill=*/8));
-  const StateSet got = engine.reachable(dd.design.S(), actions);
-  expect_same_set(expect, got);
-  EXPECT_GT(engine.stats().spills, 0u);
-}
-
-// Byte-identity must also hold when spilling interacts with max_states
-// truncation: every threshold (from spill-every-append up) must stop at
-// exactly the same state as the in-memory run.
-TEST(FrontierEngineTest, SpillingPreservesCapTruncationPoint) {
-  const auto dd = make_dijkstra_ring(4, 5);
-  const StateSpace space(dd.design.program);
-  const auto actions = non_fault_actions(dd.design.program);
-  FaultSpanOptions opts;
-  opts.max_states = 211;
-  const StateSet expect =
-      compute_reachable(space, dd.design.S(), actions, opts);
-
-  for (std::uint64_t threshold : {std::uint64_t{1}, std::uint64_t{4},
-                                  std::uint64_t{64}}) {
-    store::FrontierEngine engine(space, engine_config(2, threshold));
-    const StateSet got = engine.reachable(dd.design.S(), actions, opts);
-    expect_same_set(expect, got);
-  }
-}
-
 TEST(FrontierEngineTest, FaultSpanMatchesSerialReference) {
   const auto dd = make_dijkstra_ring(3, 4);
   const StateSpace space(dd.design.program);
@@ -504,79 +357,11 @@ TEST(FrontierEngineTest, FaultSpanMatchesSerialReference) {
   expect_same_set(expect, got);
 }
 
-TEST(FrontierEngineTest, BackwardDistancesAreExactMinSteps) {
-  const auto dd = make_dijkstra_ring(3, 4);
-  const StateSpace space(dd.design.program);
-  const auto actions = non_fault_actions(dd.design.program);
-  const PredicateFn S = dd.design.S();
-
-  // Serial reference: multi-source BFS over explicitly reversed edges.
-  constexpr std::uint32_t kInf = ~std::uint32_t{0};
-  std::vector<std::uint32_t> expect(space.size(), kInf);
-  std::vector<std::vector<std::uint64_t>> preds(space.size());
-  {
-    State s(space.program().num_variables());
-    std::vector<std::uint64_t> succs;
-    std::vector<std::uint64_t> queue;
-    for (std::uint64_t code = 0; code < space.size(); ++code) {
-      detail::expand_reachable(space, actions, {}, code, s, succs);
-      std::sort(succs.begin(), succs.end());
-      succs.erase(std::unique(succs.begin(), succs.end()), succs.end());
-      for (std::uint64_t t : succs) preds[t].push_back(code);
-      space.decode_into(code, s);
-      if (S(s)) {
-        expect[code] = 0;
-        queue.push_back(code);
-      }
-    }
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const std::uint64_t code = queue[head];
-      for (std::uint64_t prev : preds[code]) {
-        if (expect[prev] == kInf) {
-          expect[prev] = expect[code] + 1;
-          queue.push_back(prev);
-        }
-      }
-    }
-  }
-
-  for (unsigned threads : {1u, 4u}) {
-    store::FrontierEngine engine(space, engine_config(threads));
-    store::StampedDistanceArray dist(space.size());
-    const std::uint64_t resolved =
-        engine.backward_distances(S, actions, dist);
-    std::uint64_t expect_resolved = 0;
-    for (std::uint64_t code = 0; code < space.size(); ++code) {
-      if (expect[code] != kInf) {
-        ++expect_resolved;
-        ASSERT_EQ(dist.get(code), expect[code]) << "code " << code;
-      } else {
-        ASSERT_FALSE(dist.known(code)) << "code " << code;
-      }
-    }
-    EXPECT_EQ(resolved, expect_resolved);
-  }
-}
-
 TEST(StoreConfigTest, FromEnvParsesBudget) {
   ::setenv("NONMASK_STATE_BUDGET", "123456", 1);
   EXPECT_EQ(store::StoreConfig::from_env().budget, 123456u);
   ::unsetenv("NONMASK_STATE_BUDGET");
   EXPECT_EQ(store::StoreConfig::from_env().budget, 32'000'000u);
-}
-
-TEST(FrontierEngineTest, BackwardDistancesRespectRoundCap) {
-  const auto dd = make_dijkstra_ring(3, 4);
-  const StateSpace space(dd.design.program);
-  const auto actions = non_fault_actions(dd.design.program);
-  store::FrontierEngine engine(space, engine_config(1));
-  store::StampedDistanceArray dist(space.size());
-  engine.backward_distances(dd.design.S(), actions, dist, /*max_rounds=*/1);
-  for (std::uint64_t code = 0; code < space.size(); ++code) {
-    if (dist.known(code)) {
-      EXPECT_LE(dist.get(code), 1u);
-    }
-  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Live telemetry: RSS helpers, the heartbeat JSONL schema, off-by-default
-// cost contracts, the background sampler under concurrent writers, and the
-// final-heartbeat == run-report accounting identity.
+// cost contracts, the metrics switch telemetry borrows, the bounded
+// in-memory series, the background sampler under concurrent writers, and
+// the final-heartbeat == run-report accounting identity.
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -13,6 +14,7 @@
 
 #include "checker/state_space.hpp"
 #include "obs/dashboard.hpp"
+#include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/rss.hpp"
 #include "obs/telemetry.hpp"
@@ -40,18 +42,57 @@ TEST(RssTest, PeakIsPositiveAndCurrentIsSane) {
 
 TEST(TelemetryTest, OffByDefault) {
   ASSERT_FALSE(Telemetry::running());
-  ASSERT_FALSE(Telemetry::counting());
-  // A meter with an exploration label must not feed the depth counter
-  // while telemetry is off.
-  const std::uint64_t before =
-      Telemetry::depth().states_explored.load(std::memory_order_relaxed);
-  {
-    obs::ProgressMeter meter("convergence-dfs", 100);
-    meter.add(42);
+  ASSERT_FALSE(obs::Metrics::enabled());
+  // While collection is off an exploring pass has no counter to feed, and
+  // its meter accumulates nothing.
+  EXPECT_EQ(obs::explored_states(), nullptr);
+  obs::ProgressMeter meter("convergence-dfs", 100, obs::explored_states());
+  meter.add(42);
+  EXPECT_EQ(meter.done(), 0u);
+}
+
+// start() borrows the one metrics switch and stop() hands it back as it
+// was: off after an off run, still on when the caller had turned it on.
+TEST(TelemetryTest, StopRestoresTheMetricsSwitch) {
+  obs::TelemetryOptions opts;
+  opts.interval_ms = 1;
+  Telemetry::start(opts);
+  EXPECT_TRUE(obs::Metrics::enabled());
+  Telemetry::stop();
+  EXPECT_FALSE(obs::Metrics::enabled());
+
+  obs::Metrics::set_enabled(true);
+  Telemetry::start(opts);
+  Telemetry::stop();
+  EXPECT_TRUE(obs::Metrics::enabled());
+  obs::Metrics::set_enabled(false);
+}
+
+// The in-memory series keeps the newest kMaxSamples heartbeats, so a
+// long-lived server's sampler does not grow without bound; the final
+// heartbeat stop() takes is always among them.
+TEST(TelemetryTest, SeriesKeepsOnlyTheNewestSamples) {
+  obs::TelemetryOptions opts;
+  opts.interval_ms = 60'000;  // only sample_now() and stop() sample
+  Telemetry::start(opts);
+  constexpr std::size_t kExtra = 10;
+  for (std::size_t i = 0; i < Telemetry::kMaxSamples + kExtra; ++i) {
+    Telemetry::sample_now();
   }
-  EXPECT_EQ(
-      Telemetry::depth().states_explored.load(std::memory_order_relaxed),
-      before);
+  std::vector<HeartbeatSample> series = Telemetry::samples();
+  ASSERT_EQ(series.size(), Telemetry::kMaxSamples);
+  EXPECT_EQ(series.front().seq, kExtra);
+  EXPECT_EQ(series.back().seq, Telemetry::kMaxSamples + kExtra - 1);
+
+  const std::vector<HeartbeatSample> tail = Telemetry::samples_tail(3);
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail.front().seq, Telemetry::kMaxSamples + kExtra - 3);
+  EXPECT_EQ(tail.back().seq, Telemetry::kMaxSamples + kExtra - 1);
+
+  Telemetry::stop();
+  series = Telemetry::samples();
+  ASSERT_EQ(series.size(), Telemetry::kMaxSamples);
+  EXPECT_EQ(series.back().seq, Telemetry::kMaxSamples + kExtra);
 }
 
 // The key set and order of a heartbeat line are a parsing contract
@@ -67,18 +108,9 @@ TEST(TelemetryTest, HeartbeatJsonSchemaGolden) {
   hb.rss_mb = 12.5;
   hb.peak_rss_mb = 20.25;
   hb.workers = 8;
-  hb.set_probes = 11;
-  hb.set_grows = 2;
-  hb.set_cas_retries = 1;
-  hb.arena_slab_allocs = 4;
-  hb.arena_slab_bytes = 4096;
-  hb.frontier_spill_flushes = 1;
-  hb.frontier_spill_bytes = 512;
-  hb.frontier_levels = 9;
-  hb.frontier_merge_rounds = 3;
-  hb.campaign_trials = 5;
-  hb.campaign_retries = 1;
-  hb.campaign_timeouts = 0;
+  hb.counters = {{"campaign.trials", 5},
+                 {"store.arena.slab_bytes", 4096},
+                 {"store.set.probes", 11}};
   obs::MeterSample meter;
   meter.label = "store-reach";
   meter.done = 1000;
@@ -99,11 +131,8 @@ TEST(TelemetryTest, HeartbeatJsonSchemaGolden) {
       obs::to_json(hb),
       "{\"seq\":3,\"t_ms\":600,\"states\":1000,\"states_per_sec\":1234.5,"
       "\"frontier\":77,\"rss_mb\":12.5,\"peak_rss_mb\":20.25,\"workers\":8,"
-      "\"counters\":{\"set_probes\":11,\"set_grows\":2,\"set_cas_retries\":1,"
-      "\"arena_slab_allocs\":4,\"arena_slab_bytes\":4096,"
-      "\"frontier_spill_flushes\":1,\"frontier_spill_bytes\":512,"
-      "\"frontier_levels\":9,\"frontier_merge_rounds\":3,"
-      "\"campaign_trials\":5,\"campaign_retries\":1,\"campaign_timeouts\":0},"
+      "\"counters\":{\"campaign.trials\":5,\"store.arena.slab_bytes\":4096,"
+      "\"store.set.probes\":11},"
       "\"meters\":[{\"label\":\"store-reach\",\"done\":1000,\"total\":1296,"
       "\"aux\":{\"frontier\":77}}],"
       "\"sets\":[{\"shards\":4,\"materialized\":2,\"entries\":1000,"
@@ -119,18 +148,21 @@ void run_sampler_race(unsigned threads) {
   const StateSpace space(tr.design.program);
   const store::PackedLayout layout(tr.design.program);
 
-  const std::uint64_t explored_before =
-      Telemetry::depth().states_explored.load(std::memory_order_relaxed);
   obs::TelemetryOptions opts;
   opts.interval_ms = 1;  // in-memory sink, aggressive sampling
   Telemetry::start(opts);
   ASSERT_TRUE(Telemetry::running());
-  ASSERT_TRUE(Telemetry::counting());
+  ASSERT_TRUE(obs::Metrics::enabled());
+  ASSERT_NE(obs::explored_states(), nullptr);
+  const std::uint64_t explored_before = obs::explored_states()->value();
+  const std::uint64_t probes_before =
+      Telemetry::sample_now().counter("store.set.probes");
 
   {
     store::ConcurrentPackedSet set(layout, /*shard_bits=*/4, /*seed=*/1,
                                    space.size());
-    obs::ProgressMeter meter("store-reach", space.size());
+    obs::ProgressMeter meter("store-reach", space.size(),
+                             obs::explored_states());
     std::vector<std::thread> workers;
     for (unsigned t = 0; t < threads; ++t) {
       workers.emplace_back([&, t] {
@@ -160,7 +192,7 @@ void run_sampler_race(unsigned threads) {
     EXPECT_EQ(last.sets[0].entries, space.size());
     EXPECT_EQ(last.sets[0].shards, 16u);
     EXPECT_GT(last.sets[0].max_probe, 0u);
-    EXPECT_GE(last.set_probes, space.size());
+    EXPECT_GE(last.counter("store.set.probes") - probes_before, space.size());
     ASSERT_EQ(last.meters.size(), 1u);
     EXPECT_EQ(last.meters[0].done, space.size());
     for (std::size_t i = 1; i < series.size(); ++i) {
@@ -168,7 +200,7 @@ void run_sampler_race(unsigned threads) {
       EXPECT_GE(series[i].t_ms, series[i - 1].t_ms);
     }
   }
-  EXPECT_FALSE(Telemetry::counting());
+  EXPECT_FALSE(obs::Metrics::enabled());
 }
 
 TEST(TelemetryTest, SamplerWithOneWriter) { run_sampler_race(1); }
@@ -219,19 +251,18 @@ TEST(TelemetryTest, SetAggregateRacesSetLifetimes) {
 
 // The accounting identity behind the store_scale dashboard: the weakly-fair
 // SCC pass pushes each ¬S region state exactly once (the flags pre-pass is
-// deliberately not classified as exploration), so the final heartbeat's
-// cumulative count equals the report's region_states.
+// deliberately not handed the explored-states counter), so the final
+// heartbeat's cumulative count equals the report's region_states.
 TEST(TelemetryTest, FinalHeartbeatMatchesWeaklyFairCheck) {
   const auto tr = make_dijkstra_ring(4, 6);
   const StateSpace space(tr.design.program);
   store::StoreConfig cfg;
   cfg.threads = 2;
 
-  const std::uint64_t explored_before =
-      Telemetry::depth().states_explored.load(std::memory_order_relaxed);
   obs::TelemetryOptions opts;
   opts.interval_ms = 1;
   Telemetry::start(opts);
+  const std::uint64_t explored_before = obs::explored_states()->value();
   const auto report = store::check_convergence_weakly_fair_via(
       cfg, space, tr.design.S(), tr.design.T());
   Telemetry::stop();
@@ -264,7 +295,6 @@ TEST(TelemetryTest, JsonlSinkWritesOneObjectPerHeartbeat) {
   ASSERT_TRUE(in.good());
   std::string line;
   std::size_t lines = 0;
-  std::uint64_t prev_seq = 0;
   while (std::getline(in, line)) {
     ASSERT_FALSE(line.empty());
     EXPECT_EQ(line.front(), '{');
