@@ -83,9 +83,11 @@ start_server
 curl -sS "http://127.0.0.1:$PORT/healthz" | grep -q '"status": "ok"'
 
 # --- server report == direct run, for every example spec -------------------
+# The falsify job goes first: its walks build visited sets, and no later
+# report may carry anything of it (each report is its own job's data).
 campaign_id=""
-for spec in specs/token_ring_campaign.json specs/spanning_tree_check.json \
-            specs/byzantine_containment.json; do
+for spec in specs/dijkstra_ring_falsify.json specs/token_ring_campaign.json \
+            specs/spanning_tree_check.json specs/byzantine_containment.json; do
   name="$(basename "$spec" .json)"
   id="$(post_job "$spec")"
   if [[ "$name" == token_ring_campaign ]]; then campaign_id="$id"; fi

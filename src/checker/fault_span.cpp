@@ -7,6 +7,7 @@
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 
 namespace nonmask {
 
@@ -49,6 +50,7 @@ StateSet compute_reachable(const StateSpace& space, const PredicateFn& start,
   const std::uint64_t cap =
       opts.max_states == 0 ? space.size() : opts.max_states;
   obs::ProgressMeter meter("reach", cap, obs::explored_states());
+  obs::FrontierShare live_frontier;
 
   std::deque<std::uint64_t> frontier;
   State s(p.num_variables());
@@ -73,6 +75,7 @@ StateSet compute_reachable(const StateSpace& space, const PredicateFn& start,
       }
     }
     if (((++expanded) & 0x3FF) == 0) {  // batch the progress bookkeeping
+      live_frontier.set(frontier.size());
       meter.aux("frontier", frontier.size());
       meter.add(set.size() - meter.done());
     }

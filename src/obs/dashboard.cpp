@@ -258,85 +258,6 @@ void render_line_chart(std::ostream& out, const ChartDef& def,
   out << "]}</script>\n</div>\n";
 }
 
-/// Shard-occupancy heatmap: one row per shard bucket, one column per
-/// sample bucket, quantized onto a six-step single-hue ramp (classes q1-q6,
-/// q0 = untouched) so dark mode can restep the ramp in CSS.
-void render_heatmap(std::ostream& out,
-                    const std::vector<HeartbeatSample>& samples,
-                    const std::vector<double>& xs) {
-  // The heartbeat's first sampled set carries the per-shard series.
-  std::size_t shards = 0;
-  for (const HeartbeatSample& s : samples) {
-    if (!s.sets.empty() && !s.sets.front().shard_entries.empty()) {
-      shards = std::max(shards, s.sets.front().shard_entries.size());
-    }
-  }
-  if (shards == 0) return;
-
-  constexpr std::size_t kMaxRows = 32;
-  constexpr std::size_t kMaxCols = 120;
-  const std::size_t row_bucket = (shards + kMaxRows - 1) / kMaxRows;
-  const std::size_t rows = (shards + row_bucket - 1) / row_bucket;
-  const std::size_t col_bucket =
-      (samples.size() + kMaxCols - 1) / kMaxCols;
-  const std::size_t cols = (samples.size() + col_bucket - 1) / col_bucket;
-
-  // cells[r][c]: summed occupancy of the bucket's shards at the bucket's
-  // last sample (occupancy is cumulative, so last-in-bucket is exact).
-  std::vector<std::vector<double>> cells(rows, std::vector<double>(cols, 0));
-  double vmax = 0.0;
-  for (std::size_t c = 0; c < cols; ++c) {
-    const std::size_t si =
-        std::min(samples.size() - 1, (c + 1) * col_bucket - 1);
-    const HeartbeatSample& s = samples[si];
-    if (s.sets.empty()) continue;
-    const std::vector<std::uint64_t>& occ = s.sets.front().shard_entries;
-    for (std::size_t sh = 0; sh < occ.size(); ++sh) {
-      cells[sh / row_bucket][c] += static_cast<double>(occ[sh]);
-    }
-    for (std::size_t r = 0; r < rows; ++r) vmax = std::max(vmax, cells[r][c]);
-  }
-  if (vmax <= 0.0) return;
-
-  const double x0 = xs.front();
-  const double x1 = std::max(xs.back(), x0 + 1e-9);
-  const double cell_w = kPlotW / static_cast<double>(cols);
-  const double cell_h = kPlotH / static_cast<double>(rows);
-
-  out << "<div class=\"card\">\n<h3>Visited-set shard occupancy over time"
-      << "</h3>\n<p class=\"sub\">rows: shard"
-      << (row_bucket > 1 ? " buckets of " + std::to_string(row_bucket) : "s")
-      << " 0–" << (shards - 1)
-      << " (top = shard 0) &middot; darker = more entries &middot; max cell "
-      << human_count(vmax) << "</p>\n";
-  out << "<svg viewBox=\"0 0 " << fmt(kW, 0) << ' ' << fmt(kH, 0)
-      << "\" role=\"img\" aria-label=\"shard occupancy heatmap\">\n";
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      int q = 0;
-      if (cells[r][c] > 0.0) {
-        q = 1 + static_cast<int>(cells[r][c] / vmax * 5.999);
-        q = std::min(q, 6);
-      }
-      out << "<rect class=\"q" << q << "\" x=\""
-          << fmt(kML + static_cast<double>(c) * cell_w, 1) << "\" y=\""
-          << fmt(kMT + static_cast<double>(r) * cell_h, 1) << "\" width=\""
-          << fmt(std::max(cell_w - 1.0, 0.5), 1) << "\" height=\""
-          << fmt(std::max(cell_h - 1.0, 0.5), 1) << "\"/>\n";
-    }
-  }
-  const std::vector<double> xticks = nice_ticks(x1 - x0, 5);
-  for (double t : xticks) {
-    const double xv = x0 + t;
-    if (xv > x1 + 1e-9) continue;
-    out << "<text class=\"tick\" x=\""
-        << fmt(kML + (xv - x0) / (x1 - x0) * kPlotW, 1) << "\" y=\""
-        << fmt(kH - kMB + 16, 1) << "\" text-anchor=\"middle\">"
-        << html_escape(fmt_time_axis(xv)) << "</text>\n";
-  }
-  out << "</svg>\n</div>\n";
-}
-
 // ---------------------------------------------------------------------------
 // Static page chrome
 // ---------------------------------------------------------------------------
@@ -345,30 +266,24 @@ void render_heatmap(std::ostream& out,
 // under both the user-agent media query and an explicit [data-theme="dark"]
 // scope. Series/text/grid tokens follow the repo dataviz conventions:
 // text wears text tokens (never series color), hairline gridlines, 2px
-// lines, ~10% area wash, sequential single-hue ramp for the heatmap.
+// lines, ~10% area wash.
 const char kCss[] = R"CSS(
 :root {
   --surface:#fcfcfb; --card:#ffffff; --text:#0b0b0b; --text2:#52514e;
   --muted:#898781; --grid:#e1e0d9; --baseline:#c3c2b7;
   --s1:#2a78d6; --s2:#eb6834;
-  --q0:var(--surface); --q1:#cde2fb; --q2:#86b6ef; --q3:#3987e5;
-  --q4:#2a78d6; --q5:#1c5cab; --q6:#0d366b;
 }
 @media (prefers-color-scheme: dark) {
   :root {
     --surface:#1a1a19; --card:#222221; --text:#ffffff; --text2:#c3c2b7;
     --muted:#898781; --grid:#2c2c2a; --baseline:#383835;
     --s1:#3987e5; --s2:#d95926;
-    --q0:var(--surface); --q1:#0d366b; --q2:#1c5cab; --q3:#2a78d6;
-    --q4:#3987e5; --q5:#86b6ef; --q6:#cde2fb;
   }
 }
 [data-theme="dark"] {
   --surface:#1a1a19; --card:#222221; --text:#ffffff; --text2:#c3c2b7;
   --muted:#898781; --grid:#2c2c2a; --baseline:#383835;
   --s1:#3987e5; --s2:#d95926;
-  --q0:var(--surface); --q1:#0d366b; --q2:#1c5cab; --q3:#2a78d6;
-  --q4:#3987e5; --q5:#86b6ef; --q6:#cde2fb;
 }
 * { box-sizing:border-box; }
 body {
@@ -402,10 +317,6 @@ svg .line.s2, svg .dot.s2 { stroke:var(--s2); }
 svg .dot { fill:var(--card); stroke-width:2; }
 svg .wash.s1 { fill:var(--s1); opacity:0.1; }
 svg .cross { stroke:var(--baseline); stroke-width:1; }
-svg rect.q0 { fill:var(--q0); stroke:var(--grid); stroke-width:0.5; }
-svg rect.q1 { fill:var(--q1); } svg rect.q2 { fill:var(--q2); }
-svg rect.q3 { fill:var(--q3); } svg rect.q4 { fill:var(--q4); }
-svg rect.q5 { fill:var(--q5); } svg rect.q6 { fill:var(--q6); }
 .legend { display:flex; gap:14px; font-size:12px; color:var(--text2);
   margin:0 0 6px; }
 .legend .key { display:inline-block; width:10px; height:10px;
@@ -667,7 +578,6 @@ void write_dashboard_html(std::ostream& out, const DashboardSpec& spec) {
                         xs);
     }
     out << "</div>\n";
-    render_heatmap(out, samples, xs);
   }
 
   out << "<div class=\"grid2\">\n";
@@ -685,31 +595,8 @@ void write_dashboard_html(std::ostream& out, const DashboardSpec& spec) {
     }
     rows.emplace_back("live workers at stop", std::to_string(last->workers));
     render_kv_table(out, "Counters (final heartbeat)", rows);
-    if (!last->sets.empty()) {
-      out << "<div class=\"card\">\n<h3>Visited sets (final heartbeat)</h3>\n"
-          << "<table>\n<tr><th class=\"num\">shards</th>"
-          << "<th class=\"num\">materialized</th>"
-          << "<th class=\"num\">entries</th><th class=\"num\">load</th>"
-          << "<th class=\"num\">max probe</th>"
-          << "<th class=\"num\">arena</th></tr>\n";
-      for (const SetSample& set : last->sets) {
-        const double load =
-            set.capacity == 0 ? 0.0
-                              : static_cast<double>(set.entries) /
-                                    static_cast<double>(set.capacity) * 100.0;
-        out << "<tr><td class=\"num\">" << set.shards
-            << "</td><td class=\"num\">" << set.materialized
-            << "</td><td class=\"num\">" << with_commas(set.entries)
-            << "</td><td class=\"num\">" << fmt(load, 1)
-            << "%</td><td class=\"num\">" << set.max_probe
-            << "</td><td class=\"num\">"
-            << human_bytes(static_cast<double>(set.arena_bytes))
-            << "</td></tr>\n";
-      }
-      out << "</table>\n</div>\n";
-    }
   }
-  if (spec.include_trace) render_trace_table(out);
+  render_trace_table(out);
   out << "</div>\n";
 
   // Table-view twin of the time-series charts.

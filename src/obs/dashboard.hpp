@@ -2,11 +2,13 @@
 // (obs/telemetry.hpp), the Chrome-trace span aggregate (obs/span.hpp), and
 // a caller-supplied run summary into one dependency-free HTML file —
 // inline SVG time-series (instantaneous states/s, cumulative states, RSS,
-// frontier), a shard-occupancy heatmap, counter and heartbeat tables, and
-// a crosshair hover layer, with dark mode via CSS custom properties. The
-// file references nothing external: no scripts, fonts,
-// images, or stylesheets are fetched, so it renders offline and can be
-// archived as a CI artifact next to the JSONL it was built from.
+// frontier), counter, span and heartbeat tables, and a crosshair hover
+// layer, with dark mode via CSS custom properties. Everything it plots
+// comes from heartbeats, so a dashboard shows the metrics registry and
+// the process's memory, nothing else. The file references nothing
+// external: no scripts, fonts, images, or stylesheets are fetched, so it
+// renders offline and can be archived as a CI artifact next to the JSONL
+// it was built from.
 #pragma once
 
 #include <iosfwd>
@@ -18,11 +20,6 @@
 
 namespace nonmask::obs {
 
-/// Everything the renderer needs. `summary` rows become the run-summary
-/// table (tool, design, backend, verdict, ...) and are HTML-escaped by the
-/// renderer. `samples` is typically Telemetry::samples() taken after
-/// Telemetry::stop(); with fewer than two samples the time-series cards
-/// are omitted and the tiles/tables still render.
 /// A free-form table card (e.g. the certification-triage matrix): one
 /// header row plus data rows, HTML-escaped by the renderer. Rows shorter
 /// than `columns` render with trailing empty cells.
@@ -32,13 +29,18 @@ struct DashboardTable {
   std::vector<std::vector<std::string>> rows;
 };
 
+/// Everything the renderer needs. `summary` rows become the run-summary
+/// table (tool, design, backend, verdict, ...) and are HTML-escaped by the
+/// renderer. `samples` is typically Telemetry::samples() taken after
+/// Telemetry::stop(); with fewer than two samples the time-series cards
+/// are omitted and the tiles/tables still render. The span table renders
+/// whenever Trace holds events.
 struct DashboardSpec {
   std::string title;
   std::string subtitle;
   std::vector<std::pair<std::string, std::string>> summary;
   std::vector<DashboardTable> tables;  ///< rendered after the summary card
   std::vector<HeartbeatSample> samples;
-  bool include_trace = true;  ///< fold in Trace span aggregates when present
 };
 
 void write_dashboard_html(std::ostream& out, const DashboardSpec& spec);

@@ -67,8 +67,9 @@ class Counter {
 
 /// A level its owner keeps current whether or not collection is on, so a
 /// collector switched on mid-run reads the true value (the thread pool's
-/// live-worker count is the one in use). Updates are therefore not gated,
-/// and owners make them at rare events only.
+/// live workers and the BFS passes' live frontier, obs/telemetry.hpp).
+/// Updates are therefore not gated, and owners make them at rare events
+/// only.
 class Gauge {
  public:
   explicit Gauge(std::string name) : name_(std::move(name)) {}

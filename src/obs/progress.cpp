@@ -6,8 +6,6 @@
 #include <ostream>
 #include <string>
 
-#include "obs/telemetry.hpp"
-
 namespace nonmask::obs {
 
 namespace {
@@ -94,28 +92,25 @@ void Progress::write_line(const char* label, std::uint64_t done,
 ProgressMeter::ProgressMeter(const char* label, std::uint64_t total,
                              Counter* states) noexcept
     : label_(label), total_(total), states_(states) {
-  collecting_ = Metrics::enabled();
-  if (collecting_) Telemetry::register_meter(this);
-  if (!Progress::active() && !collecting_) return;
+  if (!Progress::active() && states_ == nullptr) return;
   start_us_ = wall_us();
   last_report_us_.store(start_us_, std::memory_order_relaxed);
 }
 
 ProgressMeter::~ProgressMeter() {
   if (reported_.load(std::memory_order_relaxed)) maybe_report(true);
-  if (collecting_) Telemetry::unregister_meter(this);
 }
 
 void ProgressMeter::add(std::uint64_t n) noexcept {
   const bool progress = Progress::active();
-  if (!progress && !collecting_) return;
+  if (!progress && states_ == nullptr) return;
   done_.fetch_add(n, std::memory_order_relaxed);
   if (states_ != nullptr) states_->add(n);
   if (progress) maybe_report(false);
 }
 
 void ProgressMeter::aux(const char* label, std::uint64_t value) noexcept {
-  if (!Progress::active() && !collecting_) return;
+  if (!Progress::active()) return;
   for (AuxSlot& slot : aux_) {
     const char* cur = slot.label.load(std::memory_order_acquire);
     if (cur == nullptr) {
@@ -130,18 +125,6 @@ void ProgressMeter::aux(const char* label, std::uint64_t value) noexcept {
       slot.value.store(value, std::memory_order_relaxed);
       return;
     }
-  }
-}
-
-void ProgressMeter::sample_into(MeterSample& out) const {
-  out.label = label_;
-  out.done = done_.load(std::memory_order_relaxed);
-  out.total = total_;
-  out.aux.clear();
-  for (const AuxSlot& slot : aux_) {
-    const char* label = slot.label.load(std::memory_order_acquire);
-    if (label == nullptr) break;
-    out.aux.emplace_back(label, slot.value.load(std::memory_order_relaxed));
   }
 }
 

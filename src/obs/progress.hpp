@@ -10,12 +10,11 @@
 // relaxed atomics and the interval gate elects one reporting thread by
 // compare-exchange.
 //
-// Meters double as the telemetry sampler's work-progress source: when
-// metrics collection is on at construction (Telemetry::start turns it on),
-// the meter registers itself and keeps done_ accumulating even without a
-// progress sink. A pass that explores states hands its meter the
-// explored_states() counter, as a Span takes a histogram, and every add()
-// also feeds that registry counter — the heartbeat's cumulative `states`.
+// A pass that explores states hands its meter the explored_states()
+// counter, as a Span takes a histogram, and every add() also feeds that
+// registry counter — the heartbeat's cumulative `states`. The telemetry
+// sampler reads the counter, never the meter: meters do not register
+// anywhere, so a meter handed no counter and no sink accumulates nothing.
 #pragma once
 
 #include <atomic>
@@ -25,8 +24,6 @@
 #include "obs/metrics.hpp"
 
 namespace nonmask::obs {
-
-struct MeterSample;
 
 /// The registry counter of explored states ("checker.states_explored").
 /// Only passes that visit each state once hand it to their meter: the
@@ -74,17 +71,12 @@ class ProgressMeter {
     return done_.load(std::memory_order_relaxed);
   }
 
-  /// Fill `out` with label/done/total and the published aux pairs — the
-  /// telemetry sampler's read path (safe concurrently with add/aux).
-  void sample_into(MeterSample& out) const;
-
  private:
   void maybe_report(bool force) noexcept;
 
   const char* label_;
   std::uint64_t total_;
   Counter* states_;
-  bool collecting_ = false;  ///< Metrics::enabled() at construction
   std::atomic<std::uint64_t> done_{0};
   std::uint64_t start_us_ = 0;
   std::atomic<std::uint64_t> last_report_us_{0};

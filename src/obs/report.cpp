@@ -5,7 +5,6 @@
 #include <fstream>
 #include <ostream>
 
-#include "obs/telemetry.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 
@@ -218,29 +217,6 @@ std::string RunReport::to_json() const {
   for (const auto& [key, json] : sections_) {
     w.key(key);
     w.raw(json);
-  }
-  // Visited-set depth: aggregate over every concurrent set this process
-  // constructed (retired + live). Registration is unconditional, so this
-  // section appears for store-backed runs even with telemetry off.
-  if (Telemetry::sets_seen() > 0) {
-    const SetSample sets = Telemetry::set_aggregate();
-    w.key("store");
-    w.begin_object();
-    w.key("sets");
-    w.value(Telemetry::sets_seen());
-    w.key("shards");
-    w.value(sets.shards);
-    w.key("materialized_shards");
-    w.value(sets.materialized);
-    w.key("entries");
-    w.value(sets.entries);
-    w.key("table_slots");
-    w.value(sets.capacity);
-    w.key("max_probe");
-    w.value(sets.max_probe);
-    w.key("arena_bytes");
-    w.value(sets.arena_bytes);
-    w.end_object();
   }
   w.key("metrics");
   w.raw(metrics_to_json());

@@ -1,16 +1,24 @@
 #include "obs/rss.hpp"
 
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 
 namespace nonmask::obs {
 
 double peak_rss_mb() {
-  struct rusage ru;
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0.0;
+  char line[256];
+  unsigned long long kib = 0;
+  bool found = false;
+  while (!found && std::fgets(line, sizeof(line), f) != nullptr) {
+    found = std::strncmp(line, "VmHWM:", 6) == 0 &&
+            std::sscanf(line + 6, "%llu", &kib) == 1;
+  }
+  std::fclose(f);
+  return found ? static_cast<double>(kib) / 1024.0 : 0.0;  // kB = KiB
 }
 
 double current_rss_mb() {

@@ -1,6 +1,5 @@
 #include "obs/telemetry.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -40,24 +39,11 @@ struct TelemetryState {
   std::uint64_t prev_states = 0;
   std::uint64_t prev_t_us = 0;
   std::deque<HeartbeatSample> series;  // the newest kMaxSamples
-  std::vector<const ProgressMeter*> meters;
-  std::vector<const SetTelemetrySource*> sets;
-  SetSample retired;          // aggregate of destroyed sets
-  std::uint64_t sets_seen = 0;
 };
 
 TelemetryState& state() {
   static TelemetryState s;
   return s;
-}
-
-void fold_into(SetSample& acc, const SetSample& s) {
-  acc.shards += s.shards;
-  acc.materialized += s.materialized;
-  acc.entries += s.entries;
-  acc.capacity += s.capacity;
-  acc.max_probe = std::max(acc.max_probe, s.max_probe);
-  acc.arena_bytes += s.arena_bytes;
 }
 
 /// Take one heartbeat. Caller holds state().mutex.
@@ -77,21 +63,11 @@ HeartbeatSample sample_locked(TelemetryState& s) {
                                        static_cast<double>(dt_us);
   s.prev_states = hb.states_explored;
   s.prev_t_us = now_us;
+  hb.frontier = static_cast<std::uint64_t>(frontier_live().value());
   hb.rss_mb = current_rss_mb();
   hb.peak_rss_mb = peak_rss_mb();
   hb.workers = static_cast<std::int64_t>(workers_live().value());
   hb.counters = Registry::instance().counter_values();
-  for (const ProgressMeter* meter : s.meters) {
-    MeterSample ms;
-    meter->sample_into(ms);
-    for (const auto& [label, value] : ms.aux) {
-      if (label == "frontier") hb.frontier += value;
-    }
-    hb.meters.push_back(std::move(ms));
-  }
-  for (const SetTelemetrySource* set : s.sets) {
-    hb.sets.push_back(set->sample_set_telemetry());
-  }
   s.series.push_back(hb);
   if (s.series.size() > Telemetry::kMaxSamples) s.series.pop_front();
   if (s.out.is_open()) {
@@ -117,6 +93,11 @@ void sampler_loop() {
 
 Gauge& workers_live() {
   static Gauge& gauge = Registry::instance().gauge("pool.workers_live");
+  return gauge;
+}
+
+Gauge& frontier_live() {
+  static Gauge& gauge = Registry::instance().gauge("checker.frontier_live");
   return gauge;
 }
 
@@ -154,49 +135,6 @@ std::string to_json(const HeartbeatSample& hb) {
     w.value(value);
   }
   w.end_object();
-  w.key("meters");
-  w.begin_array();
-  for (const MeterSample& m : hb.meters) {
-    w.begin_object();
-    w.key("label");
-    w.value(m.label);
-    w.key("done");
-    w.value(m.done);
-    w.key("total");
-    w.value(m.total);
-    w.key("aux");
-    w.begin_object();
-    for (const auto& [label, value] : m.aux) {
-      w.key(label);
-      w.value(value);
-    }
-    w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-  w.key("sets");
-  w.begin_array();
-  for (const SetSample& set : hb.sets) {
-    w.begin_object();
-    w.key("shards");
-    w.value(set.shards);
-    w.key("materialized");
-    w.value(set.materialized);
-    w.key("entries");
-    w.value(set.entries);
-    w.key("capacity");
-    w.value(set.capacity);
-    w.key("max_probe");
-    w.value(set.max_probe);
-    w.key("arena_bytes");
-    w.value(set.arena_bytes);
-    w.key("shard_entries");
-    w.begin_array();
-    for (std::uint64_t e : set.shard_entries) w.value(e);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
   w.end_object();
   return out;
 }
@@ -282,59 +220,6 @@ std::vector<HeartbeatSample> Telemetry::samples_tail(std::size_t n) {
   const std::size_t begin = s.series.size() > n ? s.series.size() - n : 0;
   return {s.series.begin() + static_cast<std::ptrdiff_t>(begin),
           s.series.end()};
-}
-
-void Telemetry::register_meter(const ProgressMeter* meter) noexcept {
-  TelemetryState& s = state();
-  try {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.meters.push_back(meter);
-  } catch (...) {
-    // ProgressMeter's constructor is noexcept; a failed registration just
-    // means this meter goes unsampled.
-  }
-}
-
-void Telemetry::unregister_meter(const ProgressMeter* meter) noexcept {
-  TelemetryState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.meters.erase(std::remove(s.meters.begin(), s.meters.end(), meter),
-                 s.meters.end());
-}
-
-void Telemetry::register_set(const SetTelemetrySource* set) {
-  TelemetryState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.sets.push_back(set);
-  ++s.sets_seen;
-}
-
-void Telemetry::unregister_set(const SetTelemetrySource* set) {
-  const SetSample final_sample = set->sample_set_telemetry();
-  TelemetryState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  fold_into(s.retired, final_sample);
-  s.sets.erase(std::remove(s.sets.begin(), s.sets.end(), set), s.sets.end());
-}
-
-SetSample Telemetry::set_aggregate() {
-  TelemetryState& s = state();
-  // Live sets are sampled under the registry lock: a set's destructor
-  // unregisters under the same mutex before freeing its shards, so every
-  // pointer in the list stays valid until the lock is released. Locks are
-  // taken registry -> shard, the sampler's order (sample_locked).
-  std::lock_guard<std::mutex> lock(s.mutex);
-  SetSample acc = s.retired;
-  for (const SetTelemetrySource* set : s.sets) {
-    fold_into(acc, set->sample_set_telemetry());
-  }
-  return acc;
-}
-
-std::uint64_t Telemetry::sets_seen() noexcept {
-  TelemetryState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return s.sets_seen;
 }
 
 }  // namespace nonmask::obs

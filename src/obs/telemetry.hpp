@@ -1,72 +1,68 @@
 // Live run telemetry: a background sampler thread that turns a long
 // verification run into a JSONL heartbeat series — cumulative states
-// explored, instantaneous states/s, frontier size, per-shard visited-set
-// occupancy, RSS, live workers, and every metrics-registry counter (set
-// probes, arena slabs, BFS levels, campaign trials, ...) — so a throughput
-// collapse at minute 3 of a 4-minute run is visible instead of averaged
-// away by the end-of-run report.
+// explored, instantaneous states/s, live BFS frontier, RSS, live workers,
+// and every metrics-registry counter (set probes, arena slabs, BFS levels,
+// campaign trials, ...) — so a throughput collapse at minute 3 of a
+// 4-minute run is visible instead of averaged away by the end-of-run
+// report.
 //
-// Cost model (the contract of obs/metrics.hpp, whose registry holds every
-// count the sampler reads): telemetry is off by default, and start() turns
-// metrics collection on for the run (stop() restores the switch as start()
-// found it), so a dormant run pays one relaxed load per instrumentation
-// point. The sampler thread only exists between start() and stop(). Enable
-// with NONMASK_TELEMETRY=<jsonl-path> (interval via NONMASK_TELEMETRY_MS,
-// default 200) or programmatically with TelemetryOptions — an empty path
-// keeps the series in memory only, which is how --dashboard-out runs
-// collect their data without touching disk. The in-memory series keeps the
-// newest kMaxSamples heartbeats; the JSONL sink gets every one.
+// A heartbeat is a function of the metrics registry (obs/metrics.hpp) and
+// the process's own memory (obs/rss.hpp), nothing else: the sampler holds
+// no pointer to a meter, set or pass, so no pass, trial or walk ever takes
+// its mutex, and an object's lifetime never races a sample.
 //
-// Samplable objects register themselves while metrics are collected:
-// ProgressMeter registers in its constructor (progress.hpp) so the sampler
-// can read done/total/aux without cooperation from the meter's owner, and
-// ConcurrentPackedSet implements SetTelemetrySource. Set registration is
-// unconditional (construction is rare) because the retired-set aggregate
-// also feeds the run-report store section when telemetry is off.
+// Cost model (the contract of obs/metrics.hpp): telemetry is off by
+// default, and start() turns metrics collection on for the run (stop()
+// restores the switch as start() found it), so a dormant run pays one
+// relaxed load per instrumentation point. The sampler thread only exists
+// between start() and stop(). Enable with NONMASK_TELEMETRY=<jsonl-path>
+// (interval via NONMASK_TELEMETRY_MS, default 200) or programmatically with
+// TelemetryOptions — an empty path keeps the series in memory only, which
+// is how --dashboard-out runs collect their data without touching disk.
+// The in-memory series keeps the newest kMaxSamples heartbeats; the JSONL
+// sink gets every one.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 
 namespace nonmask::obs {
 
-class ProgressMeter;
-
-/// Live pool workers across the process: the registry's one gauge
-/// ("pool.workers_live"). ThreadPool keeps it unconditionally (one update
+/// Live pool workers across the process: the registry gauge
+/// "pool.workers_live". ThreadPool keeps it unconditionally (one update
 /// per pool lifetime), so a sampler started mid-run never underflows it.
 Gauge& workers_live();
 
-/// One registered ProgressMeter, as seen by the sampler.
-struct MeterSample {
-  std::string label;
-  std::uint64_t done = 0;
-  std::uint64_t total = 0;  ///< 0 = unknown
-  std::vector<std::pair<std::string, std::uint64_t>> aux;
-};
+/// Live BFS frontier states across the process: the registry gauge
+/// "checker.frontier_live", the heartbeat's `frontier`. Passes move it
+/// through a FrontierShare, never directly.
+Gauge& frontier_live();
 
-/// One registered concurrent set, as seen by the sampler (and, folded
-/// across retired sets, by the run-report store section).
-struct SetSample {
-  std::uint64_t shards = 0;        ///< configured shard count
-  std::uint64_t materialized = 0;  ///< shards touched so far
-  std::uint64_t entries = 0;
-  std::uint64_t capacity = 0;      ///< summed table slots
-  std::uint64_t max_probe = 0;     ///< longest insert probe sequence
-  std::uint64_t arena_bytes = 0;
-  std::vector<std::uint64_t> shard_entries;  ///< per-shard occupancy
-};
-
-/// Implemented by containers the sampler polls (ConcurrentPackedSet).
-class SetTelemetrySource {
+/// One BFS pass's share of frontier_live(): set() moves the gauge by the
+/// change in this pass's live level size, and the destructor takes the
+/// share back out, so concurrent passes add up and a finished pass
+/// contributes 0. Like workers_live(), updates are not gated on
+/// Metrics::enabled() (a sampler started mid-pass reads the true level);
+/// passes update once per level or per batch of expansions.
+class FrontierShare {
  public:
-  virtual ~SetTelemetrySource() = default;
-  virtual SetSample sample_set_telemetry() const = 0;
+  FrontierShare() noexcept : gauge_(frontier_live()) {}
+  ~FrontierShare() { set(0); }
+  FrontierShare(const FrontierShare&) = delete;
+  FrontierShare& operator=(const FrontierShare&) = delete;
+
+  void set(std::uint64_t size) noexcept {
+    gauge_.add(static_cast<double>(size) - static_cast<double>(size_));
+    size_ = size;
+  }
+
+ private:
+  Gauge& gauge_;
+  std::uint64_t size_ = 0;
 };
 
 /// One heartbeat. `states_per_sec` is instantaneous (delta over the
@@ -78,13 +74,11 @@ struct HeartbeatSample {
   std::uint64_t t_ms = 0;  ///< since Telemetry::start()
   std::uint64_t states_explored = 0;  ///< the explored_states() counter
   double states_per_sec = 0.0;
-  std::uint64_t frontier = 0;  ///< summed "frontier" aux across meters
+  std::uint64_t frontier = 0;  ///< the frontier_live() gauge
   double rss_mb = 0.0;
   double peak_rss_mb = 0.0;
   std::int64_t workers = 0;  ///< the workers_live() gauge
   std::vector<CounterValue> counters;  ///< the registry's counters
-  std::vector<MeterSample> meters;
-  std::vector<SetSample> sets;
 
   /// The registry counter `name` at this heartbeat; 0 when not registered.
   std::uint64_t counter(std::string_view name) const noexcept;
@@ -126,18 +120,6 @@ class Telemetry {
   static std::vector<HeartbeatSample> samples();
   /// The newest `n` heartbeats of that series, oldest first.
   static std::vector<HeartbeatSample> samples_tail(std::size_t n);
-
-  static void register_meter(const ProgressMeter* meter) noexcept;
-  static void unregister_meter(const ProgressMeter* meter) noexcept;
-  static void register_set(const SetTelemetrySource* set);
-  /// Folds the set's final sample into the retired aggregate, then drops
-  /// it from the live list.
-  static void unregister_set(const SetTelemetrySource* set);
-
-  /// Aggregate of every set that lived in this process (retired + live):
-  /// the run-report "store" section. Available with telemetry off.
-  static SetSample set_aggregate();
-  static std::uint64_t sets_seen() noexcept;
 };
 
 }  // namespace nonmask::obs

@@ -42,13 +42,9 @@ ConcurrentPackedSet::ConcurrentPackedSet(const PackedLayout& layout,
   initial_capacity_ =
       round_up_pow2(expected == 0 ? 64 : (expected / count) * 2 + 64);
   for (auto& slot : slots_) slot.store(nullptr, std::memory_order_relaxed);
-  obs::Telemetry::register_set(this);
 }
 
 ConcurrentPackedSet::~ConcurrentPackedSet() {
-  // Unregister first (folds a final sample into the retired aggregate and
-  // waits out any in-flight sampler pass), then tear the shards down.
-  obs::Telemetry::unregister_set(this);
   for (auto& slot : slots_) delete slot.load(std::memory_order_acquire);
 }
 
@@ -166,29 +162,6 @@ std::vector<ConcurrentPackedSet::ShardStats> ConcurrentPackedSet::shard_stats()
                      shard->arena.bytes()});
   }
   return stats;
-}
-
-obs::SetSample ConcurrentPackedSet::sample_set_telemetry() const {
-  obs::SetSample sample;
-  sample.shards = slots_.size();
-  sample.shard_entries.reserve(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Shard* shard = shard_if(i);
-    if (shard == nullptr) {
-      sample.shard_entries.push_back(0);
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    ++sample.materialized;
-    sample.entries += shard->entries;
-    sample.capacity += shard->table.size();
-    if (shard->max_probe > sample.max_probe) {
-      sample.max_probe = shard->max_probe;
-    }
-    sample.arena_bytes += shard->arena.bytes();
-    sample.shard_entries.push_back(shard->entries);
-  }
-  return sample;
 }
 
 }  // namespace nonmask::store

@@ -35,26 +35,23 @@
 #include <utility>
 #include <vector>
 
-#include "obs/telemetry.hpp"
 #include "store/arena.hpp"
 #include "store/packed.hpp"
 
 namespace nonmask::store {
 
-/// Registers with obs::Telemetry for its lifetime: the background sampler
-/// reads per-shard occupancy, probe depth, and arena bytes through
-/// sample_set_telemetry(), and the destructor folds a final sample into
-/// the retired-set aggregate the run reports print. Registration is a
-/// registry mutex hop at construction/destruction — never on the insert
-/// path; the gated registry counters there cost one relaxed load when off.
-class ConcurrentPackedSet final : public obs::SetTelemetrySource {
+/// Telemetry sees the set only through the registry counters its insert
+/// path feeds (store.set.probes, .grows, .cas_retries; one relaxed load
+/// each while metrics are off). The set registers nowhere, so building and
+/// dropping one — falsify does so per walk — takes no lock outside it.
+class ConcurrentPackedSet {
  public:
   /// 2^shard_bits shards; `expected` sizes each shard's table for
   /// expected/2^shard_bits entries at materialization (they still grow on
   /// demand).
   ConcurrentPackedSet(const PackedLayout& layout, unsigned shard_bits,
                       std::uint64_t seed, std::uint64_t expected = 0);
-  ~ConcurrentPackedSet() override;
+  ~ConcurrentPackedSet();
 
   ConcurrentPackedSet(const ConcurrentPackedSet&) = delete;
   ConcurrentPackedSet& operator=(const ConcurrentPackedSet&) = delete;
@@ -99,10 +96,6 @@ class ConcurrentPackedSet final : public obs::SetTelemetrySource {
   /// Per-shard occupancy, for the bench's shard-balance report; untouched
   /// shards report all-zero.
   std::vector<ShardStats> shard_stats() const;
-
-  /// The telemetry sampler's view (obs/telemetry.hpp): totals plus the
-  /// per-shard occupancy vector behind the dashboard's shard heatmap.
-  obs::SetSample sample_set_telemetry() const override;
 
  private:
   struct Shard {

@@ -5,6 +5,7 @@
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 #include "store/odometer.hpp"
 
 namespace nonmask::store {
@@ -36,6 +37,7 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
   const std::uint64_t cap =
       opts.max_states == 0 ? space.size() : opts.max_states;
   obs::ProgressMeter meter("store-reach", cap, obs::explored_states());
+  obs::FrontierShare live_frontier;
 
   std::vector<State> scratch(pool_.size(), State(p.num_variables()));
 
@@ -134,6 +136,7 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
     }
     if (capped) break;
     frontier = std::move(next);
+    live_frontier.set(frontier.size());
     meter.aux("frontier", frontier.size());
     meter.add(set.size() - meter.done());
   }

@@ -90,23 +90,8 @@ std::string fresh_dir(const std::string& tag) {
   return dir;
 }
 
-// A converging one-variable design with a fast campaign job.
-std::string campaign_spec(int trials, int seed) {
-  return std::string(R"({
-  "schema": "nonmask-spec/1",
-  "name": "countdown",
-  "variables": [{"name": "x", "min": "0", "max": "7"}],
-  "constraints": [{"name": "zero", "expr": "x == 0"}],
-  "actions": [
-    {"name": "step", "kind": "convergence", "guard": "x > 0",
-     "assign": {"x": "x - 1"}, "constraint": "0"}
-  ],
-  "job": {"type": "campaign", "trials": )") +
-         std::to_string(trials) + ", \"seed\": " + std::to_string(seed) +
-         ", \"max_steps\": 1000}\n}";
-}
-
-std::string check_spec() {
+// A converging one-variable design carrying the given "job" member.
+std::string countdown_spec(const std::string& job) {
   return R"({
   "schema": "nonmask-spec/1",
   "name": "countdown",
@@ -116,8 +101,23 @@ std::string check_spec() {
     {"name": "step", "kind": "convergence", "guard": "x > 0",
      "assign": {"x": "x - 1"}, "constraint": "0"}
   ],
-  "job": {"type": "check"}
-})";
+  "job": )" + job + "\n}";
+}
+
+// A fast campaign job.
+std::string campaign_spec(int trials, int seed) {
+  return countdown_spec(R"({"type": "campaign", "trials": )" +
+                        std::to_string(trials) +
+                        ", \"seed\": " + std::to_string(seed) +
+                        ", \"max_steps\": 1000}");
+}
+
+std::string check_spec() { return countdown_spec(R"({"type": "check"})"); }
+
+// Random walks, each deduplicating its states through its own visited set.
+std::string falsify_spec() {
+  return countdown_spec(
+      R"({"type": "falsify", "walks": 20, "walk_length": 50, "seed": 3})");
 }
 
 // A campaign that never converges: every trial burns max_steps, so the job
@@ -287,6 +287,31 @@ TEST(JobManagerTest, RunsCheckJobToCompletion) {
   ASSERT_NE(doc.find("spec"), nullptr);
   EXPECT_EQ(doc.find("spec")->find("name")->string_value, "countdown");
   ASSERT_NE(doc.find("convergence"), nullptr);
+  mgr.drain();
+}
+
+// A report carries only its own job's data: a check job run after a
+// falsify job (whose walks build and drop visited sets) has exactly the
+// sections a check report has, nothing the earlier job left behind.
+TEST(JobManagerTest, CheckAfterFalsifyReportsOnlyItsOwnSections) {
+  ServeOptions opts;
+  opts.state_dir = fresh_dir("per_job");
+  opts.workers = 1;
+  JobManager mgr(opts);
+  const auto falsify = mgr.submit(falsify_spec());
+  ASSERT_EQ(falsify.status, 201);
+  ASSERT_EQ(wait_done(mgr, falsify.id).state, JobState::kDone);
+  const auto check = mgr.submit(check_spec());
+  ASSERT_EQ(check.status, 201);
+  ASSERT_EQ(wait_done(mgr, check.id).state, JobState::kDone);
+
+  const util::JsonValue doc = util::parse_json(mgr.report_json(check.id));
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.object) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "tool", "design", "started_at", "wall_ms", "spec",
+                      "store_backend", "state_budget", "closure_S",
+                      "closure_T", "convergence", "metrics"}));
   mgr.drain();
 }
 

@@ -245,17 +245,6 @@ TEST(ConcurrentPackedSetTest, ConcurrentInsertsAreRaceFreeAndComplete) {
 
 // ------------------------------------------------------------ bit arrays
 
-TEST(AtomicBitSetTest, FirstSetterWins) {
-  store::AtomicBitSet bits(200);
-  for (std::uint64_t i = 0; i < 200; ++i) EXPECT_FALSE(bits.test(i));
-  EXPECT_TRUE(bits.test_and_set(63));
-  EXPECT_FALSE(bits.test_and_set(63));
-  EXPECT_TRUE(bits.test(63));
-  EXPECT_FALSE(bits.test(64));
-  EXPECT_TRUE(bits.test_and_set(64));
-  EXPECT_TRUE(bits.test(64));
-}
-
 TEST(TwoBitArrayTest, HoldsAllFourValuesWithoutNeighborInterference) {
   store::TwoBitArray arr(100);
   for (std::uint64_t i = 0; i < 100; ++i) {

@@ -1,9 +1,16 @@
 // Live telemetry: RSS helpers, the heartbeat JSONL schema, off-by-default
 // cost contracts, the metrics switch telemetry borrows, the bounded
-// in-memory series, the background sampler under concurrent writers, and
-// the final-heartbeat == run-report accounting identity.
-#include <atomic>
+// in-memory series, the background sampler under concurrent writers, the
+// live frontier gauge, and the final-heartbeat == run-report accounting
+// identity.
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -13,15 +20,16 @@
 #include <gtest/gtest.h>
 
 #include "checker/state_space.hpp"
+#include "core/builder.hpp"
 #include "obs/dashboard.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/rss.hpp"
 #include "obs/telemetry.hpp"
 #include "protocols/token_ring.hpp"
-#include "store/concurrent_set.hpp"
 #include "store/facade.hpp"
-#include "store/packed.hpp"
+
+extern char** environ;
 
 namespace nonmask {
 namespace {
@@ -30,14 +38,75 @@ using obs::HeartbeatSample;
 using obs::Telemetry;
 
 TEST(RssTest, PeakIsPositiveAndCurrentIsSane) {
-  EXPECT_GT(obs::peak_rss_mb(), 0.0);
+  const double peak = obs::peak_rss_mb();
+  EXPECT_GT(peak, 0.0);
   // /proc may be absent on exotic platforms; when present the value is
   // positive and cannot exceed the peak by more than sampling noise.
   const double current = obs::current_rss_mb();
   EXPECT_GE(current, 0.0);
   if (current > 0.0) {
-    EXPECT_LE(current, obs::peak_rss_mb() * 1.5 + 16.0);
+    EXPECT_LE(current, peak * 1.5 + 16.0);
   }
+  // RssTest.SpawnedPeakIsItsOwn runs this test in a spawned copy of the
+  // binary and reads this line.
+  std::printf("peak_rss_mb=%.2f\n", peak);
+}
+
+/// The peak RSS that a spawned copy of this test binary reports for itself
+/// (RssTest.PeakIsPositiveAndCurrentIsSane prints it); -1 on failure.
+double spawned_peak_mb() {
+  int out[2];
+  if (::pipe(out) != 0) {
+    ADD_FAILURE() << "pipe failed";
+    return -1;
+  }
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_adddup2(&actions, out[1], STDOUT_FILENO);
+  posix_spawn_file_actions_addclose(&actions, out[0]);
+  posix_spawn_file_actions_addclose(&actions, out[1]);
+  const std::string self = std::filesystem::read_symlink("/proc/self/exe");
+  std::string filter =
+      "--gtest_filter=RssTest.PeakIsPositiveAndCurrentIsSane";
+  char* argv[] = {const_cast<char*>(self.c_str()), filter.data(), nullptr};
+  pid_t pid = 0;
+  const int spawned =
+      ::posix_spawn(&pid, self.c_str(), &actions, nullptr, argv, environ);
+  posix_spawn_file_actions_destroy(&actions);
+  ::close(out[1]);
+  std::string child_out;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(out[0], buf, sizeof(buf))) > 0;) {
+    child_out.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(out[0]);
+  int status = 0;
+  const std::size_t at = child_out.find("peak_rss_mb=");
+  if (spawned != 0 || ::waitpid(pid, &status, 0) != pid ||
+      !WIFEXITED(status) || WEXITSTATUS(status) != 0 ||
+      at == std::string::npos) {
+    ADD_FAILURE() << "spawned test failed: " << child_out;
+    return -1;
+  }
+  return std::strtod(child_out.c_str() + at + 12, nullptr);
+}
+
+// A spawned process's peak is its own, not the high-water mark of the
+// process that spawned it: getrusage's ru_maxrss carries the parent's peak
+// across exec, VmHWM does not. The child's reading beside 256 MB of
+// touched ballast is compared with its reading without it, because the
+// binary's own peak is large under sanitizers (~200 MB with ASan).
+TEST(RssTest, SpawnedPeakIsItsOwn) {
+  const double alone = spawned_peak_mb();
+  ASSERT_GT(alone, 0.0);
+  constexpr std::size_t kTouchedMb = 256;
+  const std::vector<char> ballast(kTouchedMb << 20, 1);  // every page written
+  ASSERT_GE(obs::peak_rss_mb(), static_cast<double>(kTouchedMb));
+  const double beside = spawned_peak_mb();
+  ASSERT_GT(beside, 0.0);
+  EXPECT_LT(beside - alone, static_cast<double>(kTouchedMb) / 2)
+      << "alone " << alone << " MB, beside the ballast " << beside << " MB";
+  EXPECT_EQ(ballast.back(), 1);
 }
 
 TEST(TelemetryTest, OffByDefault) {
@@ -111,42 +180,22 @@ TEST(TelemetryTest, HeartbeatJsonSchemaGolden) {
   hb.counters = {{"campaign.trials", 5},
                  {"store.arena.slab_bytes", 4096},
                  {"store.set.probes", 11}};
-  obs::MeterSample meter;
-  meter.label = "store-reach";
-  meter.done = 1000;
-  meter.total = 1296;
-  meter.aux = {{"frontier", 77}};
-  hb.meters.push_back(meter);
-  obs::SetSample set;
-  set.shards = 4;
-  set.materialized = 2;
-  set.entries = 1000;
-  set.capacity = 2048;
-  set.max_probe = 5;
-  set.arena_bytes = 8192;
-  set.shard_entries = {600, 400, 0, 0};
-  hb.sets.push_back(set);
 
   EXPECT_EQ(
       obs::to_json(hb),
       "{\"seq\":3,\"t_ms\":600,\"states\":1000,\"states_per_sec\":1234.5,"
       "\"frontier\":77,\"rss_mb\":12.5,\"peak_rss_mb\":20.25,\"workers\":8,"
       "\"counters\":{\"campaign.trials\":5,\"store.arena.slab_bytes\":4096,"
-      "\"store.set.probes\":11},"
-      "\"meters\":[{\"label\":\"store-reach\",\"done\":1000,\"total\":1296,"
-      "\"aux\":{\"frontier\":77}}],"
-      "\"sets\":[{\"shards\":4,\"materialized\":2,\"entries\":1000,"
-      "\"capacity\":2048,\"max_probe\":5,\"arena_bytes\":8192,"
-      "\"shard_entries\":[600,400,0,0]}]}");
+      "\"store.set.probes\":11}}");
 }
 
-/// Concurrent writers (meter ticks + set inserts) racing the 1 ms sampler:
+/// Concurrent meter ticks and frontier updates racing the 1 ms sampler:
 /// the final heartbeat must account for every unit of work, at any thread
-/// count. Run under TSan in CI.
+/// count, and show no frontier once every writer's share is gone. The
+/// sampler reads only the registry, never the meter. Run under TSan in CI.
 void run_sampler_race(unsigned threads) {
   const auto tr = make_dijkstra_ring(4, 6);  // 6^4 = 1296 states
   const StateSpace space(tr.design.program);
-  const store::PackedLayout layout(tr.design.program);
 
   obs::TelemetryOptions opts;
   opts.interval_ms = 1;  // in-memory sink, aggressive sampling
@@ -155,12 +204,8 @@ void run_sampler_race(unsigned threads) {
   ASSERT_TRUE(obs::Metrics::enabled());
   ASSERT_NE(obs::explored_states(), nullptr);
   const std::uint64_t explored_before = obs::explored_states()->value();
-  const std::uint64_t probes_before =
-      Telemetry::sample_now().counter("store.set.probes");
 
   {
-    store::ConcurrentPackedSet set(layout, /*shard_bits=*/4, /*seed=*/1,
-                                   space.size());
     obs::ProgressMeter meter("store-reach", space.size(),
                              obs::explored_states());
     std::vector<std::thread> workers;
@@ -168,37 +213,28 @@ void run_sampler_race(unsigned threads) {
       workers.emplace_back([&, t] {
         const std::uint64_t lo = space.size() * t / threads;
         const std::uint64_t hi = space.size() * (t + 1) / threads;
-        std::vector<std::uint64_t> words(layout.words());
         State s(space.program().num_variables());
+        obs::FrontierShare frontier;
         for (std::uint64_t code = lo; code < hi; ++code) {
           space.decode_into(code, s);
-          layout.pack(s, words.data());
-          set.insert(words.data());
           meter.add(1);
-          meter.aux("frontier", code - lo);
+          meter.aux("frontier", hi - code);
+          frontier.set(hi - code);
         }
       });
     }
     for (auto& w : workers) w.join();
+    EXPECT_EQ(meter.done(), space.size());
+  }
 
-    // Sets and meters are sampled while still alive: the final heartbeat
-    // sees the completed run.
-    Telemetry::stop();
-    const std::vector<HeartbeatSample> series = Telemetry::samples();
-    ASSERT_FALSE(series.empty());
-    const HeartbeatSample& last = series.back();
-    EXPECT_EQ(last.states_explored - explored_before, space.size());
-    ASSERT_EQ(last.sets.size(), 1u);
-    EXPECT_EQ(last.sets[0].entries, space.size());
-    EXPECT_EQ(last.sets[0].shards, 16u);
-    EXPECT_GT(last.sets[0].max_probe, 0u);
-    EXPECT_GE(last.counter("store.set.probes") - probes_before, space.size());
-    ASSERT_EQ(last.meters.size(), 1u);
-    EXPECT_EQ(last.meters[0].done, space.size());
-    for (std::size_t i = 1; i < series.size(); ++i) {
-      EXPECT_GE(series[i].states_explored, series[i - 1].states_explored);
-      EXPECT_GE(series[i].t_ms, series[i - 1].t_ms);
-    }
+  Telemetry::stop();
+  const std::vector<HeartbeatSample> series = Telemetry::samples();
+  ASSERT_FALSE(series.empty());
+  EXPECT_EQ(series.back().states_explored - explored_before, space.size());
+  EXPECT_EQ(series.back().frontier, 0u);
+  for (std::size_t i = 1; i < series.size(); ++i) {
+    EXPECT_GE(series[i].states_explored, series[i - 1].states_explored);
+    EXPECT_GE(series[i].t_ms, series[i - 1].t_ms);
   }
   EXPECT_FALSE(obs::Metrics::enabled());
 }
@@ -207,46 +243,61 @@ TEST(TelemetryTest, SamplerWithOneWriter) { run_sampler_race(1); }
 TEST(TelemetryTest, SamplerWithTwoWriters) { run_sampler_race(2); }
 TEST(TelemetryTest, SamplerWithEightWriters) { run_sampler_race(8); }
 
-// set_aggregate() (the run-report "store" section) samples live sets while
-// other threads construct and destroy theirs — what a server does when one
-// worker writes a report while another runs a falsify job with one
-// short-lived set per walk. Every set must be sampled while alive (ASan
-// and TSan replay this in CI), and once all are gone the aggregate counts
-// every insert exactly once.
-TEST(TelemetryTest, SetAggregateRacesSetLifetimes) {
-  const auto tr = make_dijkstra_ring(3, 4);  // 4^3 = 64 states
-  const StateSpace space(tr.design.program);
-  const store::PackedLayout layout(tr.design.program);
-  const std::uint64_t entries_before = Telemetry::set_aggregate().entries;
+// The heartbeat's `frontier` is the frontier_live() gauge: each BFS pass
+// adds its live level while it runs and takes it back when it ends, so
+// concurrent passes add up and a finished pass contributes 0.
+TEST(TelemetryTest, FrontierIsTheLiveGauge) {
+  obs::TelemetryOptions opts;
+  opts.interval_ms = 60'000;  // only sample_now() and stop() sample
+  Telemetry::start(opts);
+  const auto live = [] {
+    return static_cast<std::uint64_t>(obs::frontier_live().value());
+  };
+  ASSERT_EQ(live(), 0u);
+  {
+    obs::FrontierShare a;
+    obs::FrontierShare b;
+    a.set(30);
+    b.set(12);
+    EXPECT_EQ(Telemetry::sample_now().frontier, 42u);
+    a.set(5);
+    EXPECT_EQ(Telemetry::sample_now().frontier, 17u);
+  }
+  EXPECT_EQ(Telemetry::sample_now().frontier, 0u);
 
-  constexpr unsigned kWriters = 4;
-  constexpr unsigned kSetsPerWriter = 200;
-  std::atomic<unsigned> running{kWriters};
-  std::vector<std::thread> writers;
-  for (unsigned t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&] {
-      std::vector<std::uint64_t> words(layout.words());
-      State s(space.program().num_variables());
-      for (unsigned i = 0; i < kSetsPerWriter; ++i) {
-        store::ConcurrentPackedSet set(layout, /*shard_bits=*/2, /*seed=*/1);
-        for (std::uint64_t code = 0; code < space.size(); ++code) {
-          space.decode_into(code, s);
-          layout.pack(s, words.data());
-          set.insert(words.data());
-        }
-      }
-      running.fetch_sub(1);
-    });
-  }
-  std::uint64_t last = entries_before;
-  while (running.load() > 0) {
-    const std::uint64_t entries = Telemetry::set_aggregate().entries;
-    EXPECT_GE(entries, last);  // retired sets only accumulate
-    last = entries;
-  }
-  for (auto& w : writers) w.join();
-  EXPECT_EQ(Telemetry::set_aggregate().entries - entries_before,
-            std::uint64_t{kWriters} * kSetsPerWriter * space.size());
+  // A binary tree: from x = 0 the two actions reach x in [0, 62] in BFS
+  // levels of 1, 2, 4, ..., 32 states (x = 63 stays unreached, so the pass
+  // also expands its widest level). The first guard samples a heartbeat at
+  // every expansion, so it sees each level the pass has published.
+  ProgramBuilder builder("tree");
+  const VarId x = builder.var("x", 0, 63);
+  std::uint64_t widest = 0;
+  bool heartbeat_is_gauge = true;
+  builder.closure(
+      "left",
+      [&, x](const State& s) {
+        const std::uint64_t beat = Telemetry::sample_now().frontier;
+        heartbeat_is_gauge = heartbeat_is_gauge && beat == live();
+        widest = std::max(widest, beat);
+        return s.get(x) <= 30;
+      },
+      [x](State& s) { s.set(x, 2 * s.get(x) + 1); }, {x}, {x});
+  builder.closure(
+      "right", [x](const State& s) { return s.get(x) <= 30; },
+      [x](State& s) { s.set(x, 2 * s.get(x) + 2); }, {x}, {x});
+  const Program program = builder.build();
+  const StateSpace space(program);
+  store::StoreConfig cfg;
+  cfg.threads = 1;
+  const StateSet reached = store::compute_reachable_via(
+      cfg, space, [x](const State& s) { return s.get(x) == 0; }, {0, 1});
+  EXPECT_EQ(reached.size(), 63u);
+  EXPECT_TRUE(heartbeat_is_gauge);
+  EXPECT_EQ(widest, 32u);
+  EXPECT_EQ(live(), 0u);
+
+  Telemetry::stop();
+  EXPECT_EQ(Telemetry::samples().back().frontier, 0u);
 }
 
 // The accounting identity behind the store_scale dashboard: the weakly-fair
