@@ -95,6 +95,7 @@ ContainmentReport measure_containment(const Program& program,
   ThreadPool pool(opts.config.threads);
   const unsigned workers = pool.size();
   std::vector<State> scratch(workers, space.decode(0));
+  std::vector<State> next_scratch(workers, space.decode(0));
   std::vector<std::uint8_t> visited(space.size(), 0);
   const FaultSpanOptions fs_opts;
 
@@ -107,9 +108,9 @@ ContainmentReport measure_containment(const Program& program,
     succ.assign(frontier.size(), {});
     parallel_for_each(pool, frontier.size(),
                       [&](std::size_t i, unsigned worker) {
-                        detail::expand_reachable(space, actions, fs_opts,
-                                                 frontier[i], scratch[worker],
-                                                 succ[i]);
+                        detail::expand_reachable(
+                            space, actions, fs_opts, frontier[i],
+                            scratch[worker], next_scratch[worker], succ[i]);
                       });
     std::vector<std::uint64_t> next;
     for (const auto& batch : succ) {

@@ -25,7 +25,8 @@ ProgramSuccessors::ProgramSuccessors(const StateSpace& space,
                                      std::vector<std::size_t> actions)
     : space_(&space),
       actions_(std::move(actions)),
-      scratch_(space.program().num_variables()) {}
+      scratch_(space.program().num_variables()),
+      next_(space.program().num_variables()) {}
 
 void ProgramSuccessors::successors(std::uint64_t code,
                                    std::vector<std::uint64_t>& out) {
@@ -35,7 +36,8 @@ void ProgramSuccessors::successors(std::uint64_t code,
   for (std::size_t idx : actions_) {
     const Action& a = p.action(idx);
     if (!a.enabled(scratch_)) continue;
-    out.push_back(space_->encode(a.apply(scratch_)));
+    a.apply_into(scratch_, next_);
+    out.push_back(space_->encode(next_));
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

@@ -98,7 +98,9 @@ ToleranceClass classify_tolerance(const StateSpace& space,
 /// the engine alike): successors() fills `out` with the sorted distinct
 /// successor codes of `code` under the given actions — decode, fire every
 /// enabled action, encode. An empty result means no action is enabled
-/// (deadlock). Holds a scratch state, so one instance serves one thread.
+/// (deadlock). The decoded state and each successor are built in two
+/// scratch states it owns, so a call allocates nothing once `out` has room
+/// for the successors; one instance serves one thread.
 class ProgramSuccessors {
  public:
   ProgramSuccessors(const StateSpace& space, std::vector<std::size_t> actions);
@@ -108,6 +110,7 @@ class ProgramSuccessors {
   const StateSpace* space_;
   std::vector<std::size_t> actions_;
   State scratch_;
+  State next_;
 };
 
 namespace detail {

@@ -16,10 +16,18 @@
 // (ProgramSuccessors generates them on demand; the engine may prefetch
 // them in parallel).
 //
+// The DFS stack is a vector of frames that outlive their pops: each keeps
+// its successor buffer for the next push to the same depth, so the
+// traversal allocates per new depth, not per state. There is no separate
+// path vector; the frames' codes are the path, and a cycle's start is
+// found by searching them once, when the check ends.
+//
 // Successors requirement:
 //   void successors(code, std::vector<std::uint64_t>& out)
 //                                       ProgramSuccessors' sorted distinct
-//                                       codes; empty = deadlock
+//                                       codes; empty = deadlock. `out` is a
+//                                       reused frame buffer: replace its
+//                                       contents
 //
 // Bookkeeping requirements (all codes pre-initialized to "unvisited"):
 //   std::uint8_t color(code)            0 = unvisited, 1 = on stack, 2 = done
@@ -47,25 +55,27 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
   obs::Span dfs_span("checker.dfs");
   obs::ProgressMeter meter("convergence-dfs", 0, obs::explored_states());
 
+  // frames[0, depth) is the DFS path; frames past it are kept for their
+  // buffers. A push may reallocate `frames`: no DfsFrame& is used across
+  // one.
   struct DfsFrame {
     std::uint64_t code;
     std::vector<std::uint64_t> succs;
     std::size_t next = 0;
   };
   std::vector<DfsFrame> frames;
-  std::vector<std::uint64_t> path;
+  std::size_t depth = 0;
 
   for (std::uint64_t start = 0; start < space.size(); ++start) {
     if ((flags[start] & kFlagT) == 0) continue;  // computations start in T
     if ((flags[start] & kFlagS) != 0) continue;  // already in S
     if (bk.color(start) != 0) continue;
 
-    frames.clear();
-    path.clear();
-
     auto push_node = [&](std::uint64_t code) -> bool {
-      DfsFrame frame;
+      if (depth == frames.size()) frames.emplace_back();
+      DfsFrame& frame = frames[depth];
       frame.code = code;
+      frame.next = 0;
       succ.successors(code, frame.succs);
       report.transitions += frame.succs.size();
       ++report.region_states;
@@ -76,8 +86,7 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
         return false;
       }
       bk.set_color(code, 1);
-      path.push_back(code);
-      frames.push_back(std::move(frame));
+      ++depth;
       return true;
     };
 
@@ -86,8 +95,8 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
       return report;
     }
 
-    while (!frames.empty()) {
-      DfsFrame& frame = frames.back();
+    while (depth > 0) {
+      DfsFrame& frame = frames[depth - 1];
       if (frame.next < frame.succs.size()) {
         const std::uint64_t next = frame.succs[frame.next++];
         if ((flags[next] & kFlagS) != 0) {
@@ -103,10 +112,11 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
           // Cycle: color 1 means `next` is on the DFS path, and the path
           // from it is the counterexample. The search runs once, when the
           // check ends, so no per-state path position is kept.
+          std::size_t at = 0;
+          while (frames[at].code != next) ++at;
           std::vector<State> cycle;
-          for (auto it = std::find(path.begin(), path.end(), next);
-               it != path.end(); ++it) {
-            cycle.push_back(space.decode(*it));
+          for (; at < depth; ++at) {
+            cycle.push_back(space.decode(frames[at].code));
           }
           report.verdict = ConvergenceVerdict::kViolated;
           report.cycle = std::move(cycle);
@@ -118,15 +128,14 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
         }
       } else {
         bk.set_color(frame.code, 2);
-        path.pop_back();
         const std::uint32_t d = bk.dist(frame.code);
         report.max_steps_to_S =
             std::max<std::uint64_t>(report.max_steps_to_S, d);
         const std::uint64_t done = frame.code;
-        frames.pop_back();
-        if (!frames.empty()) {
-          bk.set_dist(frames.back().code,
-                      std::max(bk.dist(frames.back().code), bk.dist(done) + 1));
+        --depth;
+        if (depth > 0) {
+          const std::uint64_t parent = frames[depth - 1].code;
+          bk.set_dist(parent, std::max(bk.dist(parent), bk.dist(done) + 1));
         }
       }
     }

@@ -31,6 +31,7 @@ FalsifyResult falsify_convergence(const Design& design,
   // the path position of a state is just a sidecar vector indexed by id.
   store::PackedLayout layout(p);
   std::vector<std::uint64_t> words(layout.words());
+  State next;  // scratch successor for the adversarial scoring
 
   for (std::uint64_t walk = 0; walk < opts.walks; ++walk) {
     ++result.walks_run;
@@ -72,15 +73,15 @@ FalsifyResult falsify_convergence(const Design& design,
           design.invariant.size() != 0) {
         std::size_t best_score = 0;
         for (std::size_t idx : enabled) {
-          const std::size_t score =
-              design.invariant.violation_count(p.action(idx).apply(s));
+          p.action(idx).apply_into(s, next);
+          const std::size_t score = design.invariant.violation_count(next);
           if (score >= best_score) {
             best_score = score;
             choice = idx;
           }
         }
       }
-      s = p.action(choice).apply(s);
+      p.action(choice).execute(s);
     }
   }
   return result;

@@ -24,7 +24,8 @@ namespace detail {
 void expand_reachable(const StateSpace& space,
                       const std::vector<std::size_t>& actions,
                       const FaultSpanOptions& opts, std::uint64_t code,
-                      State& scratch, std::vector<std::uint64_t>& out) {
+                      State& scratch, State& next,
+                      std::vector<std::uint64_t>& out) {
   const Program& p = space.program();
   out.clear();
   space.decode_into(code, scratch);
@@ -35,7 +36,8 @@ void expand_reachable(const StateSpace& space,
             ? true
             : a.enabled(scratch);
     if (!fire) continue;
-    out.push_back(space.encode(a.apply(scratch)));
+    a.apply_into(scratch, next);
+    out.push_back(space.encode(next));
   }
 }
 
@@ -62,12 +64,13 @@ StateSet compute_reachable(const StateSpace& space, const PredicateFn& start,
     }
   }
 
+  State next(p.num_variables());
   std::vector<std::uint64_t> succs;
   std::uint64_t expanded = 0;
   while (!frontier.empty() && set.size() < cap) {
     const std::uint64_t code = frontier.front();
     frontier.pop_front();
-    detail::expand_reachable(space, actions, opts, code, s, succs);
+    detail::expand_reachable(space, actions, opts, code, s, next, succs);
     for (std::uint64_t succ : succs) {
       if (!set.contains_code(succ)) {
         set.insert_code(succ);

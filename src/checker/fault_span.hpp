@@ -95,11 +95,14 @@ namespace detail {
 /// `opts`, in action order (not deduplicated) — the exact expansion order
 /// of the serial BFS. The engine's FrontierEngine expands frontier nodes
 /// with the same helper and merges in node order, so the resulting sets
-/// (including `max_states`-capped ones) are identical.
+/// (including `max_states`-capped ones) are identical. `code` is decoded
+/// into `scratch` and each successor built in `next`, both owned by the
+/// calling thread.
 void expand_reachable(const StateSpace& space,
                       const std::vector<std::size_t>& actions,
                       const FaultSpanOptions& opts, std::uint64_t code,
-                      State& scratch, std::vector<std::uint64_t>& out);
+                      State& scratch, State& next,
+                      std::vector<std::uint64_t>& out);
 
 }  // namespace detail
 

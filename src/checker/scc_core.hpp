@@ -16,6 +16,12 @@
 // Successor lists come from any source with convergence_core.hpp's
 // successors() contract.
 //
+// Like the unfair DFS, the pass reuses its buffers: stack frames keep their
+// successor buffers across pops, one member buffer collects every popped
+// SCC (handed over to the analysis only for a nontrivial one), and the
+// fair-escape analysis builds each successor in one scratch state. It
+// allocates per new stack depth and per nontrivial SCC, not per state.
+//
 // Bookkeeping requirements (all codes pre-initialized to "unvisited"):
 //   bool visited(code)
 //   std::uint32_t index(code) / void set_index(code, v)    Tarjan visit order
@@ -27,6 +33,7 @@
 #pragma once
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "checker/convergence_check.hpp"
@@ -94,11 +101,16 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
   obs::ProgressMeter meter("convergence-scc", 0, obs::explored_states());
   const Program& p = space.program();
 
+  // frames[0, depth) is the DFS stack; frames past it are kept for their
+  // buffers. A push may reallocate `frames`: no TarjanFrame& is used across
+  // one.
   struct TarjanFrame {
     std::uint64_t code;
     std::vector<std::uint64_t> succs;
     std::size_t next = 0;
   };
+  std::vector<TarjanFrame> frames;
+  std::size_t depth = 0;
   std::vector<std::uint64_t> tarjan_stack;
   std::uint32_t next_index = 0;
   std::int32_t num_components = 0;
@@ -107,9 +119,10 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
     std::vector<std::uint64_t> members;  ///< pop order (= the cycle order)
   };
   std::vector<NontrivialScc> nontrivial;
+  std::vector<std::uint64_t> scc;  ///< members of the SCC being popped
 
   State scratch(p.num_variables());
-  std::vector<TarjanFrame> frames;
+  State next_state(p.num_variables());
 
   auto in_region = [&](std::uint64_t code) {
     return (flags[code] & kFlagS) == 0;
@@ -119,10 +132,11 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
     if ((flags[start] & kFlagT) == 0 || !in_region(start)) continue;
     if (bk.visited(start)) continue;
 
-    frames.clear();
     auto push_node = [&](std::uint64_t code) -> bool {
-      TarjanFrame frame;
+      if (depth == frames.size()) frames.emplace_back();
+      TarjanFrame& frame = frames[depth];
       frame.code = code;
+      frame.next = 0;
       succ.successors(code, frame.succs);
       report.transitions += frame.succs.size();
       ++report.region_states;
@@ -137,7 +151,7 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
       ++next_index;
       tarjan_stack.push_back(code);
       bk.set_on_stack(code, true);
-      frames.push_back(std::move(frame));
+      ++depth;
       return true;
     };
 
@@ -146,8 +160,8 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
       return report;
     }
 
-    while (!frames.empty()) {
-      TarjanFrame& frame = frames.back();
+    while (depth > 0) {
+      TarjanFrame& frame = frames[depth - 1];
       if (frame.next < frame.succs.size()) {
         const std::uint64_t next = frame.succs[frame.next++];
         if (!in_region(next)) continue;  // exits to S
@@ -166,7 +180,7 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
         // state's lowlink slot for its component id.
         const std::uint32_t v_lowlink = bk.lowlink(v);
         if (v_lowlink == bk.index(v)) {
-          std::vector<std::uint64_t> scc;
+          scc.clear();
           while (true) {
             const std::uint64_t w = tarjan_stack.back();
             tarjan_stack.pop_back();
@@ -182,14 +196,16 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
               scc.size() > 1 ||
               std::binary_search(frame.succs.begin(), frame.succs.end(), v);
           if (has_internal_transition) {
+            // Moved, not copied, so a large SCC is never held twice; the
+            // buffer regrows only after a nontrivial SCC.
             nontrivial.push_back({num_components, std::move(scc)});
           }
           ++num_components;
         }
-        frames.pop_back();
-        if (!frames.empty()) {
-          bk.set_lowlink(frames.back().code,
-                         std::min(bk.lowlink(frames.back().code), v_lowlink));
+        --depth;
+        if (depth > 0) {
+          const std::uint64_t parent = frames[depth - 1].code;
+          bk.set_lowlink(parent, std::min(bk.lowlink(parent), v_lowlink));
         }
       }
     }
@@ -218,7 +234,8 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
           candidate = false;
           break;
         }
-        const std::uint64_t next = space.encode(a.apply(scratch));
+        a.apply_into(scratch, next_state);
+        const std::uint64_t next = space.encode(next_state);
         if (in_region(next) && bk.in_component(next, entry.id)) {
           candidate = false;
           break;
@@ -239,7 +256,8 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
         for (std::size_t idx : actions) {
           const Action& a = p.action(idx);
           if (!a.enabled(scratch)) continue;
-          const std::uint64_t next = space.encode(a.apply(scratch));
+          a.apply_into(scratch, next_state);
+          const std::uint64_t next = space.encode(next_state);
           if (!in_region(next) || !bk.in_component(next, entry.id)) {
             closed_scc = false;
             break;

@@ -24,9 +24,13 @@ State StateSpace::decode(std::uint64_t code) const {
 }
 
 void StateSpace::decode_into(std::uint64_t code, State& s) const {
+  // Peel the digits off from the least significant one (variable 0, stride
+  // 1): the quotient and remainder come from one division per variable.
   for (std::uint32_t i = 0; i < program_->num_variables(); ++i) {
     const auto& spec = program_->variable(VarId(i));
-    const std::uint64_t digit = (code / stride_[i]) % spec.domain_size();
+    const std::uint64_t domain = spec.domain_size();
+    const std::uint64_t digit = code % domain;
+    code /= domain;
     // Widen before offsetting: lo + digit can exceed int32 range midway
     // even though the final value is in [lo, hi].
     s.set(VarId(i), static_cast<Value>(static_cast<std::int64_t>(spec.lo) +

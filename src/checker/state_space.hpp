@@ -44,7 +44,8 @@ class StateSpace {
 
   /// Decode a code in [0, size()) to a state.
   State decode(std::uint64_t code) const;
-  /// Decode into an existing state (avoids allocation in hot loops).
+  /// Decode into an existing state: no allocation, one division per
+  /// variable.
   void decode_into(std::uint64_t code, State& s) const;
   /// Encode a state (must be in-domain) to its code.
   std::uint64_t encode(const State& s) const;

@@ -80,10 +80,19 @@ class Action {
   /// injector, and the checker manages guards itself.
   void execute(State& s) const { statement_(s); }
 
-  /// Execute on a copy and return the successor state.
-  State apply(const State& s) const {
-    State next = s;
+  /// Build the successor of `s` in `next`: copy `s` into `next`'s existing
+  /// storage and run the statement there. Once `next` has held a state of
+  /// this program, no allocation happens — the form the checker's hot loops
+  /// use, each with a scratch successor it owns.
+  void apply_into(const State& s, State& next) const {
+    next = s;
     statement_(next);
+  }
+
+  /// The successor of `s` as a fresh state, for callers that keep it.
+  State apply(const State& s) const {
+    State next;
+    apply_into(s, next);
     return next;
   }
 

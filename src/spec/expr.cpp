@@ -1,7 +1,9 @@
 #include "spec/expr.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -348,6 +350,38 @@ void merge_reads(std::vector<VarId>& into, const std::vector<VarId>& from) {
   }
 }
 
+/// The mex of the k values value_at(0), ..., value_at(k - 1): the smallest
+/// v >= 0 that none of them equals. It lies in [0, k], so only values in
+/// [0, k) are marked present, in a bitmask that sits on the stack for
+/// k < 64 (no allocation).
+template <class ValueAt>
+Value mex_of(std::size_t k, const ValueAt& value_at) {
+  std::uint64_t small = 0;
+  std::vector<std::uint64_t> large(k < 64 ? 0 : k / 64 + 1);
+  std::uint64_t* present = k < 64 ? &small : large.data();
+  for (std::size_t i = 0; i < k; ++i) {
+    const long long v = value_at(i);
+    if (v >= 0 && static_cast<unsigned long long>(v) < k) {
+      present[v / 64] |= std::uint64_t{1} << (v % 64);
+    }
+  }
+  std::size_t word = 0;
+  while (present[word] == ~std::uint64_t{0}) ++word;  // bit k is never set
+  return static_cast<Value>(word * 64 + std::countr_one(present[word]));
+}
+
+/// State-time mex over `parts`: the one closure behind both the call form
+/// mex(a, b, ...) and the comprehension form mex(k : SET, body).
+CompiledExpr compile_mex(std::vector<CompiledExpr> parts) {
+  CompiledExpr c;
+  for (const CompiledExpr& part : parts) merge_reads(c.reads, part.reads);
+  c.fn = [parts = std::move(parts)](const State& s) {
+    return mex_of(parts.size(),
+                  [&](std::size_t i) { return parts[i].eval(s); });
+  };
+  return c;
+}
+
 CompiledExpr make_var_read(VarId id) {
   CompiledExpr c;
   c.fn = [id](const State& s) { return s.get(id); };
@@ -545,17 +579,7 @@ CompiledExpr compile_comprehension(const ExprNode& node,
   }
   if (kind == "mex") {
     // Smallest value >= 0 different from every element's body value.
-    CompiledExpr c;
-    for (const CompiledExpr& b : bodies) merge_reads(c.reads, b.reads);
-    c.fn = [bodies = std::move(bodies)](const State& s) -> Value {
-      std::vector<Value> used;
-      used.reserve(bodies.size());
-      for (const CompiledExpr& b : bodies) used.push_back(b.eval(s));
-      for (Value v = 0;; ++v) {
-        if (std::find(used.begin(), used.end(), v) == used.end()) return v;
-      }
-    };
-    return c;
+    return compile_mex(std::move(bodies));
   }
   throw ExprError("unknown comprehension '" + kind + "'");
 }
@@ -623,14 +647,14 @@ CompiledExpr compile_call(const ExprNode& node, const CompileEnv& env) {
       args.push_back(compile_expr(a, env));
       all_const = all_const && args.back().is_const;
     }
-    if (all_const) {
-      if (fn == "mex") {
-        std::vector<Value> used;
-        for (const CompiledExpr& a : args) used.push_back(a.value);
-        Value v = 0;
-        while (std::find(used.begin(), used.end(), v) != used.end()) ++v;
-        return make_const(v);
+    if (fn == "mex") {
+      if (all_const) {
+        return make_const(mex_of(
+            args.size(), [&](std::size_t i) { return args[i].value; }));
       }
+      return compile_mex(std::move(args));
+    }
+    if (all_const) {
       long long acc = args[0].value;
       for (const CompiledExpr& a : args) {
         acc = fn == "min" ? std::min<long long>(acc, a.value)
@@ -640,26 +664,15 @@ CompiledExpr compile_call(const ExprNode& node, const CompileEnv& env) {
     }
     CompiledExpr c;
     for (const CompiledExpr& a : args) merge_reads(c.reads, a.reads);
-    if (fn == "mex") {
-      c.fn = [args = std::move(args)](const State& s) -> Value {
-        std::vector<Value> used;
-        used.reserve(args.size());
-        for (const CompiledExpr& a : args) used.push_back(a.eval(s));
-        for (Value v = 0;; ++v) {
-          if (std::find(used.begin(), used.end(), v) == used.end()) return v;
-        }
-      };
-    } else {
-      const bool is_min = fn == "min";
-      c.fn = [args = std::move(args), is_min](const State& s) {
-        Value acc = args[0].eval(s);
-        for (std::size_t i = 1; i < args.size(); ++i) {
-          const Value v = args[i].eval(s);
-          acc = is_min ? std::min(acc, v) : std::max(acc, v);
-        }
-        return acc;
-      };
-    }
+    const bool is_min = fn == "min";
+    c.fn = [args = std::move(args), is_min](const State& s) {
+      Value acc = args[0].eval(s);
+      for (std::size_t i = 1; i < args.size(); ++i) {
+        const Value v = args[i].eval(s);
+        acc = is_min ? std::min(acc, v) : std::max(acc, v);
+      }
+      return acc;
+    };
     return c;
   }
   throw ExprError("unknown function '" + fn + "'");

@@ -50,12 +50,15 @@ JobResult finish(obs::RunReport& report, bool ok, std::string summary) {
   return result;
 }
 
+// Each runner constructs its RunReport before any work: the report's clock
+// starts in its constructor, so `wall_ms` then times the whole job.
+
 JobResult run_check(const CompiledSpec& spec, const JobDecl& job) {
   const Design& design = spec.design;
+  obs::RunReport report("spec_check", design.name);
   const store::StoreConfig config = store_config(job);
   const StateSpace space(design.program, config.budget);
 
-  obs::RunReport report("spec_check", design.name);
   report.add("spec", provenance_json(spec));
   add_backend(report, config);
 
@@ -84,13 +87,13 @@ JobResult run_check(const CompiledSpec& spec, const JobDecl& job) {
 
 JobResult run_falsify(const CompiledSpec& spec, const JobDecl& job) {
   const Design& design = spec.design;
+  obs::RunReport report("spec_falsify", design.name);
   FalsifyOptions opts;
   opts.walks = job.walks;
   opts.max_walk_length = job.walk_length;
   opts.seed = job.seed;
   const FalsifyResult result = falsify_convergence(design, opts);
 
-  obs::RunReport report("spec_falsify", design.name);
   report.add("spec", provenance_json(spec));
   report.add_number("walks", job.walks);
   report.add_number("walk_length", job.walk_length);
@@ -121,6 +124,7 @@ JobResult run_falsify(const CompiledSpec& spec, const JobDecl& job) {
 JobResult run_campaign_job(const CompiledSpec& spec, const JobDecl& job,
                            const JobOptions& jopts) {
   const Design& design = spec.design;
+  obs::RunReport report("spec_campaign", design.name);
 
   ConvergenceExperiment config;
   config.trials = job.trials;
@@ -162,7 +166,6 @@ JobResult run_campaign_job(const CompiledSpec& spec, const JobDecl& job,
   // Section for section the shape examples/parallel_campaign.cpp writes,
   // with the provenance block in front: CI diffs the two documents after
   // deleting tool/started_at/wall_ms/metrics/spec.
-  obs::RunReport report("spec_campaign", design.name);
   report.add("spec", provenance_json(spec));
   report.add_number("trials", std::uint64_t{config.trials});
   report.add_number("seed", config.seed);
@@ -184,6 +187,7 @@ JobResult run_campaign_job(const CompiledSpec& spec, const JobDecl& job,
 
 JobResult run_containment(const CompiledSpec& spec, const JobDecl& job) {
   const Design& design = spec.design;
+  obs::RunReport report("spec_containment", design.name);
   const std::vector<int>& placement = job.byzantine;
   if (placement.empty()) {
     throw SpecError("$.job.byzantine",
@@ -201,7 +205,6 @@ JobResult run_containment(const CompiledSpec& spec, const JobDecl& job) {
   const ContainmentReport rep =
       measure_containment(design.program, placement, legitimate, copts);
 
-  obs::RunReport report("spec_containment", design.name);
   report.add("spec", provenance_json(spec));
   add_backend(report, copts.config);
   report.add("containment", containment_to_json(design.program, rep));
@@ -217,6 +220,7 @@ JobResult run_containment(const CompiledSpec& spec, const JobDecl& job) {
 
 JobResult run_synthesize(const CompiledSpec& spec, const JobDecl& job) {
   const Design& design = spec.design;
+  obs::RunReport report("spec_synthesize", design.name);
 
   // The synthesizer takes the candidate triple: the program *without* its
   // convergence actions (those are what it is asked to produce).
@@ -245,7 +249,6 @@ JobResult run_synthesize(const CompiledSpec& spec, const JobDecl& job) {
   opts.state_budget = opts.store.budget;
   const synth::SynthesisResult result = synth::synthesize(candidate, opts);
 
-  obs::RunReport report("spec_synthesize", design.name);
   report.add("spec", provenance_json(spec));
   add_backend(report, opts.store);
   report.add_number("stripped_convergence_actions", std::uint64_t{stripped});
@@ -280,6 +283,7 @@ JobResult run_synthesize(const CompiledSpec& spec, const JobDecl& job) {
 
 JobResult run_certify(const CompiledSpec& spec, const JobDecl& job) {
   const Design& design = spec.design;
+  obs::RunReport report("spec_certify", design.name);
   const store::StoreConfig config = store_config(job);
   const StateSpace space(design.program, config.budget);
 
@@ -288,7 +292,6 @@ JobResult run_certify(const CompiledSpec& spec, const JobDecl& job) {
   const synth::CertificationResult result =
       synth::certify_design(design, vopts);
 
-  obs::RunReport report("spec_certify", design.name);
   report.add("spec", provenance_json(spec));
   add_backend(report, config);
   {

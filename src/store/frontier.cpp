@@ -40,6 +40,7 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
   obs::FrontierShare live_frontier;
 
   std::vector<State> scratch(pool_.size(), State(p.num_variables()));
+  std::vector<State> next_scratch(pool_.size(), State(p.num_variables()));
 
   // Seed scan: evaluate `start` over the full range with odometer cursors
   // (no per-code div/mod), then insert in code order — the serial seeding
@@ -102,7 +103,8 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
           for (std::uint64_t i = lo; i < hi; ++i) {
             const std::uint64_t code = frontier[i];
             detail::expand_reachable(space, actions, opts, code,
-                                     scratch[worker], succs);
+                                     scratch[worker], next_scratch[worker],
+                                     succs);
             std::uint32_t kept = 0;
             for (std::uint64_t succ : succs) {
               if (set.contains_code(succ)) continue;  // pre-filter (see above)

@@ -1,6 +1,6 @@
 // Incremental mixed-radix decoding for full-range scans.
 //
-// StateSpace::decode_into costs one div+mod per variable per code; at 10^8
+// StateSpace::decode_into costs one division per variable per code; at 10^8
 // states times several sweeps that dominates scan time. Consecutive codes
 // differ like an odometer (variable 0 has stride 1), so a cursor walking a
 // contiguous range can ripple-increment the decoded state in O(1)

@@ -29,9 +29,9 @@ std::uint64_t aligned_grain(const StoreConfig& config) {
   return (std::max<std::uint64_t>(config.grain, 32) + 31) & ~std::uint64_t{31};
 }
 
-/// scan_closure_range with the decode replaced by an odometer ripple;
-/// counts, early exit, and the violation triple are exactly the serial
-/// scan's.
+/// scan_closure_range with the decode replaced by an odometer ripple and
+/// each successor built in one scratch state per chunk; counts, early exit,
+/// and the violation triple are exactly the serial scan's.
 ClosureReport scan_closure_range_odometer(
     const StateSpace& space, const PredicateFn& predicate,
     const std::vector<std::size_t>& actions, std::uint64_t begin,
@@ -39,6 +39,7 @@ ClosureReport scan_closure_range_odometer(
   const Program& p = space.program();
   ClosureReport report;
   OdometerCursor cur(space, begin);
+  State next(p.num_variables());
   for (std::uint64_t code = begin; code < end; ++code) {
     const State& s = cur.state();
     if (predicate(s)) {
@@ -47,10 +48,10 @@ ClosureReport scan_closure_range_odometer(
         const Action& a = p.action(idx);
         if (!a.enabled(s)) continue;
         ++report.transitions_checked;
-        State next = a.apply(s);
+        a.apply_into(s, next);
         if (!predicate(next)) {
           report.closed = false;
-          report.violation = ClosureViolation{s, idx, std::move(next)};
+          report.violation = ClosureViolation{s, idx, next};
           return report;
         }
       }

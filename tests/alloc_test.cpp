@@ -1,0 +1,201 @@
+// Heap-allocation counts of the checker engine's hot paths. The exact
+// checks build every successor in a scratch state their caller owns, and
+// the DFS and Tarjan stacks keep their buffers across pushes, so a pass
+// allocates per chunk and per stack depth, never per state.
+//
+// This file replaces the global operator new to count calls, so it builds
+// into its own test executable, apart from nonmask_tests.
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "checker/convergence_check.hpp"
+#include "checker/state_space.hpp"
+#include "protocols/token_ring.hpp"
+#include "spec/compile.hpp"
+#include "spec/expr.hpp"
+#include "store/facade.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace nonmask {
+namespace {
+
+/// Heap allocations made while running `f`.
+template <class F>
+std::uint64_t allocations_during(F&& f) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  f();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// Allocations allowed to one pass over the ring's 262,144 states. Each
+/// pass used to allocate one successor per enabled action, over a million
+/// times; what remains is setup, one scratch state per chunk and one
+/// buffer per new stack depth.
+constexpr std::uint64_t kPassBound = 250;
+
+/// The 6x8 Dijkstra K-state ring as a spec; the same design as
+/// make_dijkstra_ring(6, 8).
+constexpr const char* kRingSpec = R"({
+  "schema": "nonmask-spec/1",
+  "name": "dijkstra-k-state-ring",
+  "params": {"K": 8},
+  "topology": {"kind": "ring", "n": 6},
+  "variables": [
+    {"name": "x", "per": "process", "min": 0, "max": "K - 1"}
+  ],
+  "constraints": [
+    {"name": "agree.{j}", "per": "process", "where": "j > 0",
+     "expr": "x[j] == x[j - 1]"}
+  ],
+  "actions": [
+    {"name": "advance@0", "kind": "closure", "process": "0",
+     "guard": "x[0] == x[n - 1]", "assign": {"x[0]": "(x[0] + 1) % K"}},
+    {"name": "adopt@{j}", "kind": "closure", "per": "process",
+     "where": "j > 0", "guard": "x[j] != x[j - 1]",
+     "assign": {"x[j]": "x[j - 1]"}}
+  ],
+  "s_override": "(x[0] == x[n - 1] ? 1 : 0) + sum(j : range(1, n), x[j] != x[j - 1] ? 1 : 0) == 1"
+})";
+
+struct Ring {
+  const char* front_end;
+  Design design;
+};
+
+std::vector<Ring> rings() {
+  std::vector<Ring> out;
+  out.push_back({"native", make_dijkstra_ring(6, 8).design});
+  out.push_back({"spec", spec::compile_spec_text(kRingSpec).design});
+  return out;
+}
+
+store::StoreConfig one_thread() {
+  store::StoreConfig config;
+  config.threads = 1;
+  return config;
+}
+
+TEST(EngineAllocationTest, ClosurePassesAllocateBoundedTimes) {
+  const store::StoreConfig config = one_thread();
+  for (const Ring& ring : rings()) {
+    SCOPED_TRACE(ring.front_end);
+    const StateSpace space(ring.design.program);
+    ASSERT_EQ(space.size(), 262144u);
+    const PredicateFn S = ring.design.S();
+    const PredicateFn T = ring.design.T();
+    bool S_closed = false;
+    bool T_closed = false;
+    EXPECT_LE(allocations_during([&] {
+                S_closed = store::check_closed_via(config, space, S).closed;
+              }),
+              kPassBound);
+    EXPECT_LE(allocations_during([&] {
+                T_closed = store::check_closed_via(config, space, T).closed;
+              }),
+              kPassBound);
+    EXPECT_TRUE(S_closed);
+    EXPECT_TRUE(T_closed);
+  }
+}
+
+TEST(EngineAllocationTest, ConvergencePassesAllocateBoundedTimes) {
+  const store::StoreConfig config = one_thread();
+  for (const Ring& ring : rings()) {
+    SCOPED_TRACE(ring.front_end);
+    const StateSpace space(ring.design.program);
+    const PredicateFn S = ring.design.S();
+    const PredicateFn T = ring.design.T();
+    ConvergenceVerdict unfair = ConvergenceVerdict::kUnknown;
+    ConvergenceVerdict fair = ConvergenceVerdict::kUnknown;
+    EXPECT_LE(allocations_during([&] {
+                unfair =
+                    store::check_convergence_via(config, space, S, T).verdict;
+              }),
+              kPassBound);
+    EXPECT_LE(allocations_during([&] {
+                fair = store::check_convergence_weakly_fair_via(config, space,
+                                                                S, T)
+                           .verdict;
+              }),
+              kPassBound);
+    EXPECT_EQ(unfair, ConvergenceVerdict::kConverges);
+    EXPECT_EQ(fair, ConvergenceVerdict::kConverges);
+  }
+}
+
+TEST(EngineAllocationTest, ProgramSuccessorsAllocatesNothingAfterItsFirstCall) {
+  for (const Ring& ring : rings()) {
+    SCOPED_TRACE(ring.front_end);
+    const StateSpace space(ring.design.program);
+    const std::vector<std::size_t> actions =
+        non_fault_actions(ring.design.program);
+    ProgramSuccessors succ(space, actions);
+    std::vector<std::uint64_t> out;
+    out.reserve(actions.size());  // room for any state's successors
+    succ.successors(0, out);
+    std::uint64_t transitions = 0;
+    EXPECT_EQ(allocations_during([&] {
+                for (std::uint64_t code = 0; code < space.size(); ++code) {
+                  succ.successors(code, out);
+                  transitions += out.size();
+                }
+              }),
+              0u);
+    EXPECT_GT(transitions, space.size());
+  }
+}
+
+TEST(EngineAllocationTest, CompiledMexOfEightArgumentsAllocatesNothing) {
+  Program p("mex");
+  std::unordered_map<std::string, std::vector<VarId>> families;
+  std::vector<VarId>& v = families["v"];
+  for (int i = 0; i < 8; ++i) {
+    v.push_back(p.add_variable(VariableSpec("v." + std::to_string(i), -1, 9)));
+  }
+  std::unordered_map<std::string, long long> params;
+  spec::CompileEnv env;
+  env.params = &params;
+  env.program = &p;
+  env.families = &families;
+  const std::vector<Value> values{0, 1, 1, 3, 9, -1, 2, 5};
+  State s(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) s.set(v[i], values[i]);
+  const spec::CompiledExpr call = spec::compile_expr(
+      spec::parse_expr("mex(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7])"),
+      env);
+  const spec::CompiledExpr comprehension =
+      spec::compile_expr(spec::parse_expr("mex(k : range(0, 8), v[k])"), env);
+  for (const spec::CompiledExpr* form : {&call, &comprehension}) {
+    Value mex = -1;
+    EXPECT_EQ(allocations_during([&] { mex = form->eval(s); }), 0u);
+    EXPECT_EQ(mex, 4);
+  }
+}
+
+}  // namespace
+}  // namespace nonmask

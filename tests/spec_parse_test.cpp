@@ -1,7 +1,9 @@
 // The spec DSL front end: expression parsing/evaluation (including the
 // total `/`-and-`%`-by-zero semantics), schema validation with
-// field-precise paths and lines, and compile-time expansion semantics
-// (per-process families, {j} names, group interleaving, derived reads).
+// field-precise paths and lines, compile-time expansion semantics
+// (per-process families, {j} names, group interleaving, derived reads), and
+// the wall clock of a job's report.
+#include <chrono>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -11,7 +13,9 @@
 #include "core/program.hpp"
 #include "spec/compile.hpp"
 #include "spec/expr.hpp"
+#include "spec/job.hpp"
 #include "spec/spec.hpp"
+#include "util/json.hpp"
 
 namespace nonmask {
 namespace {
@@ -127,6 +131,36 @@ Topology ring4() {
   return t;
 }
 
+// Checks mex over `values` in both spec forms — the call form
+// mex(v[0], v[1], ...) and the comprehension form
+// mex(k : range(0, n), v[k]) — at a state holding the values.
+void expect_mex(const std::vector<Value>& values, Value want) {
+  Program p("mex");
+  std::unordered_map<std::string, std::vector<VarId>> families;
+  std::vector<VarId>& v = families["v"];
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    v.push_back(
+        p.add_variable(VariableSpec("v." + std::to_string(i), -8, 255)));
+  }
+  std::unordered_map<std::string, long long> params;
+  CompileEnv env;
+  env.params = &params;
+  env.program = &p;
+  env.families = &families;
+  State s(values.size());
+  std::string call = "mex(";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    s.set(v[i], values[i]);
+    call += (i == 0 ? "v[" : ", v[") + std::to_string(i) + "]";
+  }
+  call += ")";
+  const std::string comprehension =
+      "mex(k : range(0, " + std::to_string(values.size()) + "), v[k])";
+  EXPECT_EQ(compile_expr(parse_expr(call), env).eval(s), want) << call;
+  EXPECT_EQ(compile_expr(parse_expr(comprehension), env).eval(s), want)
+      << comprehension;
+}
+
 TEST(SpecExprTest, TopologyFunctionsAndComprehensions) {
   const Topology t = ring4();
   std::unordered_map<std::string, long long> params{{"n", 4}};
@@ -149,6 +183,28 @@ TEST(SpecExprTest, TopologyFunctionsAndComprehensions) {
   EXPECT_EQ(
       compile_expr(parse_expr("first(k : procs(), k >= 2)"), env).eval(empty),
       2);
+  // mex over state values, in the call and the comprehension form.
+  expect_mex({0, 0, 1, 1, 3}, 2);  // duplicates
+  expect_mex({-1, -3, 0, 2}, 1);   // negatives are never the mex
+  expect_mex({5, 7, 100, 0}, 1);   // values >= k cannot fill [0, k)
+  expect_mex({1, 2, 3}, 0);
+  expect_mex({2, 0, 1}, 3);        // [0, k) all present: the mex is k
+  std::vector<Value> seventy(70);  // 69, 68, ..., 0: two bitmask words
+  for (std::size_t i = 0; i < seventy.size(); ++i) {
+    seventy[i] = static_cast<Value>(69 - i);
+  }
+  expect_mex(seventy, 70);
+  seventy[69 - 64] = 200;  // drop 64, the first value of the second word
+  expect_mex(seventy, 64);
+  seventy[69 - 3] = -5;  // and 3
+  expect_mex(seventy, 3);
+  // Constant arguments fold at compile time by the same rule.
+  EXPECT_EQ(idx("mex(3, 0, 0, -2, 1, 9)"), 2);
+  std::string call = "mex(";
+  for (int i = 0; i < 70; ++i) {
+    call += (i == 0 ? "" : ", ") + std::to_string(i == 66 ? 0 : i);
+  }
+  EXPECT_EQ(idx(call + ")"), 66);
 }
 
 TEST(SpecExprTest, StateClosuresCollectReadsInFirstOccurrenceOrder) {
@@ -418,6 +474,43 @@ TEST(SpecCompileTest, RejectsOutOfRangeConstraintId) {
     ]
   })";
   EXPECT_THROW(compile_spec_text(text), SpecError);
+}
+
+// --- job reports ------------------------------------------------------------
+
+TEST(SpecJobTest, ReportWallTimeCoversTheJob) {
+  // A falsify job long enough to time: many walks on a converging ring.
+  const CompiledSpec cs = compile_spec_text(R"({
+    "schema": "nonmask-spec/1",
+    "name": "ring",
+    "params": {"K": 8},
+    "topology": {"kind": "ring", "n": 6},
+    "variables": [
+      {"name": "x", "per": "process", "min": 0, "max": "K - 1"}
+    ],
+    "constraints": [
+      {"name": "agree.{j}", "per": "process", "where": "j > 0",
+       "expr": "x[j] == x[j - 1]"}
+    ],
+    "actions": [
+      {"name": "advance@0", "kind": "closure", "process": "0",
+       "guard": "x[0] == x[n - 1]", "assign": {"x[0]": "(x[0] + 1) % K"}},
+      {"name": "adopt@{j}", "kind": "closure", "per": "process",
+       "where": "j > 0", "guard": "x[j] != x[j - 1]",
+       "assign": {"x[j]": "x[j - 1]"}}
+    ],
+    "job": {"type": "falsify", "walks": 20000, "walk_length": 400, "seed": 1}
+  })");
+  const auto t0 = std::chrono::steady_clock::now();
+  const spec::JobResult result = spec::run_spec_job(cs);
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+  ASSERT_GE(elapsed_ms, 50.0) << "the job is too short to time";
+  const util::JsonValue report = util::parse_json(result.report_json);
+  const util::JsonValue* wall_ms = report.find("wall_ms");
+  ASSERT_NE(wall_ms, nullptr);
+  EXPECT_GE(wall_ms->as_double(), elapsed_ms / 2);
 }
 
 }  // namespace
