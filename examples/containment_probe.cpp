@@ -200,6 +200,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Constructed before the probes: the report's clock starts here, so its
+  // wall_ms times the run.
+  obs::RunReport report("containment_probe", which);
   ProbeArtifacts art;
   if (which == "tree" || which == "all") {
     probe(make_spanning_tree(UndirectedGraph::path(5), 0).design, m, seed,
@@ -233,7 +236,6 @@ int main(int argc, char** argv) {
     std::cout << "containment artifact written to " << containment_out << "\n";
   }
   if (!report_out.empty()) {
-    obs::RunReport report("containment_probe", which);
     report.add_number("num_byzantine", static_cast<std::uint64_t>(m));
     report.add_number("seed", seed);
     report.add("benchmarks", json_array(art.benchmarks));

@@ -200,6 +200,9 @@ int main(int argc, char** argv) {
             << " trials, seed " << config.seed << ", " << threads
             << " thread(s)\n";
 
+  // Constructed before the campaign: the report's clock starts here, so
+  // its wall_ms times the run.
+  obs::RunReport report("parallel_campaign", design.name);
   const auto results = run_campaign(design, config, opts);
   if (opts.resume) {
     std::cout << "resumed: " << results.resumed_trials
@@ -249,7 +252,6 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << report_out << " for writing\n";
       return 2;
     }
-    obs::RunReport report("parallel_campaign", design.name);
     report.add_number("trials", std::uint64_t{config.trials});
     report.add_number("seed", config.seed);
     report.add("campaign", obs::to_json(results.aggregate));

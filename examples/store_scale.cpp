@@ -94,6 +94,9 @@ int main(int argc, char** argv) {
             << " states"
             << (weakly_fair ? ", weakly-fair (Tarjan/SCC)" : "") << "\n";
 
+  // Constructed before the check: the report's clock starts here, so its
+  // wall_ms times the run.
+  obs::RunReport doc("store_scale", tr.design.name);
   const StateSpace space(tr.design.program, cfg.budget);
   const auto t0 = std::chrono::steady_clock::now();
   const auto report =
@@ -131,7 +134,6 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << report_out << " for writing\n";
       return 2;
     }
-    obs::RunReport doc("store_scale", tr.design.name);
     doc.add_text("backend", store::to_string(cfg.backend));
     doc.add_text("mode", weakly_fair ? "weakly_fair" : "unfair");
     doc.add_number("state_budget", cfg.budget);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "checker/closure_check.hpp"
 #include "checker/convergence_core.hpp"
 #include "checker/scc_core.hpp"
 #include "core/candidate.hpp"
@@ -28,8 +27,8 @@ ProgramSuccessors::ProgramSuccessors(const StateSpace& space,
       scratch_(space.program().num_variables()),
       next_(space.program().num_variables()) {}
 
-void ProgramSuccessors::successors(std::uint64_t code,
-                                   std::vector<std::uint64_t>& out) {
+std::size_t ProgramSuccessors::successors(std::uint64_t code,
+                                          std::vector<std::uint64_t>& out) {
   const Program& p = space_->program();
   out.clear();
   space_->decode_into(code, scratch_);
@@ -39,8 +38,10 @@ void ProgramSuccessors::successors(std::uint64_t code,
     a.apply_into(scratch_, next_);
     out.push_back(space_->encode(next_));
   }
+  const std::size_t enabled = out.size();
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
+  return enabled;
 }
 
 namespace detail {
@@ -134,8 +135,8 @@ ConvergenceReport check_convergence_weakly_fair(const StateSpace& space,
 ToleranceReport verify_tolerance(const StateSpace& space,
                                  const Design& design) {
   ToleranceReport report;
-  report.S_closed = check_closed(space, design.S()).closed;
-  report.T_closed = check_closed(space, design.T()).closed;
+  report.closure_S = check_closed(space, design.S());
+  report.closure_T = check_closed(space, design.T());
   report.convergence = check_convergence(space, design.S(), design.T());
   return report;
 }

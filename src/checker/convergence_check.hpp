@@ -21,6 +21,7 @@
 #include <optional>
 #include <vector>
 
+#include "checker/closure_check.hpp"
 #include "checker/state_space.hpp"
 #include "core/predicate.hpp"
 #include "core/program.hpp"
@@ -64,15 +65,14 @@ ConvergenceReport check_convergence_weakly_fair(const StateSpace& space,
                                                 const PredicateFn& S,
                                                 const PredicateFn& T);
 
-/// Convenience: full T-tolerance verification of a design — closure of S
-/// and T plus (unfair) convergence. Returns a human-readable summary; sets
-/// *ok.
+/// Full T-tolerance verification of a design (Section 3): closure of S,
+/// closure of T, and convergence from T to S.
 struct ToleranceReport {
-  bool S_closed = false;
-  bool T_closed = false;
+  ClosureReport closure_S;
+  ClosureReport closure_T;
   ConvergenceReport convergence;
   bool tolerant() const noexcept {
-    return S_closed && T_closed &&
+    return closure_S.closed && closure_T.closed &&
            convergence.verdict == ConvergenceVerdict::kConverges;
   }
 };
@@ -97,14 +97,17 @@ ToleranceClass classify_tolerance(const StateSpace& space,
 /// Successor provider for the convergence analyses (the serial oracle and
 /// the engine alike): successors() fills `out` with the sorted distinct
 /// successor codes of `code` under the given actions — decode, fire every
-/// enabled action, encode. An empty result means no action is enabled
-/// (deadlock). The decoded state and each successor are built in two
-/// scratch states it owns, so a call allocates nothing once `out` has room
-/// for the successors; one instance serves one thread.
+/// enabled action, encode — and returns the number of enabled actions,
+/// counted before duplicates are dropped (a closure scan's transitions). An
+/// empty result means no action is enabled (deadlock). The decoded state
+/// and each successor are built in two scratch states it owns, so a call
+/// allocates nothing once `out` has room for the successors; one instance
+/// serves one thread. Throws StateOutOfDomain for a successor outside the
+/// space.
 class ProgramSuccessors {
  public:
   ProgramSuccessors(const StateSpace& space, std::vector<std::size_t> actions);
-  void successors(std::uint64_t code, std::vector<std::uint64_t>& out);
+  std::size_t successors(std::uint64_t code, std::vector<std::uint64_t>& out);
 
  private:
   const StateSpace* space_;

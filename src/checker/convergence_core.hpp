@@ -23,11 +23,11 @@
 // found by searching them once, when the check ends.
 //
 // Successors requirement:
-//   void successors(code, std::vector<std::uint64_t>& out)
+//   successors(code, std::vector<std::uint64_t>& out)
 //                                       ProgramSuccessors' sorted distinct
 //                                       codes; empty = deadlock. `out` is a
 //                                       reused frame buffer: replace its
-//                                       contents
+//                                       contents. A return value is ignored
 //
 // Bookkeeping requirements (all codes pre-initialized to "unvisited"):
 //   std::uint8_t color(code)            0 = unvisited, 1 = on stack, 2 = done
@@ -35,6 +35,11 @@
 //   std::uint32_t dist(code)            longest known path to S (init 0)
 //   void set_dist(code, std::uint32_t)  may throw to reject a distance that
 //                                       exceeds the layout's width
+//
+// A caller that restarts the traversal after such a throw passes the
+// number of states the abandoned attempt pushed as `counted`: the restart
+// expands the same states in the same order, and those are not counted as
+// explored a second time.
 #pragma once
 
 #include <algorithm>
@@ -51,7 +56,8 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
                                               const Flags& flags,
                                               Successors& succ,
                                               ConvergenceReport report,
-                                              Bookkeeping& bk) {
+                                              Bookkeeping& bk,
+                                              std::uint64_t counted = 0) {
   obs::Span dfs_span("checker.dfs");
   obs::ProgressMeter meter("convergence-dfs", 0, obs::explored_states());
 
@@ -79,7 +85,7 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
       succ.successors(code, frame.succs);
       report.transitions += frame.succs.size();
       ++report.region_states;
-      meter.add(1);
+      if (report.region_states > counted) meter.add(1);
       if (frame.succs.empty()) {  // no action enabled
         report.verdict = ConvergenceVerdict::kViolated;
         report.deadlock = space.decode(code);

@@ -33,15 +33,23 @@ FalsifyResult falsify_convergence(const Design& design,
   std::vector<std::uint64_t> words(layout.words());
   State next;  // scratch successor for the adversarial scoring
 
+  // Kept across steps and walks, so a walk allocates only when it goes
+  // deeper than every earlier one: the enabled action indices, each
+  // visited state's path position by dense id, and the path itself, whose
+  // first `depth` States hold this walk's visited ¬S states in visit order
+  // (a State is overwritten in place, reusing its storage).
+  std::vector<std::size_t> enabled;
+  std::vector<std::size_t> pos_by_id;
+  std::vector<State> path;
+
   for (std::uint64_t walk = 0; walk < opts.walks; ++walk) {
     ++result.walks_run;
     State s = opts.make_start ? opts.make_start(p, rng) : p.random_state(rng);
     if (!T(s)) continue;  // computations start inside the fault-span
 
-    // Visited states of this walk, in visit order, for cycle extraction.
     store::ConcurrentPackedSet index(layout, /*shard_bits=*/0, kProbeHashSeed);
-    std::vector<std::size_t> pos_by_id;
-    std::vector<State> path;
+    pos_by_id.clear();
+    std::size_t depth = 0;
 
     for (std::uint64_t step = 0; step < opts.max_walk_length; ++step) {
       ++result.steps_taken;
@@ -54,13 +62,18 @@ FalsifyResult falsify_convergence(const Design& design,
         const std::size_t pos = pos_by_id[static_cast<std::size_t>(id)];
         result.violated = true;
         result.cycle.emplace(path.begin() + static_cast<long>(pos),
-                             path.end());
+                             path.begin() + static_cast<long>(depth));
         return result;
       }
-      pos_by_id.push_back(path.size());
-      path.push_back(s);
+      pos_by_id.push_back(depth);
+      if (depth == path.size()) {
+        path.push_back(s);
+      } else {
+        path[depth] = s;
+      }
+      ++depth;
 
-      const auto enabled = p.enabled_actions(s);
+      p.enabled_actions(s, enabled);
       if (enabled.empty()) {
         result.violated = true;
         result.deadlock = s;

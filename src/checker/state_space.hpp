@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/program.hpp"
@@ -31,6 +32,22 @@ class StateSpaceTooLarge : public std::runtime_error {
   std::uint64_t budget_;
 };
 
+/// Thrown by StateSpace::encode for a state with a value outside its
+/// variable's domain — typically the successor of an action that writes
+/// past the domain. Such a state has no code: the checkers index per-code
+/// arrays by it, so encoding it anyway would read out of bounds.
+class StateOutOfDomain : public std::domain_error {
+ public:
+  StateOutOfDomain(const std::string& variable, Value value, Value lo,
+                   Value hi);
+  const std::string& variable() const noexcept { return variable_; }
+  Value value() const noexcept { return value_; }
+
+ private:
+  std::string variable_;
+  Value value_;
+};
+
 class StateSpace {
  public:
   /// Default budget: 32M states (~raw bookkeeping arrays of 32-256 MB).
@@ -47,13 +64,23 @@ class StateSpace {
   /// Decode into an existing state: no allocation, one division per
   /// variable.
   void decode_into(std::uint64_t code, State& s) const;
-  /// Encode a state (must be in-domain) to its code.
+  /// Encode a state to its code. Throws StateOutOfDomain when a value
+  /// lies outside its variable's domain.
   std::uint64_t encode(const State& s) const;
 
  private:
+  /// One mixed-radix digit per variable, read by decode and encode.
+  struct Digit {
+    std::int64_t lo;      ///< domain lower bound
+    std::uint64_t size;   ///< domain size (the digit's radix)
+    std::uint64_t stride; ///< product of the earlier variables' sizes
+  };
+
+  [[noreturn]] void throw_out_of_domain(std::uint32_t var, Value value) const;
+
   const Program* program_;
   std::uint64_t size_ = 1;
-  std::vector<std::uint64_t> stride_;  // per-variable mixed-radix stride
+  std::vector<Digit> digits_;
 };
 
 /// True iff `program`'s full state space fits within `budget` states.

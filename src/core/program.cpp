@@ -35,11 +35,17 @@ std::vector<std::size_t> Program::actions_of_kind(ActionKind kind) const {
 
 std::vector<std::size_t> Program::enabled_actions(const State& s) const {
   std::vector<std::size_t> out;
+  enabled_actions(s, out);
+  return out;
+}
+
+void Program::enabled_actions(const State& s,
+                              std::vector<std::size_t>& out) const {
+  out.clear();
   for (std::size_t i = 0; i < actions_.size(); ++i) {
     if (actions_[i].kind() == ActionKind::kFault) continue;
     if (actions_[i].enabled(s)) out.push_back(i);
   }
-  return out;
 }
 
 bool Program::any_enabled(const State& s) const {

@@ -50,6 +50,9 @@ class Program {
   /// Indices of actions enabled at s (fault actions excluded: faults are
   /// applied by the injector, never scheduled by daemons).
   std::vector<std::size_t> enabled_actions(const State& s) const;
+  /// The same indices into `out`, replacing its contents: a caller that
+  /// keeps `out` across calls allocates only when it must grow.
+  void enabled_actions(const State& s, std::vector<std::size_t>& out) const;
 
   /// True iff some non-fault action is enabled at s.
   bool any_enabled(const State& s) const;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <memory>
 
 #include "obs/telemetry.hpp"
@@ -102,26 +103,34 @@ void parallel_for_chunked(
   // workers take more chunks (dynamic load balancing) while results remain
   // keyed by chunk number.
   auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  auto first_error = std::make_shared<std::exception_ptr>();
-  auto error_mutex = std::make_shared<std::mutex>();
+  // The exception of the lowest-numbered chunk that raised one, so which
+  // error surfaces does not depend on scheduling.
+  struct FirstError {
+    std::mutex mutex;
+    std::size_t chunk = std::numeric_limits<std::size_t>::max();
+    std::exception_ptr error;
+  };
+  auto first_error = std::make_shared<FirstError>();
   const unsigned drivers = static_cast<unsigned>(
       std::min<std::size_t>(pool.size(), n_chunks));
   for (unsigned d = 0; d < drivers; ++d) {
-    pool.submit([&run_chunk, next, first_error, error_mutex,
-                 n_chunks](unsigned worker) {
+    pool.submit([&run_chunk, next, first_error, n_chunks](unsigned worker) {
       for (std::size_t chunk = (*next)++; chunk < n_chunks;
            chunk = (*next)++) {
         try {
           run_chunk(chunk, worker);
         } catch (...) {
-          std::lock_guard<std::mutex> lock(*error_mutex);
-          if (!*first_error) *first_error = std::current_exception();
+          std::lock_guard<std::mutex> lock(first_error->mutex);
+          if (chunk < first_error->chunk) {
+            first_error->chunk = chunk;
+            first_error->error = std::current_exception();
+          }
         }
       }
     });
   }
   pool.wait_idle();
-  if (*first_error) std::rethrow_exception(*first_error);
+  if (first_error->error) std::rethrow_exception(first_error->error);
 }
 
 void parallel_for_each(

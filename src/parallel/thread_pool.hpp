@@ -65,7 +65,8 @@ class ThreadPool {
 /// Run `fn(chunk, lo, hi, worker)` over every chunk [lo, hi) of
 /// [begin, end) with at most `grain` indices per chunk. Chunks are numbered
 /// 0, 1, ... in range order. Blocks until every chunk has run; rethrows the
-/// first exception a chunk raised (remaining chunks still run). With a
+/// exception of the lowest-numbered chunk that raised one (remaining chunks
+/// still run), the one an in-order run would have raised first. With a
 /// single-worker pool or a single chunk the chunks run inline in the
 /// calling thread, in order, with worker == 0 — byte-identical behavior,
 /// no synchronization.

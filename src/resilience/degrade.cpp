@@ -53,9 +53,9 @@ std::string to_json(const ResilientVerification& v) {
   w.value(v.state_budget);
   if (v.exhaustive) {
     w.key("S_closed");
-    w.value(v.tolerance.S_closed);
+    w.value(v.tolerance.closure_S.closed);
     w.key("T_closed");
-    w.value(v.tolerance.T_closed);
+    w.value(v.tolerance.closure_T.closed);
     w.key("convergence");
     w.raw(obs::to_json(v.tolerance.convergence));
   }

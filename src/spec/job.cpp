@@ -62,27 +62,19 @@ JobResult run_check(const CompiledSpec& spec, const JobDecl& job) {
   report.add("spec", provenance_json(spec));
   add_backend(report, config);
 
-  const PredicateFn S = design.S();
-  const PredicateFn T = design.fault_span;
-  const ClosureReport closure_S = store::check_closed_via(config, space, S);
-  const ClosureReport closure_T = store::check_closed_via(config, space, T);
-  const ConvergenceReport convergence =
-      job.weakly_fair
-          ? store::check_convergence_weakly_fair_via(config, space, S, T)
-          : store::check_convergence_via(config, space, S, T);
+  const ToleranceReport tol =
+      store::verify_tolerance_via(config, space, design, job.weakly_fair);
 
-  report.add("closure_S", obs::to_json(closure_S));
-  report.add("closure_T", obs::to_json(closure_T));
-  report.add("convergence", obs::to_json(convergence));
+  report.add("closure_S", obs::to_json(tol.closure_S));
+  report.add("closure_T", obs::to_json(tol.closure_T));
+  report.add("convergence", obs::to_json(tol.convergence));
 
-  const bool ok = closure_S.closed && closure_T.closed &&
-                  convergence.verdict == ConvergenceVerdict::kConverges;
   std::ostringstream summary;
-  summary << "check: S " << (closure_S.closed ? "closed" : "NOT closed")
-          << ", T " << (closure_T.closed ? "closed" : "NOT closed")
-          << ", convergence " << to_string(convergence.verdict) << " ("
-          << convergence.states_in_T << " states in T)";
-  return finish(report, ok, summary.str());
+  summary << "check: S " << (tol.closure_S.closed ? "closed" : "NOT closed")
+          << ", T " << (tol.closure_T.closed ? "closed" : "NOT closed")
+          << ", convergence " << to_string(tol.convergence.verdict) << " ("
+          << tol.convergence.states_in_T << " states in T)";
+  return finish(report, tol.tolerant(), summary.str());
 }
 
 JobResult run_falsify(const CompiledSpec& spec, const JobDecl& job) {

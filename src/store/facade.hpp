@@ -12,13 +12,21 @@
 // one chunk and at most 2^22 codes, the convergence passes generate their
 // successor lists in parallel before the serial DFS/SCC reads them.
 //
+// The exact T-tolerance check of a design — closure of S, closure of T,
+// convergence — is one call, verify_tolerance_via: one flag pass, one
+// sweep over the S codes, one convergence traversal, so on a converging
+// design each state's successors are generated once. Spec check jobs, the
+// certify fallback, resilience, synthesis and triage call it. The single
+// passes below it (check_closed_via, check_convergence*_via) serve per-pass
+// timings, trace_report, the benchmarks and the tests.
+//
 // Contract: every report is byte-identical to the serial dense checker's
 // in src/checker/ (the reference oracle) at any thread count, grain, or
 // shard count — same counts, same verdicts, same counterexamples.
 // tests/store_equivalence_test.cpp checks it on every built-in protocol.
-// Callers (spec jobs, resilience, synthesis, triage, the engine-facing
-// examples) go through these functions; NONMASK_STATE_BUDGET /
-// NONMASK_THREADS reach them through StoreConfig::from_env().
+// NONMASK_STATE_BUDGET / NONMASK_THREADS reach these functions through
+// StoreConfig::from_env(). A successor outside the state space has no
+// code: the passes that encode successors throw StateOutOfDomain.
 //
 // Predicates are evaluated from several threads at once and must be
 // thread-safe; every PredicateFn built by the core DSL, the spec compiler,
@@ -104,9 +112,24 @@ StateSet compute_fault_span_via(const StoreConfig& config,
                                 const std::vector<std::size_t>& fault_actions,
                                 const FaultSpanOptions& opts = {});
 
-/// verify_tolerance (closure of S and T + unfair convergence).
+/// The exact T-tolerance check: closure of S, closure of T, and
+/// convergence (unfair, or weakly fair), each report byte-identical to the
+/// oracle's check_closed / check_convergence* run on its own. One pass
+/// structure discharges all three:
+///   1. a flag pass evaluates S and T once per code;
+///   2. a chunk-parallel sweep expands the S codes in code order, giving
+///      closure of S and a closure-of-T tally over the S ∧ T codes;
+///   3. the convergence traversal (or the prefetch feeding it) tallies
+///      closure of T over the T ∧ ¬S codes it expands.
+/// Closure of T comes from the tally when it covers every T code and no
+/// successor left T; otherwise (T not closed, or a cycle or deadlock ended
+/// the traversal early) check_closed_via(T) runs as well. On a converging
+/// design each state's successors are generated once. Throws
+/// StateOutOfDomain for a successor outside the space, and
+/// VisitIdRangeExceeded as the weakly-fair check does.
 ToleranceReport verify_tolerance_via(const StoreConfig& config,
                                      const StateSpace& space,
-                                     const Design& design);
+                                     const Design& design,
+                                     bool weakly_fair = false);
 
 }  // namespace nonmask::store

@@ -125,9 +125,9 @@ std::string render_synthesis_report(const SynthesisResult& result) {
     w.key("exact");
     w.begin_object();
     w.key("S_closed");
-    w.value(result.exact.S_closed);
+    w.value(result.exact.closure_S.closed);
     w.key("T_closed");
-    w.value(result.exact.T_closed);
+    w.value(result.exact.closure_T.closed);
     w.key("verdict");
     w.value(to_string(result.exact.convergence.verdict));
     w.key("region_states");

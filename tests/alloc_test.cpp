@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include "checker/convergence_check.hpp"
+#include "checker/falsify.hpp"
 #include "checker/state_space.hpp"
+#include "core/builder.hpp"
 #include "protocols/token_ring.hpp"
 #include "spec/compile.hpp"
 #include "spec/expr.hpp"
@@ -167,6 +169,40 @@ TEST(EngineAllocationTest, ProgramSuccessorsAllocatesNothingAfterItsFirstCall) {
               }),
               0u);
     EXPECT_GT(transitions, space.size());
+  }
+}
+
+// Falsification walks keep their enabled-action buffer and path across
+// steps and walks, so a walk allocates for its visited-state set and start
+// state, not per step. On a counter that no walk of these lengths leaves
+// (x in [0, 99999], `x != 99999 -> x := x + 1`, S = (x == 99999)), 50 walks
+// allocated 21,345 times at 200 steps and 196,134 at 2,000 when every step
+// took a fresh enabled vector and path entry.
+TEST(EngineAllocationTest, FalsifyWalksAllocatePerWalkNotPerStep) {
+  ProgramBuilder b("counter");
+  const VarId x = b.var("x", 0, 99999);
+  b.closure(
+      "increment", [x](const State& s) { return s.get(x) != 99999; },
+      [x](State& s) { s.set(x, s.get(x) + 1); }, {x}, {x});
+  Design d;
+  d.name = "counter";
+  d.program = b.build();
+  d.S_override = [x](const State& s) { return s.get(x) == 99999; };
+
+  const std::pair<std::uint64_t, std::uint64_t> cases[] = {{200, 1000},
+                                                           {2000, 5000}};
+  for (const auto& [length, bound] : cases) {
+    SCOPED_TRACE("walk_length " + std::to_string(length));
+    FalsifyOptions opts;
+    opts.walks = 50;
+    opts.max_walk_length = length;
+    opts.seed = 1;
+    FalsifyResult result;
+    EXPECT_LE(allocations_during(
+                  [&] { result = falsify_convergence(d, opts); }),
+              bound);
+    EXPECT_FALSE(result.violated);
+    EXPECT_EQ(result.walks_run, 50u);
   }
 }
 

@@ -20,8 +20,8 @@ TEST(AtomicActionTest, TolerantForSWithinT) {
     const auto aa = make_atomic_action(participants);
     StateSpace space(aa.design.program);
     const auto report = verify_tolerance(space, aa.design);
-    EXPECT_TRUE(report.S_closed) << participants;
-    EXPECT_TRUE(report.T_closed) << participants;
+    EXPECT_TRUE(report.closure_S.closed) << participants;
+    EXPECT_TRUE(report.closure_T.closed) << participants;
     EXPECT_EQ(report.convergence.verdict, ConvergenceVerdict::kConverges)
         << participants;
     EXPECT_TRUE(report.tolerant());

@@ -278,8 +278,8 @@ TEST(ToleranceTest, VerifyToleranceEndToEnd) {
   d.fault_span = true_predicate();
   StateSpace space(d.program);
   const auto report = verify_tolerance(space, d);
-  EXPECT_TRUE(report.S_closed);
-  EXPECT_TRUE(report.T_closed);
+  EXPECT_TRUE(report.closure_S.closed);
+  EXPECT_TRUE(report.closure_T.closed);
   EXPECT_EQ(report.convergence.verdict, ConvergenceVerdict::kConverges);
   EXPECT_TRUE(report.tolerant());
 }

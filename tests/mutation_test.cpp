@@ -10,6 +10,7 @@
 #include "protocols/diffusing.hpp"
 #include "protocols/matching.hpp"
 #include "protocols/token_ring.hpp"
+#include "store/facade.hpp"
 
 namespace nonmask {
 namespace {
@@ -111,6 +112,14 @@ TEST(MutationTest, UnguardedIncrementEscapesDomain) {
     }
   }
   EXPECT_TRUE(escaped);
+  // The exact check does not encode the escaped successor into a wrong
+  // code: it throws, naming the variable.
+  try {
+    store::verify_tolerance_via(store::StoreConfig{}, space, mutant);
+    ADD_FAILURE() << "expected StateOutOfDomain";
+  } catch (const StateOutOfDomain& e) {
+    EXPECT_EQ(e.variable(), mutant.program.variable(x0).name);
+  }
 }
 
 // Control: the same rebuild pipeline applied without mutation preserves

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -73,6 +74,26 @@ TEST(ThreadPoolTest, PropagatesTaskException) {
                              if (chunk == 42) throw std::runtime_error("boom");
                            }),
       std::runtime_error);
+}
+
+// Every chunk throws, chunk 0 last in time: the caller still sees chunk
+// 0's exception, as an in-order run would raise it, whatever the
+// scheduling.
+TEST(ThreadPoolTest, RethrowsTheLowestChunksException) {
+  ThreadPool pool(4);
+  try {
+    parallel_for_chunked(
+        pool, 0, 64, 1,
+        [&](std::size_t chunk, std::uint64_t, std::uint64_t, unsigned) {
+          if (chunk == 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          }
+          throw std::runtime_error(std::to_string(chunk));
+        });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "0");
+  }
 }
 
 TEST(ThreadPoolTest, WorkerIndicesStayInRange) {

@@ -315,6 +315,41 @@ TEST(JobManagerTest, CheckAfterFalsifyReportsOnlyItsOwnSections) {
   mgr.drain();
 }
 
+// A spec whose action writes outside its variable's domain compiles, so it
+// is accepted; its check then fails naming the variable, and the worker
+// goes on to the next job.
+TEST(JobManagerTest, OutOfDomainWriteFailsTheJobNotTheServer) {
+  ServeOptions opts;
+  opts.state_dir = fresh_dir("out_of_domain");
+  opts.workers = 1;
+  JobManager mgr(opts);
+  const auto bad = mgr.submit(R"({
+  "schema": "nonmask-spec/1",
+  "name": "escape",
+  "variables": [{"name": "a", "min": 0, "max": 3},
+                {"name": "b", "min": 0, "max": 3}],
+  "constraints": [{"name": "zero", "expr": "b == 0"}],
+  "actions": [
+    {"name": "bump", "kind": "convergence", "guard": "b != 0",
+     "assign": {"b": "b + 100"}, "constraint": "0"}
+  ],
+  "job": {"type": "check"}
+})");
+  ASSERT_EQ(bad.status, 201);
+  const JobInfo failed = wait_done(mgr, bad.id);
+  EXPECT_EQ(failed.state, JobState::kFailed);
+  EXPECT_NE(failed.summary.find("'b'"), std::string::npos) << failed.summary;
+  EXPECT_NE(failed.summary.find("outside its domain"), std::string::npos)
+      << failed.summary;
+
+  const auto good = mgr.submit(check_spec());
+  ASSERT_EQ(good.status, 201);
+  const JobInfo done = wait_done(mgr, good.id);
+  EXPECT_EQ(done.state, JobState::kDone);
+  EXPECT_TRUE(done.ok);
+  mgr.drain();
+}
+
 TEST(JobManagerTest, RejectsInvalidSpecsWith422) {
   ServeOptions opts;
   opts.state_dir = fresh_dir("invalid");

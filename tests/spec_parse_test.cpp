@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checker/state_space.hpp"
 #include "core/program.hpp"
 #include "spec/compile.hpp"
 #include "spec/expr.hpp"
@@ -511,6 +512,45 @@ TEST(SpecJobTest, ReportWallTimeCoversTheJob) {
   const util::JsonValue* wall_ms = report.find("wall_ms");
   ASSERT_NE(wall_ms, nullptr);
   EXPECT_GE(wall_ms->as_double(), elapsed_ms / 2);
+}
+
+/// a, b in [0, 3] with S = (b == 0) and one action `b != 0 -> b := <step>`,
+/// checked unfair or weakly fair.
+std::string escaping_spec(const std::string& step, bool weakly_fair) {
+  return R"({
+    "schema": "nonmask-spec/1",
+    "name": "escape",
+    "variables": [{"name": "a", "min": 0, "max": 3},
+                  {"name": "b", "min": 0, "max": 3}],
+    "constraints": [{"name": "zero", "expr": "b == 0"}],
+    "actions": [
+      {"name": "bump", "kind": "convergence", "guard": "b != 0",
+       "assign": {"b": ")" + step + R"("}, "constraint": "0"}
+    ],
+    "job": {"type": "check", "weakly_fair": )" +
+         (weakly_fair ? "true" : "false") + "}\n  }";
+}
+
+// A successor outside the domain has no code. The check job fails naming
+// the variable, instead of reading past the engine's per-code arrays
+// (b + 100) or reporting a deadlock at states whose action is enabled
+// (b + 1).
+TEST(SpecJobTest, CheckFailsWhenAnActionWritesOutsideItsDomain) {
+  for (const char* step : {"b + 1", "b + 100"}) {
+    for (const bool fair : {false, true}) {
+      SCOPED_TRACE(std::string(step) + (fair ? " weakly fair" : " unfair"));
+      const CompiledSpec cs = compile_spec_text(escaping_spec(step, fair));
+      try {
+        spec::run_spec_job(cs);
+        ADD_FAILURE() << "expected StateOutOfDomain";
+      } catch (const StateOutOfDomain& e) {
+        EXPECT_EQ(e.variable(), "b");
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'b'"), std::string::npos) << what;
+        EXPECT_NE(what.find("[0, 3]"), std::string::npos) << what;
+      }
+    }
+  }
 }
 
 }  // namespace

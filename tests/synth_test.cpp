@@ -85,8 +85,8 @@ TEST(SynthTest, RederivesTokenRingFromConstraints) {
   // The layered certificate (Section 7.1's shape) should apply; whatever
   // the cascade settled on, the exact checker's verdict is the contract.
   EXPECT_EQ(result.exact.convergence.verdict, ConvergenceVerdict::kConverges);
-  EXPECT_TRUE(result.exact.S_closed);
-  EXPECT_TRUE(result.exact.T_closed);
+  EXPECT_TRUE(result.exact.closure_S.closed);
+  EXPECT_TRUE(result.exact.closure_T.closed);
 }
 
 TEST(SynthTest, SynthesizesColoringViaSuggestedLayers) {
