@@ -121,6 +121,10 @@ FalsifyResult probe_violation_from(const Design& design, const State& start,
   std::vector<std::uint8_t> color;  // by dense id; 0 = never seen
   std::vector<std::uint64_t> words(layout.words());
 
+  // Frames [0, depth) are the DFS stack. A popped frame keeps its State
+  // and enabled buffer for the next push at its depth, and successors are
+  // built in one scratch State, so a probe allocates per depth it reaches,
+  // not per step.
   struct Frame {
     State state;
     std::vector<std::size_t> enabled;
@@ -128,43 +132,50 @@ FalsifyResult probe_violation_from(const Design& design, const State& start,
     std::uint64_t id = 0;  ///< dense id in `seen`, for the pop-time marking
   };
   std::vector<Frame> stack;
+  std::size_t depth = 0;
+  State succ;
   std::uint64_t visited = 0;
 
-  auto push = [&](State s) -> bool {
+  auto push = [&](const State& s) -> bool {
     if (++visited > opts.max_states) return false;
     layout.pack(s, words.data());
     const std::uint64_t id = seen.insert(words.data()).first;
     if (color.size() <= id) color.resize(static_cast<std::size_t>(id) + 1, 0);
     color[static_cast<std::size_t>(id)] = kGray;
-    auto enabled = p.enabled_actions(s);
-    if (enabled.empty()) {
+    if (depth == stack.size()) stack.emplace_back();
+    Frame& frame = stack[depth];
+    p.enabled_actions(s, frame.enabled);
+    if (frame.enabled.empty()) {
       result.violated = true;
-      result.deadlock = std::move(s);
+      result.deadlock = s;
       return false;
     }
-    stack.push_back(Frame{std::move(s), std::move(enabled), 0, id});
+    frame.state = s;
+    frame.next = 0;
+    frame.id = id;
+    ++depth;
     return true;
   };
 
   if (!push(start)) return result;
-  while (!stack.empty()) {
-    Frame& top = stack.back();
+  while (depth > 0) {
+    Frame& top = stack[depth - 1];
     if (top.next == top.enabled.size()) {
       color[static_cast<std::size_t>(top.id)] = kBlack;
-      stack.pop_back();
+      --depth;
       continue;
     }
     ++result.steps_taken;
-    State succ = p.action(top.enabled[top.next++]).apply(top.state);
+    p.action(top.enabled[top.next++]).apply_into(top.state, succ);
     if (S(succ)) continue;  // converging branch; nothing to report here
     layout.pack(succ, words.data());
     if (const auto id = seen.find(words.data())) {
       if (color[static_cast<std::size_t>(*id)] == kGray) {
         // Extract the cycle: the stack suffix from succ's frame down.
         std::vector<State> cycle;
-        std::size_t at = stack.size();
+        std::size_t at = depth;
         while (at > 0 && !(stack[at - 1].state == succ)) --at;
-        for (std::size_t i = at == 0 ? 0 : at - 1; i < stack.size(); ++i) {
+        for (std::size_t i = at == 0 ? 0 : at - 1; i < depth; ++i) {
           cycle.push_back(stack[i].state);
         }
         result.violated = true;
@@ -173,7 +184,7 @@ FalsifyResult probe_violation_from(const Design& design, const State& start,
       }
       continue;  // black: already explored, no violation beneath it
     }
-    if (!push(std::move(succ))) return result;
+    if (!push(succ)) return result;
   }
   return result;
 }

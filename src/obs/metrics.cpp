@@ -76,11 +76,13 @@ Histogram::Shard& Histogram::shard_for_this_thread() noexcept {
 void Histogram::record(std::uint64_t value) noexcept {
   if (!Metrics::enabled()) return;
   Shard& shard = shard_for_this_thread();
-  shard.count.fetch_add(1, std::memory_order_relaxed);
   shard.sum.fetch_add(value, std::memory_order_relaxed);
   atomic_min(shard.min, value);
   atomic_max(shard.max, value);
   shard.buckets[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
+  // Published last: a snapshot that sees this record's count sees its
+  // min and max too, so it never pairs count > 0 with an empty range.
+  shard.count.fetch_add(1, std::memory_order_release);
 }
 
 HistogramSnapshot Histogram::snapshot() const {
@@ -89,7 +91,10 @@ HistogramSnapshot Histogram::snapshot() const {
   for (const auto& slot : shards_) {
     const Shard* shard = slot.load(std::memory_order_acquire);
     if (shard == nullptr) continue;
-    snap.count += shard->count.load(std::memory_order_relaxed);
+    // Acquire first: every record counted here has landed in the rest.
+    const std::uint64_t count = shard->count.load(std::memory_order_acquire);
+    if (count == 0) continue;
+    snap.count += count;
     snap.sum += shard->sum.load(std::memory_order_relaxed);
     snap.min = std::min(snap.min, shard->min.load(std::memory_order_relaxed));
     snap.max = std::max(snap.max, shard->max.load(std::memory_order_relaxed));

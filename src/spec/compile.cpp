@@ -47,13 +47,17 @@ std::string expand_name(const std::string& name, long long j) {
   return out;
 }
 
-VarId resolve_variable(const Program& program, const std::string& name,
+/// Full variable names, indexed as the compiler declares them: a lookup
+/// per identifier, not a scan over every variable.
+using NameIndex = std::unordered_map<std::string, VarId>;
+
+VarId resolve_variable(const NameIndex& names, const std::string& name,
                        const std::string& path, int line) {
-  const VarId id = program.find_variable(name);
-  if (!id.valid()) {
+  const auto id = names.find(name);
+  if (id == names.end()) {
     throw SpecError(path, "unknown variable '" + name + "'", line);
   }
-  return id;
+  return id->second;
 }
 
 /// The shape of one declaration as the expander sees it.
@@ -122,10 +126,11 @@ PredicateFn to_predicate(CompiledExpr e) {
   if (e.is_const) {
     return e.value != 0 ? true_predicate() : false_predicate();
   }
-  return [e = std::move(e)](const State& s) { return e.fn(s) != 0; };
+  return [e = std::move(e)](const State& s) { return e.eval(s) != 0; };
 }
 
 FaultModelPtr build_fault_model(const FaultDecl& d, const Program& program,
+                                const NameIndex& names,
                                 const std::string& path) {
   if (d.model == "corrupt-k-variables") {
     return std::make_shared<CorruptKVariables>(d.k, program);
@@ -140,7 +145,7 @@ FaultModelPtr build_fault_model(const FaultDecl& d, const Program& program,
     std::vector<VarId> targets;
     for (std::size_t i = 0; i < d.targets.size(); ++i) {
       targets.push_back(resolve_variable(
-          program, d.targets[i],
+          names, d.targets[i],
           path + ".targets[" + std::to_string(i) + "]", d.line));
     }
     return std::make_shared<TargetedCorruption>(std::move(targets),
@@ -239,12 +244,13 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
   if (doc.has_topology) params["n"] = n;
 
   ProgramBuilder builder(doc.name);
+  NameIndex names;
   std::unordered_map<std::string, std::vector<VarId>> families;
 
   CompileEnv env;
   env.params = &params;
   env.topo = &out.topology;
-  env.program = &builder.peek();
+  env.names = &names;
   env.families = &families;
 
   // --- variables -----------------------------------------------------------
@@ -270,7 +276,7 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
     }
     const std::string name =
         d.per_process ? d.name + "." + std::to_string(j) : d.name;
-    if (builder.peek().find_variable(name).valid()) {
+    if (names.count(name) > 0) {
       throw SpecError(path + ".name", "duplicate variable '" + name + "'",
                       d.line);
     }
@@ -278,10 +284,17 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
         d.per_process ? static_cast<int>(j) : static_cast<int>(d.process);
     const VarId id = builder.var(name, static_cast<Value>(lo),
                                  static_cast<Value>(hi), process);
+    names.emplace(name, id);
     // Expansion visits each family's processes in increasing j, so the
     // family vector is indexed by process.
     if (d.per_process) families[d.name].push_back(id);
   }
+
+  // Every expression from here on compiles over the declared domains. The
+  // tables fill on their first lookup, not here: a compile that only
+  // validates a spec pays for none.
+  const auto tables = std::make_shared<FootprintTables>(builder.peek());
+  env.tables = tables.get();
 
   // --- constraints ---------------------------------------------------------
   Invariant invariant;
@@ -298,6 +311,7 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
     if (j >= 0) cenv.binders["j"] = j;
     CompiledExpr expr = at(path + ".expr", d.line,
                            [&] { return compile_expr(parse_expr(d.expr), cenv); });
+    tables->tabulate(expr);
     Constraint c;
     c.name = j >= 0 ? expand_name(d.name, j) : d.name;
     if (d.support.empty()) {
@@ -309,7 +323,7 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
           ref = expand_name(ref, j);
         }
         c.support.push_back(resolve_variable(
-            builder.peek(), ref, path + ".support[" + std::to_string(k) + "]",
+            names, ref, path + ".support[" + std::to_string(k) + "]",
             d.line));
       }
     }
@@ -339,6 +353,7 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
       guard_expr.is_const = true;
       guard_expr.value = 1;
     }
+    tables->tabulate(guard_expr);
 
     std::vector<VarId> writes;
     std::vector<CompiledExpr> rhs;
@@ -351,8 +366,7 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
                              [&] { return parse_expr(lhs_text); });
       VarId target;
       if (lhs->kind == ExprNode::Kind::kIdent) {
-        target = resolve_variable(builder.peek(), lhs->name, assign_path,
-                                  d.line);
+        target = resolve_variable(names, lhs->name, assign_path, d.line);
       } else if (lhs->kind == ExprNode::Kind::kSubscript) {
         const CompiledExpr compiled = at(
             assign_path, d.line, [&] { return compile_expr(lhs, aenv); });
@@ -377,18 +391,15 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
       rhs.push_back(at(assign_path, d.line, [&] {
         return compile_expr(parse_expr(rhs_text), aenv);
       }));
+      tables->tabulate(rhs.back());
     }
 
     std::vector<VarId> reads;
     if (d.reads.empty()) {
-      reads = guard_expr.reads;
-      for (const CompiledExpr& e : rhs) {
-        for (VarId id : e.reads) {
-          bool seen = false;
-          for (VarId r : reads) seen = seen || r == id;
-          if (!seen) reads.push_back(id);
-        }
-      }
+      ReadUnion derived;
+      derived.add(guard_expr.reads);
+      for (const CompiledExpr& e : rhs) derived.add(e.reads);
+      reads = derived.take();
     } else {
       for (std::size_t k = 0; k < d.reads.size(); ++k) {
         std::string ref = d.reads[k];
@@ -396,20 +407,12 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
           ref = expand_name(ref, j);
         }
         reads.push_back(resolve_variable(
-            builder.peek(), ref, path + ".reads[" + std::to_string(k) + "]",
+            names, ref, path + ".reads[" + std::to_string(k) + "]",
             d.line));
       }
     }
 
-    GuardFn guard;
-    if (guard_expr.is_const) {
-      const bool value = guard_expr.value != 0;
-      guard = [value](const State&) { return value; };
-    } else {
-      guard = [e = std::move(guard_expr)](const State& s) {
-        return e.fn(s) != 0;
-      };
-    }
+    GuardFn guard = to_predicate(std::move(guard_expr));
     // Simultaneous assignment: all right-hand sides read the pre-state.
     StatementFn statement = [writes, rhs = std::move(rhs)](State& s) {
       Value values[8];
@@ -472,23 +475,29 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
   out.design.invariant = std::move(invariant);
   out.design.stabilizing = doc.stabilizing;
   if (!doc.fault_span.empty()) {
-    out.design.fault_span = to_predicate(at("$.fault_span", 0, [&] {
+    CompiledExpr fault_span = at("$.fault_span", 0, [&] {
       return compile_expr(parse_expr(doc.fault_span), env);
-    }));
+    });
+    tables->tabulate(fault_span);
+    out.design.fault_span = to_predicate(std::move(fault_span));
   }
   if (!doc.s_override.empty()) {
-    out.design.S_override = to_predicate(at("$.s_override", 0, [&] {
+    CompiledExpr s_override = at("$.s_override", 0, [&] {
       return compile_expr(parse_expr(doc.s_override), env);
-    }));
+    });
+    tables->tabulate(s_override);
+    out.design.S_override = to_predicate(std::move(s_override));
   }
   out.design.program = builder.build();
+  out.tables = tables;
 
   // --- fault schedule ------------------------------------------------------
   std::vector<FaultSchedule> parts;
   for (std::size_t i = 0; i < doc.faults.size(); ++i) {
     const FaultDecl& d = doc.faults[i];
     const std::string path = "$.faults[" + std::to_string(i) + "]";
-    FaultModelPtr model = build_fault_model(d, out.design.program, path);
+    FaultModelPtr model =
+        build_fault_model(d, out.design.program, names, path);
     if (d.schedule == "at") {
       parts.push_back(FaultSchedule::at(std::move(model), d.step));
     } else if (d.schedule == "burst") {

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "core/candidate.hpp"
@@ -41,6 +42,9 @@ struct CompiledSpec {
   Design design;
   Topology topology;
   FaultSchedule schedule;  ///< composed from the spec's `faults` array
+  /// The design's footprint tables (spec/footprint.hpp), for inspection:
+  /// the closures that look them up share them and keep them alive.
+  std::shared_ptr<const FootprintTables> tables;
   std::uint64_t fault_seed = 1;
   bool has_job = false;
   JobDecl job;

@@ -342,12 +342,24 @@ CompiledExpr make_const(long long v) {
   return c;
 }
 
-void merge_reads(std::vector<VarId>& into, const std::vector<VarId>& from) {
-  for (VarId id : from) {
-    if (std::find(into.begin(), into.end(), id) == into.end()) {
-      into.push_back(id);
-    }
-  }
+/// The first-occurrence union of the operands' read sets.
+std::vector<VarId> union_reads(const std::vector<CompiledExpr>& operands) {
+  ReadUnion reads;
+  for (const CompiledExpr& e : operands) reads.add(e.reads);
+  return reads.take();
+}
+
+/// True when a node reading `reads` gets no table of its own under a spec
+/// compile, so its operands get theirs: the tables go to the maximal
+/// subexpressions that fit.
+bool too_wide(const CompileEnv& env, const std::vector<VarId>& reads) {
+  return env.tables != nullptr && env.tables->entries_over(reads) == 0;
+}
+
+void tabulate_operands(const CompileEnv& env, const std::vector<VarId>& reads,
+                       std::vector<CompiledExpr>& operands) {
+  if (!too_wide(env, reads)) return;
+  for (CompiledExpr& e : operands) env.tables->tabulate(e);
 }
 
 /// The mex of the k values value_at(0), ..., value_at(k - 1): the smallest
@@ -372,9 +384,11 @@ Value mex_of(std::size_t k, const ValueAt& value_at) {
 
 /// State-time mex over `parts`: the one closure behind both the call form
 /// mex(a, b, ...) and the comprehension form mex(k : SET, body).
-CompiledExpr compile_mex(std::vector<CompiledExpr> parts) {
+CompiledExpr compile_mex(std::vector<CompiledExpr> parts,
+                         const CompileEnv& env) {
   CompiledExpr c;
-  for (const CompiledExpr& part : parts) merge_reads(c.reads, part.reads);
+  c.reads = union_reads(parts);
+  tabulate_operands(env, c.reads, parts);
   c.fn = [parts = std::move(parts)](const State& s) {
     return mex_of(parts.size(),
                   [&](std::size_t i) { return parts[i].eval(s); });
@@ -384,6 +398,7 @@ CompiledExpr compile_mex(std::vector<CompiledExpr> parts) {
 
 CompiledExpr make_var_read(VarId id) {
   CompiledExpr c;
+  c.var = id;
   c.fn = [id](const State& s) { return s.get(id); };
   c.reads = {id};
   return c;
@@ -503,7 +518,8 @@ CompiledExpr compile_comprehension(const ExprNode& node,
     }
     if (dynamic.empty()) return make_const(acc);
     CompiledExpr c;
-    for (const CompiledExpr& b : dynamic) merge_reads(c.reads, b.reads);
+    c.reads = union_reads(dynamic);
+    tabulate_operands(env, c.reads, dynamic);
     c.fn = [acc, dynamic = std::move(dynamic), combine,
             early](const State& s) {
       long long r = acc;
@@ -540,12 +556,8 @@ CompiledExpr compile_comprehension(const ExprNode& node,
       throw ExprError(kind + " comprehension over an empty set");
     }
     const bool is_min = kind == "min";
-    CompiledExpr c;
     bool all_const = true;
-    for (const CompiledExpr& b : bodies) {
-      all_const = all_const && b.is_const;
-      merge_reads(c.reads, b.reads);
-    }
+    for (const CompiledExpr& b : bodies) all_const = all_const && b.is_const;
     if (all_const) {
       long long acc = bodies[0].value;
       for (const CompiledExpr& b : bodies) {
@@ -554,6 +566,9 @@ CompiledExpr compile_comprehension(const ExprNode& node,
       }
       return make_const(acc);
     }
+    CompiledExpr c;
+    c.reads = union_reads(bodies);
+    tabulate_operands(env, c.reads, bodies);
     c.fn = [bodies = std::move(bodies), is_min](const State& s) {
       Value acc = bodies[0].eval(s);
       for (std::size_t i = 1; i < bodies.size(); ++i) {
@@ -568,7 +583,8 @@ CompiledExpr compile_comprehension(const ExprNode& node,
     // Value of the binder at the first element whose body holds; -1 when
     // none does.
     CompiledExpr c;
-    for (const CompiledExpr& b : bodies) merge_reads(c.reads, b.reads);
+    c.reads = union_reads(bodies);
+    tabulate_operands(env, c.reads, bodies);
     c.fn = [values, bodies = std::move(bodies)](const State& s) -> Value {
       for (std::size_t i = 0; i < bodies.size(); ++i) {
         if (bodies[i].eval(s) != 0) return static_cast<Value>(values[i]);
@@ -579,7 +595,7 @@ CompiledExpr compile_comprehension(const ExprNode& node,
   }
   if (kind == "mex") {
     // Smallest value >= 0 different from every element's body value.
-    return compile_mex(std::move(bodies));
+    return compile_mex(std::move(bodies), env);
   }
   throw ExprError("unknown comprehension '" + kind + "'");
 }
@@ -652,7 +668,7 @@ CompiledExpr compile_call(const ExprNode& node, const CompileEnv& env) {
         return make_const(mex_of(
             args.size(), [&](std::size_t i) { return args[i].value; }));
       }
-      return compile_mex(std::move(args));
+      return compile_mex(std::move(args), env);
     }
     if (all_const) {
       long long acc = args[0].value;
@@ -663,7 +679,8 @@ CompiledExpr compile_call(const ExprNode& node, const CompileEnv& env) {
       return make_const(acc);
     }
     CompiledExpr c;
-    for (const CompiledExpr& a : args) merge_reads(c.reads, a.reads);
+    c.reads = union_reads(args);
+    tabulate_operands(env, c.reads, args);
     const bool is_min = fn == "min";
     c.fn = [args = std::move(args), is_min](const State& s) {
       Value acc = args[0].eval(s);
@@ -698,9 +715,9 @@ CompiledExpr compile_expr(const ExprPtr& node, const CompileEnv& env) {
         const auto param = env.params->find(name);
         if (param != env.params->end()) return make_const(param->second);
       }
-      if (env.program != nullptr) {
-        const VarId id = env.program->find_variable(name);
-        if (id.valid()) return make_var_read(id);
+      if (env.names != nullptr) {
+        const auto id = env.names->find(name);
+        if (id != env.names->end()) return make_var_read(id->second);
       }
       if (env.families != nullptr && env.families->count(name) > 0) {
         throw ExprError("'" + name +
@@ -762,7 +779,8 @@ CompiledExpr compile_expr(const ExprPtr& node, const CompileEnv& env) {
       };
       CompiledExpr first = compile_expr(node->args[0], env);
       std::vector<Link> links;  // the non-constant tail after `first`
-      std::vector<VarId> reads = first.reads;
+      ReadUnion reads;
+      reads.add(first.reads);
       for (std::size_t i = 1; i < node->args.size(); ++i) {
         // Short-circuit folding before compiling the right-hand side would
         // skip its name resolution; compile every operand so typos always
@@ -784,13 +802,17 @@ CompiledExpr compile_expr(const ExprPtr& node, const CompileEnv& env) {
           links.clear();
           reads.clear();
         } else {
-          merge_reads(reads, b.reads);
+          reads.add(b.reads);
           links.push_back({fn, std::move(b)});
         }
       }
       if (links.empty()) return first;
       CompiledExpr c;
-      c.reads = std::move(reads);
+      c.reads = reads.take();
+      if (too_wide(env, c.reads)) {
+        env.tables->tabulate(first);
+        for (Link& link : links) env.tables->tabulate(link.rhs);
+      }
       c.fn = [first = std::move(first),
               links = std::move(links)](const State& s) {
         Value v = first.eval(s);
@@ -814,9 +836,16 @@ CompiledExpr compile_expr(const ExprPtr& node, const CompileEnv& env) {
       CompiledExpr then = compile_expr(node->args[1], env);
       CompiledExpr otherwise = compile_expr(node->args[2], env);
       CompiledExpr c;
-      c.reads = cond.reads;
-      merge_reads(c.reads, then.reads);
-      merge_reads(c.reads, otherwise.reads);
+      ReadUnion reads;
+      reads.add(cond.reads);
+      reads.add(then.reads);
+      reads.add(otherwise.reads);
+      c.reads = reads.take();
+      if (too_wide(env, c.reads)) {
+        for (CompiledExpr* e : {&cond, &then, &otherwise}) {
+          env.tables->tabulate(*e);
+        }
+      }
       c.fn = [cond = std::move(cond), then = std::move(then),
               otherwise = std::move(otherwise)](const State& s) {
         return cond.eval(s) != 0 ? then.eval(s) : otherwise.eval(s);

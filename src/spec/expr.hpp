@@ -13,7 +13,10 @@
 //    branch statically per process.
 //  * state time — what remains compiles to a closure over core::State,
 //    with the referenced VarIds collected in first-occurrence order (the
-//    derived read set of actions and the support of constraints).
+//    derived read set of actions and the support of constraints). Under
+//    a spec compile, every maximal subexpression whose read set spans few
+//    value combinations is then evaluated by lookup in a footprint table
+//    that its closure fills (spec/footprint.hpp).
 //
 // Grammar (precedence low to high):
 //   ternary := or ('?' ternary ':' ternary)?
@@ -37,16 +40,18 @@
 // `children(j)` — are unrolled at expansion time over the topology.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
-#include "core/program.hpp"
 #include "core/state.hpp"
 #include "core/variable.hpp"
+#include "spec/footprint.hpp"
 
 namespace nonmask::spec {
 
@@ -109,22 +114,70 @@ struct CompileEnv {
   /// Comprehension / expansion binders currently in scope.
   std::unordered_map<std::string, long long> binders;
   const Topology* topo = nullptr;
-  /// Program under construction: full variable names resolve here.
-  const Program* program = nullptr;
+  /// Full variable names of the program under construction: the
+  /// compiler's own index, filled as it declares variables.
+  const std::unordered_map<std::string, VarId>* names = nullptr;
   /// Per-process variable families: `x[3]` resolves through this map.
   const std::unordered_map<std::string, std::vector<VarId>>* families =
       nullptr;
+  /// The design's footprint tables. When present, the operands of every
+  /// node too wide for a table of its own get one (FootprintTables::
+  /// tabulate); the caller tabulates the roots.
+  FootprintTables* tables = nullptr;
 };
 
-/// A compiled state expression: either a constant or a closure, plus the
-/// VarIds it reads in first-occurrence order (deduplicated).
+/// A compiled state expression: a constant, a footprint table, or a
+/// closure, plus the VarIds it reads in first-occurrence order
+/// (deduplicated).
 struct CompiledExpr {
   bool is_const = false;
   Value value = 0;
+  /// Valid for a lone variable read, which gets no table.
+  VarId var;
+  /// The closure: the definition of every non-constant form. Tabulating
+  /// the expression moves it into `table`.
   std::function<Value(const State&)> fn;
+  std::shared_ptr<const FootprintTable> table;
   std::vector<VarId> reads;
 
-  Value eval(const State& s) const { return is_const ? value : fn(s); }
+  Value eval(const State& s) const {
+    if (is_const) return value;
+    if (table != nullptr) return table->eval(s);
+    return fn(s);
+  }
+};
+
+/// A node's derived read set: its operands' read sets merged in
+/// first-occurrence order. A few ids dedupe by scanning; past that, through
+/// one seen-set, so a node over n operands merges in O(n), not O(n^2).
+class ReadUnion {
+ public:
+  void add(const std::vector<VarId>& ids) {
+    for (VarId id : ids) add(id);
+  }
+  void add(VarId id) {
+    if (seen_.empty()) {
+      for (VarId r : ids_) {
+        if (r == id) return;
+      }
+      ids_.push_back(id);
+      if (ids_.size() > kScan) {
+        for (VarId r : ids_) seen_.insert(r.index());
+      }
+    } else if (seen_.insert(id.index()).second) {
+      ids_.push_back(id);
+    }
+  }
+  void clear() {
+    ids_.clear();
+    seen_.clear();
+  }
+  std::vector<VarId> take() { return std::move(ids_); }
+
+ private:
+  static constexpr std::size_t kScan = 16;
+  std::vector<VarId> ids_;
+  std::unordered_set<std::uint32_t> seen_;
 };
 
 /// Compile against `env`; throws ExprError on unknown names, non-constant

@@ -92,7 +92,12 @@ struct Ring {
 std::vector<Ring> rings() {
   std::vector<Ring> out;
   out.push_back({"native", make_dijkstra_ring(6, 8).design});
-  out.push_back({"spec", spec::compile_spec_text(kRingSpec).design});
+  // Every guard and constraint of the spec ring, and each term of its S,
+  // evaluates by footprint-table lookup, so the bounds below cover the
+  // tables, their one fill included.
+  const spec::CompiledSpec ring = spec::compile_spec_text(kRingSpec);
+  EXPECT_EQ(ring.tables->size(), 18u);
+  out.push_back({"spec", ring.design});
   return out;
 }
 
@@ -206,6 +211,38 @@ TEST(EngineAllocationTest, FalsifyWalksAllocatePerWalkNotPerStep) {
   }
 }
 
+// The synthesizer's bounded probe keeps each DFS frame's State and enabled
+// buffer across pops and builds successors in one scratch State, so it
+// allocates per depth it reaches, not per step. On a 64x64 grid climbed
+// one coordinate at a time (S = the far corner), the probe visits 4,095
+// states over 8,064 steps with never more than 126 frames on its stack; it
+// allocated 16,163 times when every step heap-copied its successor and
+// every push took a fresh enabled vector, and 412 times since.
+TEST(EngineAllocationTest, ProbeAllocatesPerDepthNotPerStep) {
+  ProgramBuilder b("grid");
+  const VarId x = b.var("x", 0, 63);
+  const VarId y = b.var("y", 0, 63);
+  for (const VarId v : {x, y}) {
+    b.closure(
+        "climb", [v](const State& s) { return s.get(v) != 63; },
+        [v](State& s) { s.set(v, s.get(v) + 1); }, {v}, {v});
+  }
+  Design d;
+  d.name = "grid";
+  d.program = b.build();
+  d.S_override = [x, y](const State& s) {
+    return s.get(x) == 63 && s.get(y) == 63;
+  };
+
+  const State start = d.program.initial_state();
+  FalsifyResult result;
+  EXPECT_LE(allocations_during(
+                [&] { result = probe_violation_from(d, start); }),
+            1000u);
+  EXPECT_FALSE(result.violated);
+  EXPECT_EQ(result.steps_taken, 8064u);
+}
+
 TEST(EngineAllocationTest, CompiledMexOfEightArgumentsAllocatesNothing) {
   Program p("mex");
   std::unordered_map<std::string, std::vector<VarId>> families;
@@ -216,7 +253,6 @@ TEST(EngineAllocationTest, CompiledMexOfEightArgumentsAllocatesNothing) {
   std::unordered_map<std::string, long long> params;
   spec::CompileEnv env;
   env.params = &params;
-  env.program = &p;
   env.families = &families;
   const std::vector<Value> values{0, 1, 1, 3, 9, -1, 2, 5};
   State s(values.size());

@@ -146,7 +146,6 @@ void expect_mex(const std::vector<Value>& values, Value want) {
   std::unordered_map<std::string, long long> params;
   CompileEnv env;
   env.params = &params;
-  env.program = &p;
   env.families = &families;
   State s(values.size());
   std::string call = "mex(";
@@ -212,10 +211,11 @@ TEST(SpecExprTest, StateClosuresCollectReadsInFirstOccurrenceOrder) {
   Program p("t");
   const VarId x = p.add_variable(VariableSpec("x", 0, 7));
   const VarId y = p.add_variable(VariableSpec("y", 0, 7));
+  const std::unordered_map<std::string, VarId> names{{"x", x}, {"y", y}};
   CompileEnv env;
   std::unordered_map<std::string, long long> params;
   env.params = &params;
-  env.program = &p;
+  env.names = &names;
   const auto ce = compile_expr(parse_expr("y + x * 2 + y"), env);
   ASSERT_FALSE(ce.is_const);
   ASSERT_EQ(ce.reads.size(), 2u);  // deduplicated
@@ -229,11 +229,12 @@ TEST(SpecExprTest, StateClosuresCollectReadsInFirstOccurrenceOrder) {
 
 TEST(SpecExprTest, ConstantSubexpressionsFold) {
   Program p("t");
-  p.add_variable(VariableSpec("x", 0, 7));
+  const std::unordered_map<std::string, VarId> names{
+      {"x", p.add_variable(VariableSpec("x", 0, 7))}};
   CompileEnv env;
   std::unordered_map<std::string, long long> params{{"n", 4}};
   env.params = &params;
-  env.program = &p;
+  env.names = &names;
   // No program variable referenced -> whole expression is a constant.
   const auto ce = compile_expr(parse_expr("n * 2 + 1"), env);
   EXPECT_TRUE(ce.is_const);
@@ -500,7 +501,7 @@ TEST(SpecJobTest, ReportWallTimeCoversTheJob) {
        "where": "j > 0", "guard": "x[j] != x[j - 1]",
        "assign": {"x[j]": "x[j - 1]"}}
     ],
-    "job": {"type": "falsify", "walks": 20000, "walk_length": 400, "seed": 1}
+    "job": {"type": "falsify", "walks": 40000, "walk_length": 400, "seed": 1}
   })");
   const auto t0 = std::chrono::steady_clock::now();
   const spec::JobResult result = spec::run_spec_job(cs);
