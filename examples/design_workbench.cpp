@@ -60,17 +60,15 @@ struct Entry {
 void report_row(const Entry& e, const store::StoreConfig& store_cfg) {
   const Design& d = e.design;
   StateSpace space(d.program, store_cfg.budget);
-  ValidationOptions opts;
-  opts.space = &space;
 
   std::string verdict = "—";
   std::string via = "—";
   const auto cg = infer_constraint_graph(d.program);
   if (cg.ok) {
     via = to_string(classify(cg.graph));
-    auto r = validate_design(d, opts);
+    auto r = validate_design(d, space);
     if (!r.applies && !e.layers.empty()) {
-      r = validate_theorem3(d, e.layers, opts);
+      r = validate_theorem3(d, e.layers, space);
       if (r.applies) via += " + layers";
     }
     verdict = r.applies ? r.theorem.substr(0, 9) : "none apply";

@@ -92,8 +92,6 @@ int main() {
   {
     const auto dd = make_diffusing(RootedTree::chain(4), false);
     StateSpace space(dd.design.program);
-    ValidationOptions opts;
-    opts.space = &space;
     const auto cg = infer_constraint_graph(dd.design.program);
     std::cout << "full graph: " << cg.graph.graph.num_edges() << " edges\n";
     for (std::size_t upto = 1; upto <= dd.design.invariant.size(); ++upto) {
@@ -102,7 +100,7 @@ int main() {
         held.push_back(dd.design.invariant.at(i).fn);
       }
       const auto restricted = restrict_constraint_graph(
-          dd.design, cg.graph, p_all(held), opts);
+          dd.design, cg.graph, p_all(held), space);
       std::cout << "restricted to R.1..R." << upto << " held: "
                 << restricted.graph.graph.num_edges()
                 << " edges remain\n";

@@ -37,9 +37,7 @@ void examine(RunningExampleVariant variant) {
 
   // Mechanical theorem validation (exhaustive obligations).
   StateSpace space(d.program);
-  ValidationOptions vopts;
-  vopts.space = &space;
-  std::cout << format_report(validate_design(d, vopts));
+  std::cout << format_report(validate_design(d, space));
 
   // Ground truth: the exact checker.
   const auto exact = check_convergence(space, d.S(), d.T());

@@ -17,7 +17,7 @@ namespace {
 /// layer context (lower layers' constraints hold, S does not yet hold,
 /// within the fault-span).
 void audit_layers(const Design& design, const TheoremReport& report,
-                  const ValidationOptions& opts,
+                  const StateSpace& space,
                   std::vector<std::string>& problems) {
   const auto conv = design.program.actions_of_kind(ActionKind::kConvergence);
   std::vector<std::size_t> listed;
@@ -52,10 +52,6 @@ void audit_layers(const Design& design, const TheoremReport& report,
     layer_constraints.push_back(std::move(cs));
   }
 
-  PreservesOptions po;
-  po.space = opts.space;
-  po.samples = opts.samples;
-  po.seed = opts.seed ^ 0x1a7e5ULL;  // independent sampling stream
   const PredicateFn not_S = p_not(design.S());
 
   for (std::size_t l = 0; l < report.layers.size(); ++l) {
@@ -77,14 +73,14 @@ void audit_layers(const Design& design, const TheoremReport& report,
     for (std::size_t k = 0; k < l; ++k) {
       for (const Constraint* c : layer_constraints[k]) ctx.push_back(c->fn);
     }
-    po.context = p_all(ctx);
+    const PredicateFn context = p_all(ctx);
 
     // Closure actions preserve this layer's constraints under context.
     for (std::size_t ai = 0; ai < design.program.num_actions(); ++ai) {
       const Action& a = design.program.action(ai);
       if (a.kind() != ActionKind::kClosure) continue;
       for (const Constraint* c : layer_constraints[l]) {
-        if (!check_preserves(design.program, a, c->fn, po).preserves) {
+        if (!check_preserves(space, a, c->fn, context).preserves) {
           problems.push_back("layer " + std::to_string(l) +
                              ": closure action '" + a.name() +
                              "' does not preserve constraint '" + c->name +
@@ -97,7 +93,7 @@ void audit_layers(const Design& design, const TheoremReport& report,
       for (std::size_t ai : report.layers[h]) {
         const Action& a = design.program.action(ai);
         for (const Constraint* c : layer_constraints[l]) {
-          if (!check_preserves(design.program, a, c->fn, po).preserves) {
+          if (!check_preserves(space, a, c->fn, context).preserves) {
             problems.push_back(
                 "layer " + std::to_string(h) + " action '" + a.name() +
                 "' does not preserve layer-" + std::to_string(l) +
@@ -114,7 +110,7 @@ void audit_layers(const Design& design, const TheoremReport& report,
 std::vector<std::string> audit_certificate(const Design& design,
                                            const ConstraintGraph& cg,
                                            const TheoremReport& report,
-                                           const ValidationOptions& opts) {
+                                           const StateSpace& space) {
   std::vector<std::string> problems;
   if (!report.applies) return problems;
 
@@ -151,7 +147,7 @@ std::vector<std::string> audit_certificate(const Design& design,
   // constraint graphs, not `cg`, so the node-order audit below does not
   // apply to them.
   if (!report.layers.empty()) {
-    audit_layers(design, report, opts, problems);
+    audit_layers(design, report, space, problems);
     return problems;
   }
 
@@ -159,11 +155,6 @@ std::vector<std::string> audit_certificate(const Design& design,
   // pairwise preserves-obligations re-verify.
   if (!report.node_orders.empty() &&
       static_cast<int>(report.node_orders.size()) == cg.graph.num_nodes()) {
-    PreservesOptions po;
-    po.space = opts.space;
-    po.samples = opts.samples;
-    po.seed = opts.seed ^ 0xa0d17ULL;  // independent sampling stream
-    po.context = design.fault_span;
     for (int j = 0; j < cg.graph.num_nodes(); ++j) {
       std::vector<std::size_t> expected;
       for (int e : cg.graph.in_edges(j)) {
@@ -190,9 +181,9 @@ std::vector<std::string> audit_certificate(const Design& design,
             continue;
           }
           const auto& c = design.invariant.at(static_cast<std::size_t>(cid));
-          const auto pr = check_preserves(
-              design.program, design.program.action(got[b]), c.fn, po);
-          if (!pr.preserves) {
+          if (!check_preserves(space, design.program.action(got[b]), c.fn,
+                               design.fault_span)
+                   .preserves) {
             problems.push_back(
                 "order at node " + std::to_string(j) + ": action '" +
                 design.program.action(got[b]).name() +

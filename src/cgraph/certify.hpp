@@ -28,11 +28,14 @@ namespace nonmask {
 /// design's convergence actions, every per-layer constraint graph must be
 /// free of cycles of length > 1, and the preserves-obligations between
 /// layers (closure actions and higher-layer convergence actions preserve
-/// lower-layer constraints under the layer context) must re-verify on an
-/// independent sampling stream.
+/// lower-layer constraints under the layer context) must re-verify.
+///
+/// Every preserves-obligation is re-run here over `space`, the design's
+/// full state space, through check_preserves directly rather than through
+/// the validators.
 std::vector<std::string> audit_certificate(const Design& design,
                                            const ConstraintGraph& cg,
                                            const TheoremReport& report,
-                                           const ValidationOptions& opts = {});
+                                           const StateSpace& space);
 
 }  // namespace nonmask

@@ -4,39 +4,13 @@
 
 #include "checker/preserves.hpp"
 #include "graphlib/analysis.hpp"
-#include "util/rng.hpp"
 
 namespace nonmask {
-
-namespace {
-
-/// Does `test` hold at every state (exhaustive over opts.space, else
-/// sampled)?
-template <typename TestFn>
-bool holds_universally(const Design& design, TestFn test,
-                       const ValidationOptions& opts) {
-  if (opts.space != nullptr) {
-    State s(design.program.num_variables());
-    for (std::uint64_t code = 0; code < opts.space->size(); ++code) {
-      opts.space->decode_into(code, s);
-      if (!test(s)) return false;
-    }
-    return true;
-  }
-  Rng rng(opts.seed);
-  for (std::uint64_t i = 0; i < opts.samples; ++i) {
-    const State s = design.program.random_state(rng);
-    if (!test(s)) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 RestrictedGraph restrict_constraint_graph(const Design& design,
                                           const ConstraintGraph& cg,
                                           const PredicateFn& R,
-                                          const ValidationOptions& opts) {
+                                          const StateSpace& space) {
   RestrictedGraph out;
   out.graph.node_vars = cg.node_vars;
   out.graph.var_node = cg.var_node;
@@ -45,19 +19,18 @@ RestrictedGraph restrict_constraint_graph(const Design& design,
     out.graph.graph.set_node_label(n, cg.graph.node_label(n));
   }
 
-  const PredicateFn T = design.fault_span;
+  const PredicateFn& T = design.fault_span;
   for (int e = 0; e < cg.graph.num_edges(); ++e) {
     const auto& edge = cg.graph.edge(e);
     const auto idx = static_cast<std::size_t>(edge.payload);
     const int cid = design.program.action(idx).constraint_id();
     bool always_holds = false;
     if (cid >= 0 && static_cast<std::size_t>(cid) < design.invariant.size()) {
-      const PredicateFn c = design.invariant.at(
-          static_cast<std::size_t>(cid)).fn;
-      always_holds = holds_universally(
-          design,
-          [&R, &T, &c](const State& s) { return !(R(s) && T(s)) || c(s); },
-          opts);
+      const PredicateFn& c =
+          design.invariant.at(static_cast<std::size_t>(cid)).fn;
+      always_holds = !first_failure(space, [&](const State& s, State&) {
+        return !(R(s) && T(s)) || c(s);
+      });
     }
     if (always_holds) {
       out.dropped.push_back(idx);
@@ -70,17 +43,11 @@ RestrictedGraph restrict_constraint_graph(const Design& design,
 }
 
 std::optional<std::vector<std::vector<std::size_t>>> suggest_layers(
-    const Design& design, const ValidationOptions& opts) {
+    const Design& design, const StateSpace& space) {
   const auto conv =
       design.program.actions_of_kind(ActionKind::kConvergence);
   const std::size_t k = conv.size();
   if (k == 0) return std::nullopt;
-
-  PreservesOptions po;
-  po.space = opts.space;
-  po.samples = opts.samples;
-  po.seed = opts.seed;
-  po.context = design.fault_span;
 
   // breaks[i][j]: action conv[i] can violate conv[j]'s constraint.
   std::vector<std::vector<bool>> breaks(k, std::vector<bool>(k, false));
@@ -95,7 +62,7 @@ std::optional<std::vector<std::vector<std::size_t>>> suggest_layers(
       }
       const auto& c = design.invariant.at(static_cast<std::size_t>(cid));
       breaks[i][j] =
-          !check_preserves(design.program, a, c.fn, po).preserves;
+          !check_preserves(space, a, c.fn, design.fault_span).preserves;
     }
   }
 

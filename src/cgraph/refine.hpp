@@ -7,8 +7,8 @@
 //   (2) partition the convergence actions hierarchically (Theorem 3).
 // This module implements both directions mechanically:
 //   - restrict_constraint_graph drops the edges of constraints that hold
-//     throughout R (checked exhaustively or by sampling), re-classifying
-//     the remainder;
+//     throughout R (checked at every state of the design's StateSpace),
+//     re-classifying the remainder;
 //   - suggest_layers searches for a Theorem-3 layering automatically, by
 //     topologically ordering the inter-constraint "breaks" relation.
 #pragma once
@@ -33,7 +33,7 @@ struct RestrictedGraph {
 RestrictedGraph restrict_constraint_graph(const Design& design,
                                           const ConstraintGraph& cg,
                                           const PredicateFn& R,
-                                          const ValidationOptions& opts = {});
+                                          const StateSpace& space);
 
 /// Heuristic Theorem-3 layering: compute, for each pair of convergence
 /// actions (a, b) with distinct constraints, whether a can violate b's
@@ -43,6 +43,6 @@ RestrictedGraph restrict_constraint_graph(const Design& design,
 /// within-component pair breaks each other across different target nodes
 /// (no hierarchy exists under this heuristic).
 std::optional<std::vector<std::vector<std::size_t>>> suggest_layers(
-    const Design& design, const ValidationOptions& opts = {});
+    const Design& design, const StateSpace& space);
 
 }  // namespace nonmask

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 #include "graphlib/analysis.hpp"
 
@@ -10,34 +9,28 @@ namespace nonmask {
 
 namespace {
 
-PreservesOptions to_preserves_options(const ValidationOptions& opts,
-                                      PredicateFn context = {}) {
-  PreservesOptions po;
-  po.space = opts.space;
-  po.samples = opts.samples;
-  po.seed = opts.seed;
-  po.context = std::move(context);
-  return po;
+/// Record one obligation's outcome in the report: it passed when the scan
+/// found no counterexample. Returns the outcome.
+bool record(TheoremReport& report, std::string description,
+            std::optional<State> counterexample) {
+  Obligation ob;
+  ob.description = std::move(description);
+  ob.passed = !counterexample;
+  ob.counterexample = std::move(counterexample);
+  const bool passed = ob.passed;
+  if (!passed && report.failure.empty()) report.failure = ob.description;
+  report.obligations.push_back(std::move(ob));
+  return passed;
 }
 
 /// Run one preserves-obligation and append it to the report. Returns the
 /// obligation's outcome.
-bool discharge(TheoremReport& report, const Design& design,
+bool discharge(TheoremReport& report, const StateSpace& space,
                const Action& action, const PredicateFn& predicate,
-               std::string description, const PreservesOptions& po) {
-  const PreservesReport pr =
-      check_preserves(design.program, action, predicate, po);
-  Obligation ob;
-  ob.description = std::move(description);
-  ob.passed = pr.preserves;
-  ob.exhaustive = pr.exhaustive;
-  ob.checked = pr.checked;
-  ob.counterexample = pr.counterexample;
-  report.obligations.push_back(std::move(ob));
-  if (!pr.preserves && report.failure.empty()) {
-    report.failure = report.obligations.back().description;
-  }
-  return pr.preserves;
+               std::string description, const PredicateFn& context) {
+  return record(report, std::move(description),
+                check_preserves(space, action, predicate, context)
+                    .counterexample);
 }
 
 /// The constraint a convergence action establishes, or nullptr when the
@@ -50,52 +43,13 @@ const Constraint* constraint_of(const Design& design, std::size_t action_idx) {
   return &design.invariant.at(static_cast<std::size_t>(id));
 }
 
-/// Universal per-state check: `test` must hold at every state satisfying
-/// the hypothesis baked into it. Exhaustive over opts.space or sampled.
-template <typename TestFn>
-bool discharge_universal(TheoremReport& report, const Design& design,
-                         TestFn test, std::string description,
-                         const ValidationOptions& opts) {
-  Obligation ob;
-  ob.description = std::move(description);
-  ob.passed = true;
-  if (opts.space != nullptr) {
-    ob.exhaustive = true;
-    State s(design.program.num_variables());
-    for (std::uint64_t code = 0; code < opts.space->size(); ++code) {
-      opts.space->decode_into(code, s);
-      ++ob.checked;
-      if (!test(s)) {
-        ob.passed = false;
-        ob.counterexample = s;
-        break;
-      }
-    }
-  } else {
-    Rng rng(opts.seed);
-    for (std::uint64_t i = 0; i < opts.samples; ++i) {
-      const State s = design.program.random_state(rng);
-      ++ob.checked;
-      if (!test(s)) {
-        ob.passed = false;
-        ob.counterexample = s;
-        break;
-      }
-    }
-  }
-  const bool passed = ob.passed;
-  if (!passed && report.failure.empty()) report.failure = ob.description;
-  report.obligations.push_back(std::move(ob));
-  return passed;
-}
-
 /// Section 3 form obligations for the given convergence actions: the guard
 /// implies the bound constraint is violated, and execution establishes it.
 /// Both are checked within the fault-span T.
 bool form_obligations(TheoremReport& report, const Design& design,
                       const std::vector<std::size_t>& conv_actions,
-                      const ValidationOptions& opts) {
-  if (!opts.check_convergence_action_form) return true;
+                      const StateSpace& space) {
+  const PredicateFn& T = design.fault_span;
   bool all = true;
   for (std::size_t idx : conv_actions) {
     const Action& a = design.program.action(idx);
@@ -110,24 +64,22 @@ bool form_obligations(TheoremReport& report, const Design& design,
       all = false;
       continue;
     }
-    const PredicateFn T = design.fault_span;
-    const PredicateFn cf = c->fn;
-    all &= discharge_universal(
-        report, design,
-        [&a, T, cf](const State& s) {
-          return !(T(s) && a.enabled(s)) || !cf(s);
-        },
-        "convergence action '" + a.name() +
-            "' is enabled only when constraint '" + c->name + "' is violated",
-        opts);
-    all &= discharge_universal(
-        report, design,
-        [&a, T, cf](const State& s) {
-          return !(T(s) && a.enabled(s)) || cf(a.apply(s));
-        },
-        "convergence action '" + a.name() + "' establishes constraint '" +
-            c->name + "'",
-        opts);
+    const PredicateFn& cf = c->fn;
+    all &= record(report,
+                  "convergence action '" + a.name() +
+                      "' is enabled only when constraint '" + c->name +
+                      "' is violated",
+                  first_failure(space, [&](const State& s, State&) {
+                    return !(T(s) && a.enabled(s)) || !cf(s);
+                  }));
+    all &= record(report,
+                  "convergence action '" + a.name() +
+                      "' establishes constraint '" + c->name + "'",
+                  first_failure(space, [&](const State& s, State& next) {
+                    if (!T(s) || !a.enabled(s)) return true;
+                    a.apply_into(s, next);
+                    return cf(next);
+                  }));
   }
   return all;
 }
@@ -143,7 +95,7 @@ std::vector<std::size_t> convergence_actions_of(const Design& design) {
 /// a convergence action to establish it. Designs that merely *annotate*
 /// constraints (or none at all) while overriding S must not vacuously pass.
 bool premise_obligations(TheoremReport& report, const Design& design,
-                         const ValidationOptions& opts) {
+                         const StateSpace& space) {
   bool all = true;
 
   // (i) Every constraint is bound to at least one convergence action.
@@ -167,17 +119,16 @@ bool premise_obligations(TheoremReport& report, const Design& design,
   }
 
   // (ii) constraints /\ T => S. Trivial when S is the default conjunction;
-  // checked by enumeration/sampling when the design overrides S.
+  // checked at every state when the design overrides S.
   if (design.S_override) {
     const PredicateFn constraints = design.invariant.as_predicate();
-    const PredicateFn T = design.fault_span;
+    const PredicateFn& T = design.fault_span;
     const PredicateFn S = design.S();
-    all &= discharge_universal(
-        report, design,
-        [constraints, T, S](const State& s) {
-          return !(constraints(s) && T(s)) || S(s);
-        },
-        "the constraints' conjunction together with T implies S", opts);
+    all &= record(report,
+                  "the constraints' conjunction together with T implies S",
+                  first_failure(space, [&](const State& s, State&) {
+                    return !(constraints(s) && T(s)) || S(s);
+                  }));
   }
   return all;
 }
@@ -187,38 +138,35 @@ bool premise_obligations(TheoremReport& report, const Design& design,
 /// optionally restricted to a subset of constraints).
 bool closure_obligations(TheoremReport& report, const Design& design,
                          const std::vector<std::size_t>& constraint_ids,
-                         const ValidationOptions& opts,
-                         const PredicateFn& context, const char* suffix) {
+                         const StateSpace& space, const PredicateFn& context,
+                         const char* suffix) {
   bool all = true;
   // All obligations are hypotheses within the fault-span T.
   const PredicateFn ctx =
       context ? p_and(design.fault_span, context) : design.fault_span;
-  const auto po = to_preserves_options(opts, ctx);
   for (std::size_t ai = 0; ai < design.program.num_actions(); ++ai) {
     const Action& a = design.program.action(ai);
     if (a.kind() != ActionKind::kClosure) continue;
     for (std::size_t ci : constraint_ids) {
       const Constraint& c = design.invariant.at(ci);
-      all &= discharge(report, design, a, c.fn,
+      all &= discharge(report, space, a, c.fn,
                        "closure action '" + a.name() +
                            "' preserves constraint '" + c.name + "'" + suffix,
-                       po);
+                       ctx);
     }
   }
   return all;
 }
 
-/// Design obligations: every convergence action preserves the fault-span T.
+/// Design obligations: every non-fault action preserves the fault-span T.
 bool fault_span_obligations(TheoremReport& report, const Design& design,
-                            const ValidationOptions& opts) {
-  if (!opts.check_fault_span_preserved) return true;
+                            const StateSpace& space) {
   bool all = true;
-  const auto po = to_preserves_options(opts);
   for (std::size_t ai = 0; ai < design.program.num_actions(); ++ai) {
     const Action& a = design.program.action(ai);
     if (a.kind() == ActionKind::kFault) continue;
-    all &= discharge(report, design, a, design.fault_span,
-                     "action '" + a.name() + "' preserves fault-span T", po);
+    all &= discharge(report, space, a, design.fault_span,
+                     "action '" + a.name() + "' preserves fault-span T", {});
   }
   return all;
 }
@@ -229,14 +177,13 @@ bool fault_span_obligations(TheoremReport& report, const Design& design,
 /// preserves checks are recorded. Returns nullopt when no order exists.
 std::optional<std::vector<std::size_t>> solve_node_order(
     TheoremReport& report, const Design& design,
-    const std::vector<std::size_t>& in_actions, const ValidationOptions& opts,
+    const std::vector<std::size_t>& in_actions, const StateSpace& space,
     const PredicateFn& context) {
   const std::size_t k = in_actions.size();
   if (k <= 1) return std::vector<std::size_t>(in_actions);
 
   const PredicateFn ctx =
       context ? p_and(design.fault_span, context) : design.fault_span;
-  const auto po = to_preserves_options(opts, ctx);
   // preserves[i][j]: does action i preserve the constraint of action j?
   std::vector<std::vector<bool>> preserves(k, std::vector<bool>(k, true));
   for (std::size_t i = 0; i < k; ++i) {
@@ -250,9 +197,7 @@ std::optional<std::vector<std::size_t>> solve_node_order(
                          "' has no constraint binding";
         return std::nullopt;
       }
-      const PreservesReport pr =
-          check_preserves(design.program, ai, cj->fn, po);
-      preserves[i][j] = pr.preserves;
+      preserves[i][j] = check_preserves(space, ai, cj->fn, ctx).preserves;
     }
   }
 
@@ -308,7 +253,7 @@ std::optional<std::vector<std::size_t>> solve_node_order(
 
 TheoremReport validate_theorem1(const Design& design,
                                 const ConstraintGraph& cg,
-                                const ValidationOptions& opts) {
+                                const StateSpace& space) {
   TheoremReport report;
   report.theorem = "Theorem 1 (out-tree constraint graph)";
   report.shape = classify(cg);
@@ -317,10 +262,11 @@ TheoremReport validate_theorem1(const Design& design,
   for (std::size_t i = 0; i < all_constraints.size(); ++i) {
     all_constraints[i] = i;
   }
-  bool ok = closure_obligations(report, design, all_constraints, opts, {}, "");
-  ok &= fault_span_obligations(report, design, opts);
-  ok &= form_obligations(report, design, convergence_actions_of(design), opts);
-  ok &= premise_obligations(report, design, opts);
+  bool ok =
+      closure_obligations(report, design, all_constraints, space, {}, "");
+  ok &= fault_span_obligations(report, design, space);
+  ok &= form_obligations(report, design, convergence_actions_of(design), space);
+  ok &= premise_obligations(report, design, space);
 
   if (report.shape != GraphShape::kOutTree) {
     report.failure = std::string("constraint graph is ") +
@@ -335,7 +281,7 @@ TheoremReport validate_theorem1(const Design& design,
 
 TheoremReport validate_theorem2(const Design& design,
                                 const ConstraintGraph& cg,
-                                const ValidationOptions& opts) {
+                                const StateSpace& space) {
   TheoremReport report;
   report.theorem = "Theorem 2 (self-looping constraint graph)";
   report.shape = classify(cg);
@@ -344,10 +290,11 @@ TheoremReport validate_theorem2(const Design& design,
   for (std::size_t i = 0; i < all_constraints.size(); ++i) {
     all_constraints[i] = i;
   }
-  bool ok = closure_obligations(report, design, all_constraints, opts, {}, "");
-  ok &= fault_span_obligations(report, design, opts);
-  ok &= form_obligations(report, design, convergence_actions_of(design), opts);
-  ok &= premise_obligations(report, design, opts);
+  bool ok =
+      closure_obligations(report, design, all_constraints, space, {}, "");
+  ok &= fault_span_obligations(report, design, space);
+  ok &= form_obligations(report, design, convergence_actions_of(design), space);
+  ok &= premise_obligations(report, design, space);
 
   if (report.shape == GraphShape::kCyclic) {
     report.failure = "constraint graph has a cycle of length > 1";
@@ -364,7 +311,7 @@ TheoremReport validate_theorem2(const Design& design,
     for (int e : cg.graph.in_edges(node)) {
       in_actions.push_back(static_cast<std::size_t>(cg.graph.edge(e).payload));
     }
-    auto order = solve_node_order(report, design, in_actions, opts, {});
+    auto order = solve_node_order(report, design, in_actions, space, {});
     if (!order) {
       if (report.failure.empty()) {
         report.failure = "no valid linear order of convergence actions at "
@@ -382,20 +329,20 @@ TheoremReport validate_theorem2(const Design& design,
 
 TheoremReport validate_theorem3(
     const Design& design, const std::vector<std::vector<std::size_t>>& layers,
-    const ValidationOptions& opts) {
+    const StateSpace& space) {
   TheoremReport report;
   report.theorem = "Theorem 3 (layered constraint graphs)";
   report.layers = layers;
 
-  bool ok = fault_span_obligations(report, design, opts);
+  bool ok = fault_span_obligations(report, design, space);
   {
     std::vector<std::size_t> all_conv;
     for (const auto& layer : layers) {
       all_conv.insert(all_conv.end(), layer.begin(), layer.end());
     }
-    ok &= form_obligations(report, design, all_conv, opts);
+    ok &= form_obligations(report, design, all_conv, space);
   }
-  ok &= premise_obligations(report, design, opts);
+  ok &= premise_obligations(report, design, space);
 
   // Constraints of each layer (via the actions' constraint bindings).
   std::vector<std::vector<std::size_t>> layer_constraints(layers.size());
@@ -442,23 +389,22 @@ TheoremReport validate_theorem3(
                : " (given layers 0.." + std::to_string(l - 1) + ")";
 
     // (a) closure actions preserve this layer's constraints under context.
-    ok &= closure_obligations(report, design, layer_constraints[l], opts,
+    ok &= closure_obligations(report, design, layer_constraints[l], space,
                               context, suffix.c_str());
 
     // (b) convergence actions of higher layers preserve this layer's
     // constraints under context.
-    const auto po = to_preserves_options(opts, context);
     for (std::size_t h = l + 1; h < layers.size(); ++h) {
       for (std::size_t ai : layers[h]) {
         const Action& a = design.program.action(ai);
         for (std::size_t ci : layer_constraints[l]) {
           const Constraint& c = design.invariant.at(ci);
-          ok &= discharge(report, design, a, c.fn,
+          ok &= discharge(report, space, a, c.fn,
                           "layer-" + std::to_string(h) +
                               " convergence action '" + a.name() +
                               "' preserves layer-" + std::to_string(l) +
                               " constraint '" + c.name + "'" + suffix,
-                          po);
+                          context);
         }
       }
     }
@@ -487,7 +433,7 @@ TheoremReport validate_theorem3(
             static_cast<std::size_t>(cg.graph.graph.edge(e).payload));
       }
       auto order =
-          solve_node_order(report, design, in_actions, opts, context);
+          solve_node_order(report, design, in_actions, space, context);
       if (!order) {
         if (report.failure.empty()) {
           report.failure = "layer " + std::to_string(l) +
@@ -505,8 +451,7 @@ TheoremReport validate_theorem3(
   return report;
 }
 
-TheoremReport validate_design(const Design& design,
-                              const ValidationOptions& opts) {
+TheoremReport validate_design(const Design& design, const StateSpace& space) {
   const auto cg = infer_constraint_graph(design.program);
   if (!cg.ok) {
     TheoremReport report;
@@ -514,10 +459,9 @@ TheoremReport validate_design(const Design& design,
     report.failure = cg.error;
     return report;
   }
-  TheoremReport t1 = validate_theorem1(design, cg.graph, opts);
+  TheoremReport t1 = validate_theorem1(design, cg.graph, space);
   if (t1.applies) return t1;
-  TheoremReport t2 = validate_theorem2(design, cg.graph, opts);
-  return t2;
+  return validate_theorem2(design, cg.graph, space);
 }
 
 std::string format_report(const TheoremReport& report) {

@@ -3,8 +3,9 @@
 // Each theorem is a bundle of sufficient conditions ("antecedents") for the
 // convergence of a design's convergence actions. We discharge every
 // antecedent mechanically:
-//   - "action a preserves constraint c [whenever H holds]" obligations run
-//     through checker/preserves (exhaustive over a StateSpace, or sampled);
+//   - "action a preserves constraint c [whenever H holds]" obligations and
+//     the other per-state antecedents run through checker/preserves' one
+//     exact scan over the design's StateSpace;
 //   - graph-shape antecedents run through cgraph/classify;
 //   - linear-order antecedents are solved by topological sorting of the
 //     "must-precede" relation (x must precede y whenever x does not
@@ -27,8 +28,6 @@ namespace nonmask {
 struct Obligation {
   std::string description;
   bool passed = false;
-  bool exhaustive = false;
-  std::uint64_t checked = 0;
   std::optional<State> counterexample;
 };
 
@@ -49,36 +48,29 @@ struct TheoremReport {
   std::vector<std::vector<std::size_t>> layers;
 };
 
-struct ValidationOptions {
-  /// Exhaustive obligation checking when set; sampled otherwise.
-  const StateSpace* space = nullptr;
-  std::uint64_t samples = 20'000;
-  std::uint64_t seed = 0x5eedULL;
-  /// Also discharge the design obligations of the method itself: closure
-  /// actions preserve T, convergence actions preserve T.
-  bool check_fault_span_preserved = true;
-  /// Also discharge the convergence-action *form* obligations of Section 3
-  /// (¬c -> "establish c while preserving T"): each convergence action's
-  /// guard implies its constraint is violated, and executing the action
-  /// establishes the constraint. The paper's *combined* programs (e.g. the
-  /// diffusing propagate-or-correct action) deliberately break the first
-  /// half — the theorems are applied to the separated designs before
-  /// combining — so validating a combined program correctly fails here.
-  bool check_convergence_action_form = true;
-};
+// Every validator also discharges the method's own design obligations
+// (Section 3): every non-fault action preserves the fault-span T, and each
+// convergence action has the form ¬c -> "establish c while preserving T" —
+// its guard implies its constraint is violated, and executing it
+// establishes the constraint, both within T. The paper's *combined*
+// programs (e.g. the diffusing propagate-or-correct action) deliberately
+// break the first half — the theorems are applied to the separated designs
+// before combining — so validating a combined program correctly fails here.
+// `space` is the design's full state space: every obligation is checked at
+// every state of it.
 
 /// Theorem 1 (Section 5): closure actions preserve each constraint; the
 /// constraint graph is an out-tree.
 TheoremReport validate_theorem1(const Design& design,
                                 const ConstraintGraph& cg,
-                                const ValidationOptions& opts = {});
+                                const StateSpace& space);
 
 /// Theorem 2 (Section 6): closure actions preserve each constraint; the
 /// constraint graph is self-looping; in-edge actions at each node admit a
 /// linear order where each preserves its predecessors' constraints.
 TheoremReport validate_theorem2(const Design& design,
                                 const ConstraintGraph& cg,
-                                const ValidationOptions& opts = {});
+                                const StateSpace& space);
 
 /// Theorem 3 (Section 7): convergence actions are partitioned into layers
 /// 0..M-1 (given as lists of action indices into design.program); each
@@ -86,13 +78,12 @@ TheoremReport validate_theorem2(const Design& design,
 /// layers' constraints hold.
 TheoremReport validate_theorem3(
     const Design& design, const std::vector<std::vector<std::size_t>>& layers,
-    const ValidationOptions& opts = {});
+    const StateSpace& space);
 
 /// Try Theorem 1, then Theorem 2, on the design's inferred constraint
 /// graph; returns the first report that applies, else the Theorem 2 report
 /// (whose failure explains what layering would have to fix).
-TheoremReport validate_design(const Design& design,
-                              const ValidationOptions& opts = {});
+TheoremReport validate_design(const Design& design, const StateSpace& space);
 
 /// Human-readable rendering of a report.
 std::string format_report(const TheoremReport& report);

@@ -1,50 +1,19 @@
 #include "checker/preserves.hpp"
 
-#include "util/rng.hpp"
-
 namespace nonmask {
 
-namespace {
-
-bool check_one(const Action& action, const PredicateFn& predicate,
-               const PredicateFn& context, const State& s,
-               PreservesReport& report) {
-  if (context && !context(s)) return true;
-  if (!predicate(s) || !action.enabled(s)) return true;
-  ++report.checked;
-  if (!predicate(action.apply(s))) {
-    report.preserves = false;
-    report.counterexample = s;
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-PreservesReport check_preserves(const Program& program, const Action& action,
+PreservesReport check_preserves(const StateSpace& space, const Action& action,
                                 const PredicateFn& predicate,
-                                const PreservesOptions& opts) {
+                                const PredicateFn& context) {
   PreservesReport report;
-  report.preserves = true;
-  if (opts.space != nullptr) {
-    report.exhaustive = true;
-    State s(program.num_variables());
-    for (std::uint64_t code = 0; code < opts.space->size(); ++code) {
-      opts.space->decode_into(code, s);
-      if (!check_one(action, predicate, opts.context, s, report)) {
-        return report;
-      }
-    }
-    return report;
-  }
-  Rng rng(opts.seed);
-  for (std::uint64_t i = 0; i < opts.samples; ++i) {
-    const State s = program.random_state(rng);
-    if (!check_one(action, predicate, opts.context, s, report)) {
-      return report;
-    }
-  }
+  report.counterexample =
+      first_failure(space, [&](const State& s, State& next) {
+        if (context && !context(s)) return true;
+        if (!predicate(s) || !action.enabled(s)) return true;
+        action.apply_into(s, next);
+        return predicate(next);
+      });
+  report.preserves = !report.counterexample;
   return report;
 }
 

@@ -2,43 +2,50 @@
 // where a is enabled and R holds, executing a yields a state where R holds.
 //
 // This is the workhorse of the theorem validators (Sections 5-7): each
-// antecedent of Theorems 1-3 is a set of preserves-obligations. Obligations
-// are discharged exhaustively when a StateSpace is supplied and by seeded
-// random sampling otherwise; reports record which mode ran.
+// antecedent of Theorems 1-3 is a per-state obligation over a design's
+// state space, and every one is discharged exactly by the one scan below,
+// first_failure, over the whole StateSpace.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "checker/state_space.hpp"
 #include "core/action.hpp"
 #include "core/predicate.hpp"
-#include "core/program.hpp"
 
 namespace nonmask {
 
-struct PreservesOptions {
-  /// When non-null, check every state exhaustively; otherwise sample.
-  const StateSpace* space = nullptr;
-  /// Number of random states when sampling.
-  std::uint64_t samples = 100'000;
-  std::uint64_t seed = 0x5eedULL;
-  /// Additional hypothesis: only states where context holds are considered
-  /// (e.g. Theorem 3's "whenever all constraints in lower layers hold").
-  PredicateFn context;
-};
+/// The one obligation scan: walk `space` in code order and return the first
+/// state at which `holds(s, next)` is false, or nullopt when it holds at
+/// every state. `next` is scratch storage the test may build a successor in
+/// (Action::apply_into); the scan reuses it across states, so a scan
+/// allocates a bounded number of times however large the space is.
+template <typename Test>
+std::optional<State> first_failure(const StateSpace& space, Test&& holds) {
+  State s(space.program().num_variables());
+  State next;
+  for (std::uint64_t code = 0; code < space.size(); ++code) {
+    space.decode_into(code, s);
+    if (!holds(std::as_const(s), next)) return s;
+  }
+  return std::nullopt;
+}
 
 struct PreservesReport {
   bool preserves = false;
-  bool exhaustive = false;     ///< true when the full space was enumerated
-  std::uint64_t checked = 0;   ///< states satisfying the hypothesis
+  /// The first hypothesis state, in code order, whose successor violates
+  /// the predicate.
   std::optional<State> counterexample;
 };
 
-/// Check that `action` preserves `predicate` in `program`, under the
-/// optional context hypothesis.
-PreservesReport check_preserves(const Program& program, const Action& action,
+/// Check that `action` preserves `predicate` at every state of `space`,
+/// under the optional `context` hypothesis: only states where it holds are
+/// considered (e.g. Theorem 3's "whenever all constraints in lower layers
+/// hold").
+PreservesReport check_preserves(const StateSpace& space, const Action& action,
                                 const PredicateFn& predicate,
-                                const PreservesOptions& opts = {});
+                                const PredicateFn& context = {});
 
 }  // namespace nonmask

@@ -68,6 +68,10 @@ void ThreadPool::worker_loop(unsigned worker) {
       ++in_flight_;
     }
     task(worker);
+    // Destroy the task's captures before it counts as done: a caller
+    // released by wait_idle may tear down what they reference (in
+    // parallel_for_chunked, the last owner of the rethrown exception).
+    task = nullptr;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --in_flight_;

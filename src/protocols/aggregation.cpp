@@ -4,11 +4,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/expr.hpp"
+#include "core/builder.hpp"
 
 namespace nonmask {
-
-using namespace nonmask::dsl;
 
 Value AggregationDesign::expected(const RootedTree& tree, const State& s,
                                   int j) const {
@@ -33,17 +31,32 @@ AggregationDesign make_aggregation(const RootedTree& tree, Value max_value) {
 
   Invariant inv;
   for (int j = 0; j < n; ++j) {
-    // rhs = max(in.j, agg.k for children k), built with the DSL.
-    Expr rhs = v(ad.input[static_cast<std::size_t>(j)]);
+    const VarId in = ad.input[static_cast<std::size_t>(j)];
+    const VarId agg = ad.aggregate[static_cast<std::size_t>(j)];
+    std::vector<VarId> child_aggs;
     for (int k : tree.children(j)) {
-      rhs = max(std::move(rhs), v(ad.aggregate[static_cast<std::size_t>(k)]));
+      child_aggs.push_back(ad.aggregate[static_cast<std::size_t>(k)]);
     }
-    const Guard ok = v(ad.aggregate[static_cast<std::size_t>(j)]) == rhs;
+    // rhs = max(in.j, agg.k for children k).
+    auto rhs = [in, child_aggs](const State& s) {
+      Value best = s.get(in);
+      for (VarId c : child_aggs) best = std::max(best, s.get(c));
+      return best;
+    };
+    auto ok = [agg, rhs](const State& s) { return s.get(agg) == rhs(s); };
+    // The equation's variables (all distinct), sorted by id: the
+    // constraint's support and the action's read set.
+    std::vector<VarId> reads = child_aggs;
+    reads.push_back(in);
+    reads.push_back(agg);
+    std::sort(reads.begin(), reads.end());
     const auto cid = inv.add(Constraint{
-        "agg." + std::to_string(j) + " = max(subtree)", ok.fn(), ok.reads()});
-    add_action(b, "recompute@" + std::to_string(j), ActionKind::kConvergence,
-               !ok, assign(ad.aggregate[static_cast<std::size_t>(j)], rhs),
-               static_cast<int>(cid), j);
+        "agg." + std::to_string(j) + " = max(subtree)", ok, reads});
+    b.convergence(
+        "recompute@" + std::to_string(j),
+        [ok](const State& s) { return !ok(s); },
+        [agg, rhs](State& s) { s.set(agg, rhs(s)); }, reads, {agg},
+        static_cast<int>(cid), j);
   }
 
   ad.design.name = b.peek().name();

@@ -1,5 +1,4 @@
-// Stabilizing tree aggregation (extension protocol; authored end-to-end
-// with the core/expr DSL).
+// Stabilizing tree aggregation (extension protocol).
 //
 // Every node j owns an input in.j and an aggregate agg.j that must equal
 // the maximum input in j's subtree:

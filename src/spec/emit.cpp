@@ -761,7 +761,7 @@ JsonValue emit_aggregation() {
   JsonValue acts = jarr();
   for (int j = 0; j < n; ++j) {
     std::string rhs = nm("in", j);
-    // The builder DSL reports read sets sorted by VarId: in.j (2j) before
+    // The C++ factory declares read sets sorted by VarId: in.j (2j) before
     // agg.j (2j+1) before the children's agg.k (k > j).
     std::vector<std::string> support = {nm("in", j), nm("agg", j)};
     for (int k : tree.children(j)) {

@@ -279,10 +279,8 @@ JobResult run_certify(const CompiledSpec& spec, const JobDecl& job) {
   const store::StoreConfig config = store_config(job);
   const StateSpace space(design.program, config.budget);
 
-  ValidationOptions vopts;
-  vopts.space = &space;
   const synth::CertificationResult result =
-      synth::certify_design(design, vopts);
+      synth::certify_design(design, space);
 
   report.add("spec", provenance_json(spec));
   add_backend(report, config);

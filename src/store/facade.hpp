@@ -29,8 +29,8 @@
 // code: the passes that encode successors throw StateOutOfDomain.
 //
 // Predicates are evaluated from several threads at once and must be
-// thread-safe; every PredicateFn built by the core DSL, the spec compiler,
-// and the shipped protocols is a pure function of the state.
+// thread-safe; every PredicateFn built by the spec compiler and the
+// shipped protocols is a pure function of the state.
 #pragma once
 
 #include <cstdint>

@@ -25,7 +25,7 @@ namespace {
 /// otherwise record the failure in the attempt trail and keep cascading.
 bool adopt(CertificationResult& result, CertMethod method,
            TheoremReport report, const ConstraintGraph& graph,
-           const Design& design, const ValidationOptions& opts,
+           const Design& design, const StateSpace& space,
            const std::string& label) {
   if (!report.applies) {
     result.attempts.push_back(
@@ -33,7 +33,7 @@ bool adopt(CertificationResult& result, CertMethod method,
         (report.failure.empty() ? "does not apply" : report.failure));
     return false;
   }
-  auto problems = audit_certificate(design, graph, report, opts);
+  auto problems = audit_certificate(design, graph, report, space);
   if (!problems.empty()) {
     // A validator said yes but its certificate does not re-verify: distrust
     // it and continue the cascade (this is the audit earning its keep).
@@ -51,7 +51,7 @@ bool adopt(CertificationResult& result, CertMethod method,
 }  // namespace
 
 CertificationResult certify_design(const Design& design,
-                                   const ValidationOptions& opts) {
+                                   const StateSpace& space) {
   CertificationResult result;
   const auto cg = infer_constraint_graph(design.program);
   if (!cg.ok) {
@@ -61,13 +61,13 @@ CertificationResult certify_design(const Design& design,
   }
 
   if (adopt(result, CertMethod::kTheorem1,
-            validate_theorem1(design, cg.graph, opts), cg.graph, design, opts,
-            "theorem 1")) {
+            validate_theorem1(design, cg.graph, space), cg.graph, design,
+            space, "theorem 1")) {
     return result;
   }
   if (adopt(result, CertMethod::kTheorem2,
-            validate_theorem2(design, cg.graph, opts), cg.graph, design, opts,
-            "theorem 2")) {
+            validate_theorem2(design, cg.graph, space), cg.graph, design,
+            space, "theorem 2")) {
     return result;
   }
 
@@ -75,29 +75,31 @@ CertificationResult certify_design(const Design& design,
   // reachable ¬S region, so edges of constraints that hold throughout ¬S
   // (within T) never fire and can be dropped before re-classifying.
   const auto restricted =
-      restrict_constraint_graph(design, cg.graph, p_not(design.S()), opts);
+      restrict_constraint_graph(design, cg.graph, p_not(design.S()), space);
   if (restricted.dropped.empty()) {
     result.attempts.push_back("restriction: no edges dropped");
   } else {
     if (adopt(result, CertMethod::kTheorem1Restricted,
-              validate_theorem1(design, restricted.graph, opts),
-              restricted.graph, design, opts, "theorem 1 on restricted graph")) {
+              validate_theorem1(design, restricted.graph, space),
+              restricted.graph, design, space,
+              "theorem 1 on restricted graph")) {
       result.restricted_dropped = restricted.dropped;
       return result;
     }
     if (adopt(result, CertMethod::kTheorem2Restricted,
-              validate_theorem2(design, restricted.graph, opts),
-              restricted.graph, design, opts, "theorem 2 on restricted graph")) {
+              validate_theorem2(design, restricted.graph, space),
+              restricted.graph, design, space,
+              "theorem 2 on restricted graph")) {
       result.restricted_dropped = restricted.dropped;
       return result;
     }
   }
 
   // Theorem 3 with an automatically suggested layering.
-  if (const auto layers = suggest_layers(design, opts)) {
+  if (const auto layers = suggest_layers(design, space)) {
     if (adopt(result, CertMethod::kTheorem3,
-              validate_theorem3(design, *layers, opts), cg.graph, design, opts,
-              "theorem 3 (suggested layers)")) {
+              validate_theorem3(design, *layers, space), cg.graph, design,
+              space, "theorem 3 (suggested layers)")) {
       return result;
     }
   } else {

@@ -63,12 +63,12 @@ struct CertificationResult {
   }
 };
 
-/// Run the cascade on `design`. Pass `opts.space` for exhaustive obligation
-/// discharge (the synthesizer always does). The result's method is
+/// Run the cascade on `design`, discharging every obligation at every state
+/// of `space`, the design's full state space. The result's method is
 /// kExhaustive when no theorem applies — the caller must then rely on its
 /// own verify_tolerance run, which the CEGIS loop performs before
 /// certification anyway.
 CertificationResult certify_design(const Design& design,
-                                   const ValidationOptions& opts = {});
+                                   const StateSpace& space);
 
 }  // namespace nonmask::synth

@@ -1,49 +1,29 @@
 #include "synth/prune.hpp"
 
-#include "checker/state_space.hpp"
-#include "util/rng.hpp"
-
 namespace nonmask::synth {
 
 LocalPruneResult prune_local(const CandidateTriple& candidate,
                              const Action& action,
                              const Constraint& constraint,
-                             const PreservesOptions& opts) {
+                             const StateSpace& space) {
   LocalPruneResult result;
   const PredicateFn T = candidate.T();
 
   // Establishment: from any T-state violating c, one execution establishes
   // c. (The guard is ¬c, so these are exactly the enabled T-states.)
-  result.establishes = true;
-  auto check_at = [&](const State& s) {
-    if (!T(s) || constraint.fn(s)) return true;
-    if (constraint.fn(action.apply(s))) return true;
-    result.establishes = false;
-    result.counterexample = s;
-    return false;
-  };
-  if (opts.space != nullptr) {
-    State scratch(candidate.program.num_variables());
-    for (std::uint64_t code = 0; code < opts.space->size(); ++code) {
-      opts.space->decode_into(code, scratch);
-      if (!check_at(scratch)) break;
-    }
-  } else {
-    Rng rng(opts.seed ^ 0xe57ab115ULL);
-    for (std::uint64_t i = 0; i < opts.samples; ++i) {
-      if (!check_at(candidate.program.random_state(rng))) break;
-    }
-  }
+  result.counterexample =
+      first_failure(space, [&](const State& s, State& next) {
+        if (!T(s) || constraint.fn(s)) return true;
+        action.apply_into(s, next);
+        return constraint.fn(next);
+      });
+  result.establishes = !result.counterexample;
   if (!result.establishes) return result;
 
   // Fault-span preservation (the "while preserving T" half of Section 3).
-  PreservesOptions po = opts;
-  po.seed = opts.seed ^ 0x7a57ULL;  // independent sampling stream
-  const auto pr = check_preserves(candidate.program, action, T, po);
+  auto pr = check_preserves(space, action, T);
   result.preserves_T = pr.preserves;
-  if (!pr.preserves && pr.counterexample) {
-    result.counterexample = pr.counterexample;
-  }
+  result.counterexample = std::move(pr.counterexample);
   return result;
 }
 

@@ -35,12 +35,12 @@ struct LocalPruneResult {
 };
 
 /// Check the Section 3 per-action obligations for `action` (built for
-/// `constraint`) within `candidate`'s program and fault-span. Exhaustive
-/// when `opts.space` is set, sampled otherwise.
+/// `constraint`) within `candidate`'s program and fault-span, at every
+/// state of `space` (the candidate program's state space).
 LocalPruneResult prune_local(const CandidateTriple& candidate,
                              const Action& action,
                              const Constraint& constraint,
-                             const PreservesOptions& opts = {});
+                             const StateSpace& space);
 
 /// Deduplicated, insertion-ordered store of counterexample states. The
 /// CEGIS loop snapshots its size at batch boundaries so parallel candidate

@@ -78,9 +78,6 @@ SynthesisResult synthesize(const CandidateTriple& candidate,
   std::vector<std::vector<Action>> pool_actions;  // prebuilt, pool-parallel
   {
     obs::Span span("synth.enumerate");
-    PreservesOptions po;
-    po.space = &base_space;
-    po.seed = opts.seed;
     for (std::size_t cid = 0; cid < candidate.invariant.size(); ++cid) {
       const Constraint& c = candidate.invariant.at(cid);
       auto enumerated = enumerate_candidates(candidate.program,
@@ -91,7 +88,7 @@ SynthesisResult synthesize(const CandidateTriple& candidate,
       std::vector<Action> kept_actions;
       for (auto& cand : enumerated) {
         Action action = cand.build(candidate.program, c);
-        if (prune_local(candidate, action, c, po).ok()) {
+        if (prune_local(candidate, action, c, base_space).ok()) {
           kept.push_back(std::move(cand));
           kept_actions.push_back(std::move(action));
         } else {
@@ -251,10 +248,7 @@ SynthesisResult synthesize(const CandidateTriple& candidate,
   {
     obs::Span span("synth.certify");
     const StateSpace space(result.design.program, opts.state_budget);
-    ValidationOptions vo;
-    vo.space = &space;
-    vo.seed = opts.seed;
-    result.certification = certify_design(result.design, vo);
+    result.certification = certify_design(result.design, space);
   }
 
   if (obs::Metrics::enabled()) {

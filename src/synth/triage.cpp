@@ -42,9 +42,7 @@ TriageEntry transient_row(const Design& design, const TriageOptions& opts) {
     return row;
   }
   StateSpace space(design.program, opts.state_budget);
-  ValidationOptions vopts;
-  vopts.space = &space;
-  const CertificationResult cert = certify_design(design, vopts);
+  const CertificationResult cert = certify_design(design, space);
   if (cert.theorem_certified()) {
     row.verdict = TriageVerdict::kSurvives;
     row.detail = std::string("certificate: ") + to_string(cert.method);

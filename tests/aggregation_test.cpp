@@ -1,4 +1,4 @@
-// Stabilizing tree aggregation (DSL-authored protocol).
+// Stabilizing tree aggregation (extension protocol).
 #include <gtest/gtest.h>
 
 #include "cgraph/theorems.hpp"
@@ -63,14 +63,12 @@ TEST(AggregationTest, RootAggregateIsGlobalMaximum) {
 TEST(AggregationTest, Theorem2AppliesOnChains) {
   const auto ad = make_aggregation(RootedTree::chain(4), 2);
   StateSpace space(ad.design.program);
-  ValidationOptions opts;
-  opts.space = &space;
-  const auto report = validate_design(ad.design, opts);
+  const auto report = validate_design(ad.design, space);
   EXPECT_TRUE(report.applies) << format_report(report);
 }
 
 TEST(AggregationTest, DerivedContractsHoldEverywhere) {
-  // Read/write sets were derived by the DSL; verify the contracts anyway.
+  // The factory declares its write sets by hand; check them at every state.
   const auto ad = make_aggregation(RootedTree::balanced(4, 2), 2);
   StateSpace space(ad.design.program);
   State s(ad.design.program.num_variables());

@@ -72,9 +72,7 @@ TEST(AtomicActionTest, FaultActionsPreserveT) {
 TEST(AtomicActionTest, Theorem1ValidatesTheDesign) {
   const auto aa = make_atomic_action(3);
   StateSpace space(aa.design.program);
-  ValidationOptions opts;
-  opts.space = &space;
-  const auto report = validate_design(aa.design, opts);
+  const auto report = validate_design(aa.design, space);
   EXPECT_TRUE(report.applies) << format_report(report);
   EXPECT_NE(report.theorem.find("Theorem 1"), std::string::npos);
   EXPECT_EQ(report.shape, GraphShape::kOutTree);  // star rooted at {d}

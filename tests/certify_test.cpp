@@ -23,14 +23,12 @@ TEST(CertifyTest, ValidCertificatesAudit) {
 
   for (const Design& d : designs) {
     StateSpace space(d.program);
-    ValidationOptions opts;
-    opts.space = &space;
     const auto cg = infer_constraint_graph(d.program);
     ASSERT_TRUE(cg.ok);
-    auto report = validate_theorem1(d, cg.graph, opts);
-    if (!report.applies) report = validate_theorem2(d, cg.graph, opts);
+    auto report = validate_theorem1(d, cg.graph, space);
+    if (!report.applies) report = validate_theorem2(d, cg.graph, space);
     ASSERT_TRUE(report.applies) << d.name;
-    const auto problems = audit_certificate(d, cg.graph, report, opts);
+    const auto problems = audit_certificate(d, cg.graph, report, space);
     EXPECT_TRUE(problems.empty())
         << d.name << ": " << (problems.empty() ? "" : problems.front());
   }
@@ -39,13 +37,11 @@ TEST(CertifyTest, ValidCertificatesAudit) {
 TEST(CertifyTest, TamperedRanksDetected) {
   const Design d = make_running_example(RunningExampleVariant::kWriteYZ);
   StateSpace space(d.program);
-  ValidationOptions opts;
-  opts.space = &space;
   const auto cg = infer_constraint_graph(d.program);
-  auto report = validate_theorem1(d, cg.graph, opts);
+  auto report = validate_theorem1(d, cg.graph, space);
   ASSERT_TRUE(report.applies);
   report.ranks[0] = 99;
-  const auto problems = audit_certificate(d, cg.graph, report, opts);
+  const auto problems = audit_certificate(d, cg.graph, report, space);
   ASSERT_FALSE(problems.empty());
   EXPECT_NE(problems.front().find("rank recurrence"), std::string::npos);
 }
@@ -53,10 +49,8 @@ TEST(CertifyTest, TamperedRanksDetected) {
 TEST(CertifyTest, TamperedOrderDetected) {
   const Design d = make_running_example(RunningExampleVariant::kDecreaseX);
   StateSpace space(d.program);
-  ValidationOptions opts;
-  opts.space = &space;
   const auto cg = infer_constraint_graph(d.program);
-  auto report = validate_theorem2(d, cg.graph, opts);
+  auto report = validate_theorem2(d, cg.graph, space);
   ASSERT_TRUE(report.applies);
   // Swap the certified order at node {x}: fix-neq before fix-leq is wrong
   // (fix-leq does not preserve x != y).
@@ -64,7 +58,7 @@ TEST(CertifyTest, TamperedOrderDetected) {
   auto& order = report.node_orders[static_cast<std::size_t>(node)];
   ASSERT_EQ(order.size(), 2u);
   std::swap(order[0], order[1]);
-  const auto problems = audit_certificate(d, cg.graph, report, opts);
+  const auto problems = audit_certificate(d, cg.graph, report, space);
   ASSERT_FALSE(problems.empty());
   EXPECT_NE(problems.front().find("does not preserve"), std::string::npos);
 }
@@ -72,14 +66,12 @@ TEST(CertifyTest, TamperedOrderDetected) {
 TEST(CertifyTest, ForeignActionInOrderDetected) {
   const Design d = make_running_example(RunningExampleVariant::kDecreaseX);
   StateSpace space(d.program);
-  ValidationOptions opts;
-  opts.space = &space;
   const auto cg = infer_constraint_graph(d.program);
-  auto report = validate_theorem2(d, cg.graph, opts);
+  auto report = validate_theorem2(d, cg.graph, space);
   ASSERT_TRUE(report.applies);
   const int node = cg.graph.node_of(d.program.find_variable("x"));
   report.node_orders[static_cast<std::size_t>(node)] = {0, 0};
-  const auto problems = audit_certificate(d, cg.graph, report, opts);
+  const auto problems = audit_certificate(d, cg.graph, report, space);
   ASSERT_FALSE(problems.empty());
   EXPECT_NE(problems.front().find("not a permutation"), std::string::npos);
 }
@@ -87,12 +79,10 @@ TEST(CertifyTest, ForeignActionInOrderDetected) {
 TEST(CertifyTest, NonApplyingReportsAuditTrivially) {
   const Design d = make_running_example(RunningExampleVariant::kWriteXBoth);
   StateSpace space(d.program);
-  ValidationOptions opts;
-  opts.space = &space;
   const auto cg = infer_constraint_graph(d.program);
-  const auto report = validate_theorem2(d, cg.graph, opts);
+  const auto report = validate_theorem2(d, cg.graph, space);
   ASSERT_FALSE(report.applies);
-  EXPECT_TRUE(audit_certificate(d, cg.graph, report, opts).empty());
+  EXPECT_TRUE(audit_certificate(d, cg.graph, report, space).empty());
 }
 
 }  // namespace

@@ -206,15 +206,13 @@ TEST(PreservesTest, ExhaustivePassAndFail) {
   Program p = countdown();
   StateSpace space(p);
   const VarId x = p.find_variable("x");
-  PreservesOptions opts;
-  opts.space = &space;
 
   auto le3 = [x](const State& s) { return s.get(x) <= 3; };
   auto ge3 = [x](const State& s) { return s.get(x) >= 3; };
-  const auto pass = check_preserves(p, p.action(0), le3, opts);
+  const auto pass = check_preserves(space, p.action(0), le3);
   EXPECT_TRUE(pass.preserves);
-  EXPECT_TRUE(pass.exhaustive);
-  const auto fail = check_preserves(p, p.action(0), ge3, opts);
+  EXPECT_FALSE(pass.counterexample.has_value());
+  const auto fail = check_preserves(space, p.action(0), ge3);
   EXPECT_FALSE(fail.preserves);
   ASSERT_TRUE(fail.counterexample.has_value());
   EXPECT_EQ(fail.counterexample->get(x), 3);
@@ -224,24 +222,11 @@ TEST(PreservesTest, ContextHypothesisRestricts) {
   Program p = countdown();
   StateSpace space(p);
   const VarId x = p.find_variable("x");
-  PreservesOptions opts;
-  opts.space = &space;
   // "x >= 3" is preserved under the hypothesis x >= 5 (5 -> 4 >= 3).
-  opts.context = [x](const State& s) { return s.get(x) >= 5; };
   const auto report = check_preserves(
-      p, p.action(0), [x](const State& s) { return s.get(x) >= 3; }, opts);
+      space, p.action(0), [x](const State& s) { return s.get(x) >= 3; },
+      [x](const State& s) { return s.get(x) >= 5; });
   EXPECT_TRUE(report.preserves);
-}
-
-TEST(PreservesTest, SampledModeFindsEasyCounterexample) {
-  Program p = countdown();
-  const VarId x = p.find_variable("x");
-  PreservesOptions opts;
-  opts.samples = 5000;
-  const auto report = check_preserves(
-      p, p.action(0), [x](const State& s) { return s.get(x) >= 3; }, opts);
-  EXPECT_FALSE(report.preserves);
-  EXPECT_FALSE(report.exhaustive);
 }
 
 TEST(VariantTest, CountdownVariantIsDistance) {

@@ -80,9 +80,7 @@ TEST(ColoringTest, Theorem3AppliesWithPerIdLayers) {
   const auto g = UndirectedGraph::grid(2, 2);
   const auto cd = make_coloring(g);
   StateSpace space(cd.design.program);
-  ValidationOptions opts;
-  opts.space = &space;
-  const auto report = validate_theorem3(cd.design, cd.layers, opts);
+  const auto report = validate_theorem3(cd.design, cd.layers, space);
   EXPECT_TRUE(report.applies) << format_report(report);
 }
 

@@ -47,11 +47,9 @@ TEST(DistributedResetTest, Theorem1ValidatesSeparatedForm) {
   const auto dr =
       make_distributed_reset(RootedTree::balanced(4, 2), 2, false);
   StateSpace space(dr.design.program);
-  ValidationOptions opts;
-  opts.space = &space;
   const auto cg = infer_constraint_graph(dr.design.program);
   ASSERT_TRUE(cg.ok) << cg.error;
-  const auto report = validate_theorem1(dr.design, cg.graph, opts);
+  const auto report = validate_theorem1(dr.design, cg.graph, space);
   EXPECT_TRUE(report.applies) << format_report(report);
   EXPECT_EQ(report.shape, GraphShape::kOutTree);
 }

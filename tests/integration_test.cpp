@@ -231,9 +231,7 @@ TEST(IntegrationTest, WorkbenchVerdictSummary) {
 
   for (auto& e : table) {
     StateSpace space(e.design.program);
-    ValidationOptions opts;
-    opts.space = &space;
-    const auto report = validate_design(e.design, opts);
+    const auto report = validate_design(e.design, space);
     EXPECT_EQ(report.applies, e.theorem_applies)
         << e.design.name << "\n"
         << format_report(report);

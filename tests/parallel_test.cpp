@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -94,6 +95,26 @@ TEST(ThreadPoolTest, RethrowsTheLowestChunksException) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "0");
   }
+}
+
+// wait_idle returns only once a finished task's captures are destroyed, so
+// the caller may release whatever they reference.
+TEST(ThreadPoolTest, WaitIdleReturnsAfterTaskCapturesAreDestroyed) {
+  struct SlowToDestroy {
+    explicit SlowToDestroy(std::atomic<bool>& flag) : destroyed(flag) {}
+    ~SlowToDestroy() {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      destroyed = true;
+    }
+    std::atomic<bool>& destroyed;
+  };
+  std::atomic<bool> destroyed{false};
+  ThreadPool pool(2);
+  // The queued task holds the only reference to the capture.
+  pool.submit(
+      [capture = std::make_shared<SlowToDestroy>(destroyed)](unsigned) {});
+  pool.wait_idle();
+  EXPECT_TRUE(destroyed.load());
 }
 
 TEST(ThreadPoolTest, WorkerIndicesStayInRange) {

@@ -22,8 +22,6 @@ TEST(RefineMoreTest, TokenRingRestrictionDropsSatisfiedLayer) {
   const auto tr = make_token_ring_bounded(4, 3, false);
   const Design& d = tr.design;
   StateSpace space(d.program);
-  ValidationOptions opts;
-  opts.space = &space;
 
   const auto conv = d.program.actions_of_kind(ActionKind::kConvergence);
   const auto cg = infer_constraint_graph(d.program, conv);
@@ -37,7 +35,7 @@ TEST(RefineMoreTest, TokenRingRestrictionDropsSatisfiedLayer) {
             .fn);
   }
   const auto restricted =
-      restrict_constraint_graph(d, cg.graph, p_all(layer0), opts);
+      restrict_constraint_graph(d, cg.graph, p_all(layer0), space);
   EXPECT_EQ(restricted.dropped.size(), tr.layers[0].size());
   EXPECT_EQ(static_cast<std::size_t>(restricted.graph.graph.num_edges()),
             tr.layers[1].size());
@@ -56,13 +54,11 @@ TEST(RefineMoreTest, SuggestLayersGivesUpOnMutualCrossNodeBreaks) {
   const auto g = UndirectedGraph::cycle(4);
   const auto st = make_spanning_tree(g, 0);
   StateSpace space(st.design.program);
-  ValidationOptions opts;
-  opts.space = &space;
-  const auto layers = suggest_layers(st.design, opts);
+  const auto layers = suggest_layers(st.design, space);
   if (layers.has_value()) {
     // If the heuristic does emit layers, Theorem 3 must still reject them
     // (soundness: acceptance would contradict the cyclic interference).
-    const auto report = validate_theorem3(st.design, *layers, opts);
+    const auto report = validate_theorem3(st.design, *layers, space);
     EXPECT_TRUE(report.applies == false ||
                 check_convergence(space, st.design.S(), st.design.T())
                         .verdict == ConvergenceVerdict::kConverges);
@@ -73,9 +69,8 @@ TEST(RefineMoreTest, SuggestLayersRejectsUnboundActions) {
   // Dijkstra's ring annotates constraints without binding convergence
   // actions; no layering is derivable.
   const auto tr = make_dijkstra_ring(4, 5);
-  ValidationOptions opts;
-  opts.samples = 500;
-  EXPECT_FALSE(suggest_layers(tr.design, opts).has_value());
+  const StateSpace space(tr.design.program);
+  EXPECT_FALSE(suggest_layers(tr.design, space).has_value());
 }
 
 TEST(RefineMoreTest, DescribeMpRingShowsChannels) {

@@ -86,27 +86,25 @@ TEST(RestrictTest, SatisfiedConstraintsDropOut) {
   const auto dd = make_diffusing(RootedTree::chain(3), false);
   const Design& d = dd.design;
   StateSpace space(d.program);
-  ValidationOptions opts;
-  opts.space = &space;
   const auto cg = infer_constraint_graph(d.program);
   ASSERT_TRUE(cg.ok);
   ASSERT_EQ(cg.graph.graph.num_edges(), 2);
 
   // Restrict to S: every constraint holds, so every edge drops.
   const auto restricted_s =
-      restrict_constraint_graph(d, cg.graph, d.S(), opts);
+      restrict_constraint_graph(d, cg.graph, d.S(), space);
   EXPECT_EQ(restricted_s.graph.graph.num_edges(), 0);
   EXPECT_EQ(restricted_s.dropped.size(), 2u);
 
   // Restrict to R.1 only: the R.1 edge drops, R.2's survives.
   const auto restricted_r1 = restrict_constraint_graph(
-      d, cg.graph, d.invariant.at(0).fn, opts);
+      d, cg.graph, d.invariant.at(0).fn, space);
   EXPECT_EQ(restricted_r1.graph.graph.num_edges(), 1);
   EXPECT_EQ(restricted_r1.dropped.size(), 1u);
 
   // Restrict to true: nothing drops.
   const auto restricted_true =
-      restrict_constraint_graph(d, cg.graph, true_predicate(), opts);
+      restrict_constraint_graph(d, cg.graph, true_predicate(), space);
   EXPECT_EQ(restricted_true.graph.graph.num_edges(), 2);
 }
 
@@ -114,22 +112,18 @@ TEST(SuggestLayersTest, ColoringLayersValidate) {
   const auto g = UndirectedGraph::grid(2, 2);
   const auto cd = make_coloring(g);
   StateSpace space(cd.design.program);
-  ValidationOptions opts;
-  opts.space = &space;
-  const auto layers = suggest_layers(cd.design, opts);
+  const auto layers = suggest_layers(cd.design, space);
   ASSERT_TRUE(layers.has_value());
-  const auto report = validate_theorem3(cd.design, *layers, opts);
+  const auto report = validate_theorem3(cd.design, *layers, space);
   EXPECT_TRUE(report.applies) << format_report(report);
 }
 
 TEST(SuggestLayersTest, LeaderElectionLayersValidate) {
   const auto le = make_leader_election(4);
   StateSpace space(le.design.program);
-  ValidationOptions opts;
-  opts.space = &space;
-  const auto layers = suggest_layers(le.design, opts);
+  const auto layers = suggest_layers(le.design, space);
   ASSERT_TRUE(layers.has_value());
-  const auto report = validate_theorem3(le.design, *layers, opts);
+  const auto report = validate_theorem3(le.design, *layers, space);
   EXPECT_TRUE(report.applies) << format_report(report);
 }
 
@@ -139,11 +133,9 @@ TEST(SuggestLayersTest, MutualBreakersAcrossNodesRejected) {
   // single layer, which Theorem 3 then rejects for want of a linear order.
   const Design d = make_running_example(RunningExampleVariant::kWriteXBoth);
   StateSpace space(d.program);
-  ValidationOptions opts;
-  opts.space = &space;
-  const auto layers = suggest_layers(d, opts);
+  const auto layers = suggest_layers(d, space);
   if (layers.has_value()) {
-    const auto report = validate_theorem3(d, *layers, opts);
+    const auto report = validate_theorem3(d, *layers, space);
     EXPECT_FALSE(report.applies);
   }
 }
@@ -153,9 +145,7 @@ TEST(SuggestLayersTest, RespectsBreaksOrder) {
   // in a layer no higher than fix-neq's.
   const Design d = make_running_example(RunningExampleVariant::kDecreaseX);
   StateSpace space(d.program);
-  ValidationOptions opts;
-  opts.space = &space;
-  const auto layers = suggest_layers(d, opts);
+  const auto layers = suggest_layers(d, space);
   ASSERT_TRUE(layers.has_value());
   int layer_of_leq = -1, layer_of_neq = -1;
   for (std::size_t l = 0; l < layers->size(); ++l) {

@@ -110,9 +110,7 @@ TEST(SpanningTreeTest, CyclicConstraintGraphDefeatsTheorems1And2) {
   const auto g = UndirectedGraph::cycle(4);
   const auto st = make_spanning_tree(g, 0);
   StateSpace space(st.design.program);
-  ValidationOptions opts;
-  opts.space = &space;
-  const auto report = validate_design(st.design, opts);
+  const auto report = validate_design(st.design, space);
   EXPECT_FALSE(report.applies);
 }
 

@@ -52,12 +52,9 @@ void expect_sound(const synth::SynthesisResult& result) {
   const auto exact = verify_tolerance(space, result.design);
   EXPECT_TRUE(exact.tolerant()) << result.design.name;
   if (result.certification.theorem_certified()) {
-    ValidationOptions opts;
-    opts.space = &space;
-    opts.seed = 0xfeedULL;  // different stream than the synthesizer used
     const auto problems =
         audit_certificate(result.design, result.certification.graph,
-                          result.certification.report, opts);
+                          result.certification.report, space);
     EXPECT_TRUE(problems.empty())
         << result.design.name << ": "
         << (problems.empty() ? "" : problems.front());
@@ -175,14 +172,12 @@ TEST(SynthTest, TamperedSynthesizedRanksRejected) {
   ASSERT_TRUE(result.success) << result.failure;
   ASSERT_EQ(result.certification.method, synth::CertMethod::kTheorem1);
   const StateSpace space(result.design.program);
-  ValidationOptions opts;
-  opts.space = &space;
 
   auto tampered = result.certification.report;
   ASSERT_FALSE(tampered.ranks.empty());
   tampered.ranks.back() += 1;
   const auto problems = audit_certificate(
-      result.design, result.certification.graph, tampered, opts);
+      result.design, result.certification.graph, tampered, space);
   EXPECT_FALSE(problems.empty());
 }
 
@@ -196,8 +191,6 @@ TEST(SynthTest, TamperedSynthesizedOrderRejected) {
   ASSERT_EQ(result.certification.method, synth::CertMethod::kTheorem2);
 
   const StateSpace space(result.design.program);
-  ValidationOptions opts;
-  opts.space = &space;
   auto tampered = result.certification.report;
   bool reversed = false;
   for (auto& order : tampered.node_orders) {
@@ -208,7 +201,7 @@ TEST(SynthTest, TamperedSynthesizedOrderRejected) {
   }
   ASSERT_TRUE(reversed);  // the self-loop node carries both actions
   const auto problems = audit_certificate(
-      result.design, result.certification.graph, tampered, opts);
+      result.design, result.certification.graph, tampered, space);
   EXPECT_FALSE(problems.empty());
 }
 
@@ -218,8 +211,6 @@ TEST(SynthTest, TamperedSynthesizedLayersRejected) {
   ASSERT_TRUE(result.success) << result.failure;
   ASSERT_EQ(result.certification.method, synth::CertMethod::kTheorem3);
   const StateSpace space(result.design.program);
-  ValidationOptions opts;
-  opts.space = &space;
 
   // Dropping an action breaks the partition requirement.
   auto missing = result.certification.report;
@@ -227,7 +218,7 @@ TEST(SynthTest, TamperedSynthesizedLayersRejected) {
   ASSERT_FALSE(missing.layers.front().empty());
   missing.layers.front().clear();
   auto problems = audit_certificate(result.design,
-                                    result.certification.graph, missing, opts);
+                                    result.certification.graph, missing, space);
   EXPECT_FALSE(problems.empty());
 
   // Reversing the layer order breaks the cross-layer preserves
@@ -236,7 +227,7 @@ TEST(SynthTest, TamperedSynthesizedLayersRejected) {
   auto reversed = result.certification.report;
   std::reverse(reversed.layers.begin(), reversed.layers.end());
   problems = audit_certificate(result.design, result.certification.graph,
-                               reversed, opts);
+                               reversed, space);
   EXPECT_FALSE(problems.empty());
 }
 
@@ -245,7 +236,8 @@ TEST(SynthTest, SuggestLayersEdgeCases) {
   const auto candidate =
       make_coloring(UndirectedGraph::cycle(4)).design.candidate();
   const Design bare = candidate.augmented({});
-  EXPECT_FALSE(suggest_layers(bare).has_value());
+  const StateSpace bare_space(bare.program);
+  EXPECT_FALSE(suggest_layers(bare, bare_space).has_value());
 
   // Single constraint over a single variable: the synthesized design has
   // one convergence action and suggest_layers emits exactly one layer.
@@ -257,13 +249,11 @@ TEST(SynthTest, SuggestLayersEdgeCases) {
   const auto result = synth::synthesize(single);
   ASSERT_TRUE(result.success) << result.failure;
   const StateSpace space(result.design.program);
-  ValidationOptions opts;
-  opts.space = &space;
-  const auto layers = suggest_layers(result.design, opts);
+  const auto layers = suggest_layers(result.design, space);
   ASSERT_TRUE(layers.has_value());
   ASSERT_EQ(layers->size(), 1u);
   EXPECT_EQ(layers->front().size(), 1u);
-  const auto report = validate_theorem3(result.design, *layers, opts);
+  const auto report = validate_theorem3(result.design, *layers, space);
   EXPECT_TRUE(report.applies) << report.failure;
 }
 

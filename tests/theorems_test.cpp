@@ -15,12 +15,6 @@
 namespace nonmask {
 namespace {
 
-ValidationOptions exhaustive(const StateSpace& space) {
-  ValidationOptions opts;
-  opts.space = &space;
-  return opts;
-}
-
 // --- Theorem 1 -------------------------------------------------------------
 
 TEST(Theorem1Test, AcceptsPaperFigureExample) {
@@ -28,7 +22,7 @@ TEST(Theorem1Test, AcceptsPaperFigureExample) {
   StateSpace space(d.program);
   const auto cg = infer_constraint_graph(d.program);
   ASSERT_TRUE(cg.ok);
-  const auto report = validate_theorem1(d, cg.graph, exhaustive(space));
+  const auto report = validate_theorem1(d, cg.graph, space);
   EXPECT_TRUE(report.applies) << format_report(report);
   EXPECT_EQ(report.shape, GraphShape::kOutTree);
   EXPECT_FALSE(report.ranks.empty());
@@ -42,7 +36,7 @@ TEST(Theorem1Test, AcceptsSeparatedDiffusingDesign) {
     const auto cg = infer_constraint_graph(dd.design.program);
     ASSERT_TRUE(cg.ok);
     const auto report =
-        validate_theorem1(dd.design, cg.graph, exhaustive(space));
+        validate_theorem1(dd.design, cg.graph, space);
     EXPECT_TRUE(report.applies) << format_report(report);
   }
 }
@@ -55,7 +49,7 @@ TEST(Theorem1Test, RejectsCombinedDiffusingDesign) {
   StateSpace space(dd.design.program);
   const auto cg = infer_constraint_graph(dd.design.program);
   ASSERT_TRUE(cg.ok);
-  const auto report = validate_theorem1(dd.design, cg.graph, exhaustive(space));
+  const auto report = validate_theorem1(dd.design, cg.graph, space);
   EXPECT_FALSE(report.applies);
   EXPECT_NE(report.failure.find("enabled only when"), std::string::npos)
       << format_report(report);
@@ -66,7 +60,7 @@ TEST(Theorem1Test, RejectsNonTreeShapes) {
   StateSpace space(d.program);
   const auto cg = infer_constraint_graph(d.program);
   ASSERT_TRUE(cg.ok);
-  const auto report = validate_theorem1(d, cg.graph, exhaustive(space));
+  const auto report = validate_theorem1(d, cg.graph, space);
   EXPECT_FALSE(report.applies);
   EXPECT_NE(report.failure.find("not an out-tree"), std::string::npos);
 }
@@ -83,7 +77,7 @@ TEST(Theorem1Test, RejectsClosureActionBreakingAConstraint) {
   StateSpace space(d.program);
   const auto cg = infer_constraint_graph(d.program);
   ASSERT_TRUE(cg.ok);
-  const auto report = validate_theorem1(d, cg.graph, exhaustive(space));
+  const auto report = validate_theorem1(d, cg.graph, space);
   EXPECT_FALSE(report.applies);
   EXPECT_NE(report.failure.find("vandal"), std::string::npos);
 }
@@ -95,7 +89,7 @@ TEST(Theorem2Test, AcceptsDecreaseXVariant) {
   StateSpace space(d.program);
   const auto cg = infer_constraint_graph(d.program);
   ASSERT_TRUE(cg.ok);
-  const auto report = validate_theorem2(d, cg.graph, exhaustive(space));
+  const auto report = validate_theorem2(d, cg.graph, space);
   EXPECT_TRUE(report.applies) << format_report(report);
   // Certificate: at node {x}, fix-leq must precede fix-neq.
   const VarId x = d.program.find_variable("x");
@@ -111,7 +105,7 @@ TEST(Theorem2Test, RejectsWriteXBothVariantForWantOfOrder) {
   StateSpace space(d.program);
   const auto cg = infer_constraint_graph(d.program);
   ASSERT_TRUE(cg.ok);
-  const auto report = validate_theorem2(d, cg.graph, exhaustive(space));
+  const auto report = validate_theorem2(d, cg.graph, space);
   EXPECT_FALSE(report.applies);
   EXPECT_NE(report.failure.find("linear order"), std::string::npos)
       << format_report(report);
@@ -122,7 +116,7 @@ TEST(Theorem2Test, AcceptsOutTreesToo) {
   const Design d = make_running_example(RunningExampleVariant::kWriteYZ);
   StateSpace space(d.program);
   const auto cg = infer_constraint_graph(d.program);
-  const auto report = validate_theorem2(d, cg.graph, exhaustive(space));
+  const auto report = validate_theorem2(d, cg.graph, space);
   EXPECT_TRUE(report.applies) << format_report(report);
 }
 
@@ -133,9 +127,9 @@ TEST(Theorem2Test, AcceptsLeaderElection) {
   ASSERT_TRUE(cg.ok);
   // Not an out-tree: the self-loop at {ldr.0} disqualifies Theorem 1 ...
   EXPECT_FALSE(
-      validate_theorem1(le.design, cg.graph, exhaustive(space)).applies);
+      validate_theorem1(le.design, cg.graph, space).applies);
   // ... but Theorem 2 applies.
-  const auto report = validate_theorem2(le.design, cg.graph, exhaustive(space));
+  const auto report = validate_theorem2(le.design, cg.graph, space);
   EXPECT_TRUE(report.applies) << format_report(report);
 }
 
@@ -146,7 +140,7 @@ TEST(Theorem3Test, AcceptsLayeredTokenRing) {
     const auto tr = make_token_ring_bounded(n, 3, /*combined=*/false);
     StateSpace space(tr.design.program);
     const auto report =
-        validate_theorem3(tr.design, tr.layers, exhaustive(space));
+        validate_theorem3(tr.design, tr.layers, space);
     EXPECT_TRUE(report.applies) << "n=" << n << "\n" << format_report(report);
   }
 }
@@ -160,7 +154,7 @@ TEST(Theorem3Test, RejectsTokenRingWithLayersSwapped) {
   StateSpace space(tr.design.program);
   const std::vector<std::vector<std::size_t>> swapped{tr.layers[1],
                                                       tr.layers[0]};
-  const auto report = validate_theorem3(tr.design, swapped, exhaustive(space));
+  const auto report = validate_theorem3(tr.design, swapped, space);
   EXPECT_FALSE(report.applies);
 }
 
@@ -171,7 +165,7 @@ TEST(Theorem3Test, AcceptsColoringWithPerIdLayers) {
     const auto cd = make_coloring(g);
     StateSpace space(cd.design.program);
     const auto report =
-        validate_theorem3(cd.design, cd.layers, exhaustive(space));
+        validate_theorem3(cd.design, cd.layers, space);
     EXPECT_TRUE(report.applies) << format_report(report);
   }
 }
@@ -191,7 +185,7 @@ TEST(TheoremSoundnessTest, AcceptedDesignsReallyConverge) {
 
   for (const Design& d : accepted) {
     StateSpace space(d.program);
-    const auto theorem = validate_design(d, exhaustive(space));
+    const auto theorem = validate_design(d, space);
     EXPECT_TRUE(theorem.applies) << d.name << "\n" << format_report(theorem);
     const auto exact = check_convergence(space, d.S(), d.T());
     EXPECT_EQ(exact.verdict, ConvergenceVerdict::kConverges) << d.name;
@@ -201,7 +195,7 @@ TEST(TheoremSoundnessTest, AcceptedDesignsReallyConverge) {
 TEST(TheoremSoundnessTest, RejectedBrokenDesignReallyLivelocks) {
   const Design d = make_running_example(RunningExampleVariant::kWriteXBoth);
   StateSpace space(d.program);
-  EXPECT_FALSE(validate_design(d, exhaustive(space)).applies);
+  EXPECT_FALSE(validate_design(d, space).applies);
   EXPECT_EQ(check_convergence(space, d.S(), d.T()).verdict,
             ConvergenceVerdict::kViolated);
 }
@@ -209,7 +203,7 @@ TEST(TheoremSoundnessTest, RejectedBrokenDesignReallyLivelocks) {
 TEST(ValidateDesignTest, PicksTheorem1WhenPossible) {
   const Design d = make_running_example(RunningExampleVariant::kWriteYZ);
   StateSpace space(d.program);
-  const auto report = validate_design(d, exhaustive(space));
+  const auto report = validate_design(d, space);
   EXPECT_TRUE(report.applies);
   EXPECT_NE(report.theorem.find("Theorem 1"), std::string::npos);
 }
@@ -217,30 +211,16 @@ TEST(ValidateDesignTest, PicksTheorem1WhenPossible) {
 TEST(ValidateDesignTest, FallsBackToTheorem2) {
   const Design d = make_running_example(RunningExampleVariant::kDecreaseX);
   StateSpace space(d.program);
-  const auto report = validate_design(d, exhaustive(space));
+  const auto report = validate_design(d, space);
   EXPECT_TRUE(report.applies);
   EXPECT_NE(report.theorem.find("Theorem 2"), std::string::npos);
-}
-
-TEST(ValidateDesignTest, SampledModeAgreesOnSmallDesigns) {
-  // Without a state space, obligations run sampled; verdicts agree here.
-  ValidationOptions opts;
-  opts.samples = 20'000;
-  EXPECT_TRUE(
-      validate_design(make_running_example(RunningExampleVariant::kWriteYZ),
-                      opts)
-          .applies);
-  EXPECT_FALSE(
-      validate_design(make_running_example(RunningExampleVariant::kWriteXBoth),
-                      opts)
-          .applies);
 }
 
 TEST(FormatReportTest, MentionsVerdictAndShape) {
   const Design d = make_running_example(RunningExampleVariant::kWriteYZ);
   StateSpace space(d.program);
   const auto cg = infer_constraint_graph(d.program);
-  const auto report = validate_theorem1(d, cg.graph, exhaustive(space));
+  const auto report = validate_theorem1(d, cg.graph, space);
   const std::string text = format_report(report);
   EXPECT_NE(text.find("APPLIES"), std::string::npos);
   EXPECT_NE(text.find("out-tree"), std::string::npos);
