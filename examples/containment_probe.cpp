@@ -99,13 +99,12 @@ void probe(const Design& design, std::size_t m, std::uint64_t seed,
   AdversaryOptions leg_opts;
   leg_opts.seed = seed;
   const State legitimate = legitimate_state(design, leg_opts);
-  ContainmentOptions copts;
-  copts.config = store::StoreConfig::from_env();
+  const store::StoreConfig config = store::StoreConfig::from_env();
 
   // 1. Benchmark: the far placement a containing protocol must shrug off.
   const std::vector<int> bench = farthest_processes(design.program, m);
   const ContainmentReport rep =
-      measure_containment(design.program, bench, legitimate, copts);
+      measure_containment(design.program, bench, legitimate, config);
   std::cout << "  benchmark placement " << join_ints(bench) << ": radius "
             << rep.radius << (rep.contained ? " < horizon " : " reaches horizon ")
             << rep.horizon << " -> "
@@ -119,7 +118,7 @@ void probe(const Design& design, std::size_t m, std::uint64_t seed,
   ByzantinePlacementOptions bopts;
   bopts.num_byzantine = m;
   bopts.seed = seed;
-  bopts.containment = copts;
+  bopts.containment = config;
   const ByzantinePlacementResult worst =
       find_worst_byzantine_placement(design, bopts);
   std::cout << "  worst placement " << join_ints(worst.byzantine) << " ("
@@ -136,12 +135,8 @@ void probe(const Design& design, std::size_t m, std::uint64_t seed,
   art->placements.push_back(byzantine_placement_json(design, worst));
 
   // 3. Triage: the certificate's fate per fault regime.
-  synth::TriageOptions topts;
-  topts.num_byzantine = m;
-  topts.seed = seed;
-  topts.byzantine = bopts;
   const std::vector<synth::TriageEntry> rows =
-      synth::triage_design(design, topts);
+      synth::triage_design(design, bopts);
   for (const synth::TriageEntry& row : rows) {
     std::cout << "  triage[" << to_string(row.regime)
               << "] " << synth::to_string(row.verdict) << ": " << row.detail

@@ -127,7 +127,6 @@ int run_synthesize(std::uint64_t seed, std::uint64_t max_candidates,
     opts.max_candidates = max_candidates;
     opts.design_name = target.label + "-synth";
     opts.store = store_cfg;
-    opts.state_budget = store_cfg.budget;
     const auto result = synth::synthesize(target.candidate, opts);
 
     std::cout << "\n=== " << target.label << " ===\n";

@@ -11,6 +11,9 @@ namespace nonmask {
 
 namespace {
 
+/// Cap on the fault-free fixpoint iteration's steps.
+constexpr std::size_t kFixpointMaxSteps = 1u << 20;
+
 /// Deterministic fault-free fixpoint: repeatedly fire the lowest-index
 /// enabled closure/convergence action. The radius is a worst case over
 /// *adversary* choices; the daemon tie-break merely pins one reproducible
@@ -49,17 +52,17 @@ State run_to_fixpoint(const Program& program, const State& legitimate,
 ContainmentReport measure_containment(const Program& program,
                                       const std::vector<int>& byzantine,
                                       const State& legitimate,
-                                      const ContainmentOptions& opts) {
+                                      const store::StoreConfig& config) {
   ContainmentReport rep;
   rep.byzantine = byzantine;
   std::sort(rep.byzantine.begin(), rep.byzantine.end());
 
   const State fix =
-      run_to_fixpoint(program, legitimate, opts.fixpoint_max_steps,
+      run_to_fixpoint(program, legitimate, kFixpointMaxSteps,
                       rep.fixpoint_steps, rep.fixpoint_reached);
 
   const Program composed = compose_byzantine(program, byzantine);
-  StateSpace space(composed, opts.state_budget);
+  StateSpace space(composed, config.budget);
   const std::vector<std::size_t> actions = non_fault_actions(composed);
 
   const UndirectedGraph comm = communication_graph(program);
@@ -92,7 +95,7 @@ ContainmentReport measure_containment(const Program& program,
   // Expansion fans out per frontier item over the pool; visited marking
   // happens serially in item order and the dirty union is monotone, so the
   // report is identical at any thread count.
-  ThreadPool pool(opts.config.threads);
+  ThreadPool pool(config.threads);
   const unsigned workers = pool.size();
   std::vector<State> scratch(workers, space.decode(0));
   std::vector<State> next_scratch(workers, space.decode(0));

@@ -33,15 +33,6 @@
 
 namespace nonmask {
 
-struct ContainmentOptions {
-  store::StoreConfig config;  ///< thread count for the level BFS
-  /// State-space budget for the composed system; StateSpaceTooLarge past it
-  /// (adversarial placement search falls back to simulation scoring there).
-  std::uint64_t state_budget = StateSpace::kDefaultBudget;
-  /// Cap on deterministic fixpoint iteration steps.
-  std::size_t fixpoint_max_steps = 1u << 20;
-};
-
 struct ContainmentReport {
   std::vector<int> byzantine;  ///< the adversarial placement measured
 
@@ -72,17 +63,20 @@ struct ContainmentReport {
 
 /// Measure the containment radius of `program` under Byzantine `byzantine`:
 ///  1. run the program fault-free from `legitimate` to its deterministic
-///     fixpoint (lowest-index enabled action — the worst case is over
-///     adversary choices, not daemon choices);
+///     fixpoint (lowest-index enabled action, at most 2^20 steps — the
+///     worst case is over adversary choices, not daemon choices);
 ///  2. explore everything reachable from that fixpoint under the composed
 ///     program∪adversary system (compose_byzantine);
 ///  3. report how far from the Byzantine set any variable ever deviates.
-/// Throws StateSpaceTooLarge when the composed space exceeds the budget and
-/// std::invalid_argument for bad placements (via compose_byzantine).
+/// `config` gives the composed space's state budget and the level BFS's
+/// thread count. Throws StateSpaceTooLarge when the composed space exceeds
+/// `config.budget` (the adversarial placement search falls back to
+/// simulation scoring there) and std::invalid_argument for bad placements
+/// (via compose_byzantine).
 ContainmentReport measure_containment(const Program& program,
                                       const std::vector<int>& byzantine,
                                       const State& legitimate,
-                                      const ContainmentOptions& opts = {});
+                                      const store::StoreConfig& config = {});
 
 /// The report as a JSON object (one line, no trailing newline) — the
 /// containment-report artifact CI uploads, and the payload RunReport and

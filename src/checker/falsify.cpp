@@ -15,6 +15,10 @@ namespace {
 /// reproducible run to run, so the seed is not derived from the walk RNG.
 constexpr std::uint64_t kProbeHashSeed = 0x9e3779b97f4a7c15ULL;
 
+/// Fraction of walk steps that greedily maximize constraint violations
+/// (adversarial bias); the rest pick an enabled action uniformly.
+constexpr double kAdversarialBias = 0.5;
+
 }  // namespace
 
 FalsifyResult falsify_convergence(const Design& design,
@@ -82,8 +86,7 @@ FalsifyResult falsify_convergence(const Design& design,
 
       // Pick the next action: adversarially biased or uniform.
       std::size_t choice = enabled[rng.below(enabled.size())];
-      if (rng.chance(opts.adversarial_bias) &&
-          design.invariant.size() != 0) {
+      if (rng.chance(kAdversarialBias) && design.invariant.size() != 0) {
         std::size_t best_score = 0;
         for (std::size_t idx : enabled) {
           p.action(idx).apply_into(s, next);

@@ -27,9 +27,6 @@ struct FalsifyOptions {
   std::uint64_t walks = 200;
   std::uint64_t max_walk_length = 10'000;
   std::uint64_t seed = 0xfa15ULL;
-  /// Fraction of steps where the walk greedily maximizes constraint
-  /// violations (adversarial bias); the rest are uniform.
-  double adversarial_bias = 0.5;
   /// Start-state generator (e.g. "apply this fault class to an S state");
   /// defaults to uniformly random in-domain states. States outside T are
   /// skipped.
@@ -47,6 +44,8 @@ struct FalsifyResult {
 };
 
 /// Hunt for convergence violations of `design` (from random T-states).
+/// Each step fires a uniformly chosen enabled action or, with probability
+/// 1/2, the one whose successor violates the most constraints.
 FalsifyResult falsify_convergence(const Design& design,
                                   const FalsifyOptions& opts = {});
 

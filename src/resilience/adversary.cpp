@@ -390,6 +390,12 @@ std::vector<std::uint64_t> random_placement_baseline(
 
 namespace {
 
+/// Exhaustive subset enumeration runs only when there are at most this many
+/// size-m subsets.
+constexpr std::uint64_t kExhaustiveSubsets = 4096;
+/// Steps of each hill-climb scoring simulation.
+constexpr std::size_t kSimSteps = 2000;
+
 /// Score a placement by exact containment analysis: worse = containment
 /// lost outright, then larger radius, then larger adversarial region; total
 /// order completed by the (sorted) placement itself so ties resolve
@@ -430,7 +436,7 @@ SimScore simulate_byzantine(const Design& design, const std::vector<int>& byz,
   Rng strike_rng(derived_seed(opts.seed, salt));
   RandomDaemon daemon(derived_seed(opts.seed, salt + 1));
   RunOptions run_opts;
-  run_opts.max_steps = opts.sim_steps;
+  run_opts.max_steps = kSimSteps;
   run_opts.perturb = [&](std::size_t, State& s) {
     // Account the damage the *previous* program step left behind, then let
     // the adversary strike again.
@@ -488,12 +494,26 @@ ByzantinePlacementResult find_worst_byzantine_placement(
       std::max<std::size_t>(opts.num_byzantine, 1),
       static_cast<std::size_t>(num_procs - 1));
 
+  // The processes that own variables, ascending. A placement may use only
+  // these (the composition rejects the others: there is nothing to
+  // corrupt).
+  std::vector<int> owners;
+  for (const auto& v : design.program.variables()) {
+    if (v.process >= 0) owners.push_back(v.process);
+  }
+  std::sort(owners.begin(), owners.end());
+  owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+  if (owners.size() < m) {
+    throw std::invalid_argument(
+        "find_worst_byzantine_placement: no size-" + std::to_string(m) +
+        " subset of processes owns variables");
+  }
+
   ByzantinePlacementResult result;
   const bool exhaustive =
       !opts.force_hill_climb &&
       fits_in_budget(design.program, opts.exhaustive_budget) &&
-      subset_count(num_procs, m, opts.exhaustive_subsets) <=
-          opts.exhaustive_subsets;
+      subset_count(num_procs, m, kExhaustiveSubsets) <= kExhaustiveSubsets;
 
   AdversaryOptions leg_opts;
   leg_opts.seed = opts.seed;
@@ -501,54 +521,29 @@ ByzantinePlacementResult find_worst_byzantine_placement(
 
   if (exhaustive) {
     result.exhaustive = true;
-    // Lexicographic enumeration of all size-m process subsets.
+    store::StoreConfig config = opts.containment;
+    config.budget = opts.exhaustive_budget;
+    // Lexicographic enumeration of all size-m subsets of the owners.
+    const std::size_t n = owners.size();
+    std::vector<std::size_t> pick(m);
+    for (std::size_t i = 0; i < m; ++i) pick[i] = i;
     std::vector<int> subset(m);
-    for (std::size_t i = 0; i < m; ++i) subset[i] = static_cast<int>(i);
-    bool have_best = false;
     while (true) {
-      // Skip subsets containing a process that owns no variables (the
-      // composition rejects them — nothing to corrupt).
-      bool placeable = true;
-      for (int p : subset) {
-        bool owns = false;
-        for (const auto& v : design.program.variables()) {
-          if (v.process == p) {
-            owns = true;
-            break;
-          }
-        }
-        if (!owns) {
-          placeable = false;
-          break;
-        }
-      }
-      if (placeable) {
-        ContainmentOptions copts = opts.containment;
-        copts.state_budget = opts.exhaustive_budget;
-        const ContainmentReport rep =
-            measure_containment(design.program, subset, legitimate, copts);
-        ++result.evaluations;
-        if (!have_best || containment_worse(rep, result.report)) {
-          have_best = true;
-          result.report = rep;
-          result.byzantine = rep.byzantine;
-          result.report_exact = true;
-        }
+      for (std::size_t i = 0; i < m; ++i) subset[i] = owners[pick[i]];
+      const ContainmentReport rep =
+          measure_containment(design.program, subset, legitimate, config);
+      ++result.evaluations;
+      if (!result.report_exact || containment_worse(rep, result.report)) {
+        result.report = rep;
+        result.byzantine = rep.byzantine;
+        result.report_exact = true;
       }
       // Advance to the next combination.
       std::size_t i = m;
-      while (i > 0 &&
-             subset[i - 1] == num_procs - static_cast<int>(m - i) - 1) {
-        --i;
-      }
+      while (i > 0 && pick[i - 1] == n - m + i - 1) --i;
       if (i == 0) break;
-      ++subset[i - 1];
-      for (std::size_t j = i; j < m; ++j) subset[j] = subset[j - 1] + 1;
-    }
-    if (!have_best) {
-      throw std::invalid_argument(
-          "find_worst_byzantine_placement: no size-" + std::to_string(m) +
-          " subset of processes owns variables");
+      ++pick[i - 1];
+      for (std::size_t j = i; j < m; ++j) pick[j] = pick[j - 1] + 1;
     }
   } else {
     Rng rng(derived_seed(opts.seed, 4));
@@ -556,18 +551,10 @@ ByzantinePlacementResult find_worst_byzantine_placement(
     SimScore best_score;
     bool have_best = false;
     std::uint64_t salt = 8;
-    const auto placeable = [&](const std::vector<int>& byz) {
-      for (int p : byz) {
-        bool owns = false;
-        for (const auto& v : design.program.variables()) {
-          if (v.process == p) {
-            owns = true;
-            break;
-          }
-        }
-        if (!owns) return false;
-      }
-      return true;
+    const auto placeable = [&owners](const std::vector<int>& byz) {
+      return std::all_of(byz.begin(), byz.end(), [&owners](int p) {
+        return std::binary_search(owners.begin(), owners.end(), p);
+      });
     };
     for (std::size_t restart = 0; restart < opts.restarts; ++restart) {
       std::vector<int> local = random_subset(num_procs, m, rng);

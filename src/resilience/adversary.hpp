@@ -111,19 +111,18 @@ struct ByzantinePlacementOptions {
   std::size_t num_byzantine = 1;
   std::uint64_t seed = 1;
   /// Exhaustive subset enumeration runs when the composed state space fits
-  /// this budget and the subset count fits `exhaustive_subsets`.
+  /// this budget and there are at most 4,096 size-m subsets.
   std::uint64_t exhaustive_budget = 1u << 20;
-  std::uint64_t exhaustive_subsets = 4096;
   bool force_hill_climb = false;
   /// Hill-climb shape (large spaces): `restarts` random sets, each mutated
-  /// `iterations` times, scored by a seeded simulation of `sim_steps` steps
-  /// under a persistent ByzantineModel.
+  /// `iterations` times, scored by a seeded simulation of 2,000 steps under
+  /// a persistent ByzantineModel.
   std::size_t restarts = 4;
   std::size_t iterations = 16;
-  std::size_t sim_steps = 2000;
-  /// Passed through to measure_containment for exact scoring / the final
-  /// report (its config picks the thread count).
-  ContainmentOptions containment;
+  /// Passed through to measure_containment for the hill-climb's final
+  /// report (its budget and thread count) and, with `exhaustive_budget` as
+  /// the budget, for exact scoring.
+  store::StoreConfig containment;
 };
 
 struct ByzantinePlacementResult {
@@ -144,7 +143,8 @@ struct ByzantinePlacementResult {
 /// Exhaustive on small spaces (every size-m subset, scored by
 /// measure_containment; deterministic), seeded hill-climb otherwise
 /// (simulation-scored; deterministic per seed). Throws
-/// std::invalid_argument when the program has fewer than two processes.
+/// std::invalid_argument when the program has fewer than two processes or
+/// fewer than m processes that own variables.
 ByzantinePlacementResult find_worst_byzantine_placement(
     const Design& design, const ByzantinePlacementOptions& opts = {});
 

@@ -42,17 +42,18 @@ JsonValue info_value(const JobInfo& info) {
   return v;
 }
 
-}  // namespace
+/// Heartbeat samples a job's status carries while the sampler runs.
+constexpr std::size_t kTelemetryTail = 5;
 
-std::string job_status_json(const JobManager& manager, const JobInfo& info,
-                            std::size_t telemetry_tail) {
-  (void)manager;
+/// Status JSON for one job: state, type, design, verdict, timestamps, and
+/// the last kTelemetryTail heartbeat samples when the sampler is running.
+std::string job_status_json(const JobInfo& info) {
   JsonValue v = info_value(info);
-  if (obs::Telemetry::running() && telemetry_tail > 0) {
+  if (obs::Telemetry::running()) {
     // Heartbeat tail: the service-wide sampler's most recent samples, so a
     // poll shows live throughput without waiting for the final report.
     JsonValue tail = jarr();
-    for (const auto& s : obs::Telemetry::samples_tail(telemetry_tail)) {
+    for (const auto& s : obs::Telemetry::samples_tail(kTelemetryTail)) {
       JsonValue hb = jobj();
       hb.add("seq", jint(static_cast<std::int64_t>(s.seq)));
       hb.add("t_ms", jint(static_cast<std::int64_t>(s.t_ms)));
@@ -67,6 +68,8 @@ std::string job_status_json(const JobManager& manager, const JobInfo& info,
   }
   return util::dump_json(v);
 }
+
+}  // namespace
 
 HttpServer::Handler make_handler(JobManager& manager) {
   return [&manager](const HttpRequest& req) -> HttpResponse {
@@ -116,7 +119,7 @@ HttpServer::Handler make_handler(JobManager& manager) {
 
       if (leaf.empty()) {
         HttpResponse resp;
-        resp.body = job_status_json(manager, *info);
+        resp.body = job_status_json(*info);
         return resp;
       }
       if (leaf == "report") {

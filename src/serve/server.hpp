@@ -22,10 +22,4 @@ namespace nonmask::serve {
 /// returned handler.
 HttpServer::Handler make_handler(JobManager& manager);
 
-/// Status JSON for one job (exposed for tests): state, type, design,
-/// verdict, timestamps, and the last `telemetry_tail` heartbeat samples
-/// when the sampler is running.
-std::string job_status_json(const JobManager& manager, const JobInfo& info,
-                            std::size_t telemetry_tail = 5);
-
 }  // namespace nonmask::serve

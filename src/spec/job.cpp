@@ -191,14 +191,12 @@ JobResult run_containment(const CompiledSpec& spec, const JobDecl& job) {
   leg_opts.seed = job.seed;
   const State legitimate = legitimate_state(design, leg_opts);
 
-  ContainmentOptions copts;
-  copts.config = store_config(job);
-  if (job.state_budget > 0) copts.state_budget = job.state_budget;
+  const store::StoreConfig config = store_config(job);
   const ContainmentReport rep =
-      measure_containment(design.program, placement, legitimate, copts);
+      measure_containment(design.program, placement, legitimate, config);
 
   report.add("spec", provenance_json(spec));
-  add_backend(report, copts.config);
+  add_backend(report, config);
   report.add("containment", containment_to_json(design.program, rep));
 
   std::ostringstream summary;
@@ -236,9 +234,7 @@ JobResult run_synthesize(const CompiledSpec& spec, const JobDecl& job) {
   synth::SynthesisOptions opts;
   opts.seed = job.seed;
   opts.max_candidates = job.max_candidates;
-  opts.threads = job.threads;
   opts.store = store_config(job);
-  opts.state_budget = opts.store.budget;
   const synth::SynthesisResult result = synth::synthesize(candidate, opts);
 
   report.add("spec", provenance_json(spec));

@@ -1,12 +1,14 @@
 // Built-in protocol registry: the bridge between spec names and the
 // hand-coded factories in src/protocols/.
 //
-// Each entry pairs a canonical name (the hand-coded design's name) with
-// (a) a make() thunk producing the hand-coded Design at the registry's
-// fixed instance parameters and (b) the spec emitter for the same
-// instance. The round-trip tests compile(emit(entry)) against make() and
-// demand byte-identical checker reports; the job server resolves
-// `"protocol": "<name>"` references through find_protocol.
+// Each entry holds a canonical name (the hand-coded design's name), a
+// one-line description, and a make() thunk producing the hand-coded Design
+// at the registry's fixed instance parameters. The spec document for the
+// same instance comes from emit_builtin_spec(name) (spec/emit.hpp); the
+// round-trip tests compile it against make() and demand byte-identical
+// checker reports. Specs never refer to an entry by name: a document
+// declares its whole design, and the parser rejects a top-level
+// "protocol" key as unknown.
 //
 // The registry is also the door onto the certification cascade: a spec job
 // of type "certify" runs synth::certify_design (Theorems 1-3, then the

@@ -16,9 +16,9 @@
 // convergence — is one call, verify_tolerance_via: one flag pass, one
 // sweep over the S codes, one convergence traversal, so on a converging
 // design each state's successors are generated once. Spec check jobs, the
-// certify fallback, resilience, synthesis and triage call it. The single
-// passes below it (check_closed_via, check_convergence*_via) serve per-pass
-// timings, trace_report, the benchmarks and the tests.
+// certify fallback, synthesis and triage call it. The single passes below
+// it (check_closed_via, check_convergence*_via) serve per-pass timings,
+// trace_report, the benchmarks and the tests.
 //
 // Contract: every report is byte-identical to the serial dense checker's
 // in src/checker/ (the reference oracle) at any thread count, grain, or
@@ -34,23 +34,20 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "checker/closure_check.hpp"
 #include "checker/convergence_check.hpp"
 #include "checker/fault_span.hpp"
-#include "checker/variant.hpp"
 #include "store/config.hpp"
 
 namespace nonmask::store {
 
-/// Thrown by the weakly-fair check and variant extraction for a space of
-/// 2^32 - 1 codes or more: their bookkeeping numbers visited states with
-/// u32 ids (0xFFFFFFFF marks "unvisited"). The dense oracle would need
-/// >= 13 bytes per code there (>= 56 GB), so there is nothing to fall
-/// back to.
+/// Thrown by the weakly-fair check for a space of 2^32 - 1 codes or more:
+/// its bookkeeping numbers visited states with u32 ids (0xFFFFFFFF marks
+/// "unvisited"). The dense oracle would need >= 13 bytes per code there
+/// (>= 56 GB), so there is nothing to fall back to.
 class VisitIdRangeExceeded : public std::length_error {
  public:
   explicit VisitIdRangeExceeded(std::uint64_t states);
@@ -90,14 +87,6 @@ ConvergenceReport check_convergence_weakly_fair_via(const StoreConfig& config,
                                                     const StateSpace& space,
                                                     const PredicateFn& S,
                                                     const PredicateFn& T);
-
-/// Longest-path-to-S variant: one shared-core DFS with u32 distances
-/// materializes the distance vector directly. nullopt when no variant
-/// exists (a ¬S cycle or deadlock). Throws VisitIdRangeExceeded past the
-/// u32 range.
-std::optional<VariantFunction> compute_variant_via(const StoreConfig& config,
-                                                   const StateSpace& space,
-                                                   const PredicateFn& S);
 
 /// BFS closure of `start` under `actions` through the FrontierEngine.
 StateSet compute_reachable_via(const StoreConfig& config,

@@ -486,7 +486,7 @@ ClosureReport sweep_S(ThreadPool& pool, const StateSpace& space,
   return report;
 }
 
-/// Visit ids and variant distances are u32, with 0xFFFFFFFF reserved.
+/// Tarjan visit ids are u32, with 0xFFFFFFFF reserved.
 void require_u32_ids(const StateSpace& space) {
   if (space.size() >= kUnvisited) {
     throw VisitIdRangeExceeded(space.size());
@@ -579,29 +579,6 @@ ConvergenceReport check_convergence_weakly_fair_via(const StoreConfig& config,
       pool, space, flags, actions, grain, [&](auto& succ) {
         return weakly_fair_traversal(space, flags, succ, actions, report);
       });
-}
-
-std::optional<VariantFunction> compute_variant_via(const StoreConfig& config,
-                                                   const StateSpace& space,
-                                                   const PredicateFn& S) {
-  obs::Span span("store.variant");
-  require_u32_ids(space);
-  ThreadPool pool(config.threads);
-  const std::uint64_t grain = aligned_grain(config);
-  ConvergenceReport report;
-  const TwoBitArray flags = evaluate_flags_store(
-      pool, space, S, true_predicate(), grain, report);
-  // u32 distances directly: the dist vector doubles as the variant values,
-  // so the u16 first-attempt trick would force a copy-widen on success.
-  CompactDfsBookkeeping<std::uint32_t> bk(space.size());
-  report = with_successors(
-      pool, space, flags, non_fault_actions(space.program()), grain,
-      [&](auto& succ) {
-        return detail::check_convergence_core_impl(space, flags, succ,
-                                                   std::move(report), bk);
-      });
-  if (report.verdict != ConvergenceVerdict::kConverges) return std::nullopt;
-  return VariantFunction(space, std::move(bk.dist_));
 }
 
 StateSet compute_reachable_via(const StoreConfig& config,

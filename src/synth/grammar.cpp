@@ -152,6 +152,13 @@ Action ActionCandidate::build(const Program& program,
 
 namespace {
 
+/// kConst templates are enumerated only for domains of at most this size
+/// (constants explode the space on wide domains and are rarely needed).
+constexpr std::uint64_t kConstDomainCap = 4;
+/// Cap on candidates enumerated per constraint (applied after ordering, so
+/// the simplest candidates always survive).
+constexpr std::size_t kMaxCandidatesPerConstraint = 512;
+
 /// One selectable option for a group variable; index 0 is always "keep".
 struct VarOptions {
   VarId var;
@@ -159,8 +166,7 @@ struct VarOptions {
 };
 
 std::vector<AssignTemplate> options_for(const Program& program, VarId target,
-                                        const std::vector<VarId>& support,
-                                        const GrammarOptions& opts) {
+                                        const std::vector<VarId>& support) {
   std::vector<AssignTemplate> out;
   const VariableSpec& spec = program.variable(target);
 
@@ -201,7 +207,7 @@ std::vector<AssignTemplate> options_for(const Program& program, VarId target,
     }
   }
 
-  if (spec.domain_size() <= opts.const_domain_cap) {
+  if (spec.domain_size() <= kConstDomainCap) {
     for (Value k = spec.lo; k <= spec.hi; ++k) {
       AssignTemplate c;
       c.target = target;
@@ -274,7 +280,7 @@ std::vector<ActionCandidate> enumerate_candidates(
     for (VarId v : group) {
       VarOptions vo;
       vo.var = v;
-      vo.options = options_for(program, v, constraint.support, opts);
+      vo.options = options_for(program, v, constraint.support);
       total *= vo.options.size() + 1;  // +1 for "keep"
       per_var.push_back(std::move(vo));
       if (total > kGroupComboCap) {
@@ -312,8 +318,8 @@ std::vector<ActionCandidate> enumerate_candidates(
     for (auto& c : group_candidates) candidates.push_back(std::move(c));
   }
 
-  if (candidates.size() > opts.max_candidates_per_constraint) {
-    candidates.resize(opts.max_candidates_per_constraint);
+  if (candidates.size() > kMaxCandidatesPerConstraint) {
+    candidates.resize(kMaxCandidatesPerConstraint);
   }
   return candidates;
 }

@@ -36,7 +36,7 @@ enum class ExprKind {
   kInc,    ///< target := min(hi, target + 1)
   kMex,    ///< target := least domain value differing from every other
            ///  support variable's value (unchanged when none exists)
-  kConst,  ///< target := k, for small domains
+  kConst,  ///< target := k, for domains of at most 4 values
 };
 
 const char* to_string(ExprKind kind) noexcept;
@@ -70,12 +70,6 @@ struct ActionCandidate {
 };
 
 struct GrammarOptions {
-  /// Enumerate kConst templates only for domains of at most this size
-  /// (constants explode the space on wide domains and are rarely needed).
-  std::uint64_t const_domain_cap = 4;
-  /// Cap on candidates enumerated per constraint (applied after ordering,
-  /// so the simplest candidates always survive).
-  std::size_t max_candidates_per_constraint = 512;
   /// When nonempty, only these variables may be assigned. Use to model
   /// which processes are allowed to correct a constraint (e.g. "only the
   /// raising process may write x").
@@ -83,8 +77,8 @@ struct GrammarOptions {
 };
 
 /// Enumerate candidate convergence actions for constraint `cid` of
-/// `invariant`, in the deterministic order described above. The result may
-/// be empty (no support variable is writable).
+/// `invariant`, in the deterministic order described above, keeping the
+/// first 512. The result may be empty (no support variable is writable).
 std::vector<ActionCandidate> enumerate_candidates(
     const Program& program, const Invariant& invariant, std::size_t cid,
     const GrammarOptions& opts = {});

@@ -1,7 +1,5 @@
 #include "synth/report.hpp"
 
-#include <fstream>
-
 #include "util/json.hpp"
 
 namespace nonmask::synth {
@@ -138,14 +136,6 @@ std::string render_synthesis_report(const SynthesisResult& result) {
   }
   w.end_object();
   return out;
-}
-
-bool write_synthesis_report(const SynthesisResult& result,
-                            const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << render_synthesis_report(result) << "\n";
-  return static_cast<bool>(out);
 }
 
 }  // namespace nonmask::synth

@@ -17,9 +17,4 @@ namespace nonmask::synth {
 /// Render the report as a JSON object (no trailing newline).
 std::string render_synthesis_report(const SynthesisResult& result);
 
-/// Write render_synthesis_report(result) plus a trailing newline to
-/// `path`. Returns false when the file cannot be opened.
-bool write_synthesis_report(const SynthesisResult& result,
-                            const std::string& path);
-
 }  // namespace nonmask::synth

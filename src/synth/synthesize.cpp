@@ -37,6 +37,10 @@ std::vector<std::size_t> decode_combination(
   return choice;
 }
 
+/// Random-walk falsification effort per surviving combination.
+constexpr std::uint64_t kFalsifyWalks = 24;
+constexpr std::uint64_t kFalsifyWalkLength = 256;
+
 /// Distinct, reproducible falsifier seed per combination.
 std::uint64_t falsify_seed(std::uint64_t base, std::uint64_t index) {
   std::uint64_t z = base + 0x9e3779b97f4a7c15ULL * (index + 1);
@@ -65,13 +69,13 @@ SynthesisResult synthesize(const CandidateTriple& candidate,
     result.failure = "candidate program already contains convergence actions";
     return result;
   }
-  if (!fits_in_budget(candidate.program, opts.state_budget)) {
+  if (!fits_in_budget(candidate.program, opts.store.budget)) {
     result.failure =
         "candidate state space exceeds the budget; the exact oracle is "
         "unavailable";
     return result;
   }
-  const StateSpace base_space(candidate.program, opts.state_budget);
+  const StateSpace base_space(candidate.program, opts.store.budget);
 
   // --- Phase 1: enumerate and locally prune per-constraint pools. --------
   std::vector<std::vector<ActionCandidate>> pools;
@@ -133,10 +137,9 @@ SynthesisResult synthesize(const CandidateTriple& candidate,
   };
 
   // --- Phase 2: batched CEGIS over the combination space. ----------------
-  ThreadPool workers(opts.threads);
+  ThreadPool workers(opts.store.threads);
   obs::ProgressMeter meter("synth", limit);
   SeedBank bank;
-  const ProbeOptions probe{opts.probe_max_states};
   bool found = false;
 
   for (std::uint64_t batch_start = 0; batch_start < limit && !found;
@@ -158,14 +161,14 @@ SynthesisResult synthesize(const CandidateTriple& candidate,
       const Design design = build_design(index, nullptr);
       EvalOutcome& out = outcomes[i];
       for (std::size_t si = 0; si < snapshot; ++si) {
-        if (probe_violation_from(design, bank.seeds()[si], probe).violated) {
+        if (probe_violation_from(design, bank.seeds()[si]).violated) {
           out.status = EvalStatus::kSeedPruned;
           return;
         }
       }
       FalsifyOptions fo;
-      fo.walks = opts.falsify_walks;
-      fo.max_walk_length = opts.falsify_walk_length;
+      fo.walks = kFalsifyWalks;
+      fo.max_walk_length = kFalsifyWalkLength;
       fo.seed = falsify_seed(opts.seed, index);
       const FalsifyResult fr = falsify_convergence(design, fo);
       if (fr.violated) {
@@ -196,7 +199,7 @@ SynthesisResult synthesize(const CandidateTriple& candidate,
       const Design design = build_design(index, &choice);
       bool pruned_late = false;
       for (std::size_t si = snapshot; si < bank.size(); ++si) {
-        if (probe_violation_from(design, bank.seeds()[si], probe).violated) {
+        if (probe_violation_from(design, bank.seeds()[si]).violated) {
           pruned_late = true;
           break;
         }
@@ -207,7 +210,7 @@ SynthesisResult synthesize(const CandidateTriple& candidate,
       }
 
       ++result.stats.exact_checks;
-      const StateSpace space(design.program, opts.state_budget);
+      const StateSpace space(design.program, opts.store.budget);
       const ToleranceReport report =
           store::verify_tolerance_via(opts.store, space, design);
       if (!report.tolerant()) {
@@ -247,7 +250,7 @@ SynthesisResult synthesize(const CandidateTriple& candidate,
   // --- Phase 3: certification cascade + independent audit. ---------------
   {
     obs::Span span("synth.certify");
-    const StateSpace space(result.design.program, opts.state_budget);
+    const StateSpace space(result.design.program, opts.store.budget);
     result.certification = certify_design(result.design, space);
   }
 

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "checker/convergence_check.hpp"
-#include "checker/state_space.hpp"
 #include "core/candidate.hpp"
 #include "store/config.hpp"
 #include "synth/certify_design.hpp"
@@ -48,20 +47,13 @@ struct SynthesisOptions {
   /// Combinations evaluated per parallel batch (also the seed-bank
   /// snapshot granularity).
   std::size_t batch = 64;
-  /// Worker threads; 0 = default_threads(). Does not affect results.
-  unsigned threads = 0;
   GrammarOptions grammar;
-  /// Random-walk falsification effort per surviving combination.
-  std::uint64_t falsify_walks = 24;
-  std::uint64_t falsify_walk_length = 256;
-  /// State cap for each seed-replay probe.
-  std::uint64_t probe_max_states = 4'096;
-  /// Budget for the exact oracle's state space; synthesis requires the
-  /// candidate program to fit (the exact checker is the final judge).
-  std::uint64_t state_budget = StateSpace::kDefaultBudget;
-  /// Checker-engine configuration for the exact oracle (threads, grain);
-  /// results never depend on it. Callers build it with
-  /// StoreConfig::from_env() to honor NONMASK_STATE_BUDGET.
+  /// The exact oracle's engine configuration. `budget` bounds the state
+  /// space: synthesis requires the candidate program to fit (the exact
+  /// checker is the final judge). `threads` (0 = default_threads()) sizes
+  /// both the batch pool and the engine's passes and, like the grain, never
+  /// changes a result. Callers build it with StoreConfig::from_env() to
+  /// honor NONMASK_STATE_BUDGET.
   store::StoreConfig store;
   /// Name given to the synthesized design ("<program>-synth" when empty).
   std::string design_name;

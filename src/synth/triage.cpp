@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <utility>
 
 #include "store/facade.hpp"
 #include "util/json.hpp"
@@ -20,6 +19,10 @@ const char* to_string(TriageVerdict verdict) noexcept {
 
 namespace {
 
+/// The transient and environment rows are audited exhaustively when the
+/// design's space fits this many states.
+constexpr std::uint64_t kTriageBudget = 1u << 20;
+
 std::string join_ints(const std::vector<int>& xs) {
   std::ostringstream out;
   out << "{";
@@ -31,25 +34,26 @@ std::string join_ints(const std::vector<int>& xs) {
   return out.str();
 }
 
-TriageEntry transient_row(const Design& design, const TriageOptions& opts) {
+TriageEntry transient_row(const Design& design,
+                          const store::StoreConfig& config) {
   TriageEntry row;
   row.design = design.name;
   row.regime = FaultRegime::kTransient;
 
-  if (!fits_in_budget(design.program, opts.state_budget)) {
+  if (!fits_in_budget(design.program, kTriageBudget)) {
     row.verdict = TriageVerdict::kFallsBack;
     row.detail = "state space exceeds triage budget; certificate unaudited";
     return row;
   }
-  StateSpace space(design.program, opts.state_budget);
+  StateSpace space(design.program, kTriageBudget);
   const CertificationResult cert = certify_design(design, space);
   if (cert.theorem_certified()) {
     row.verdict = TriageVerdict::kSurvives;
     row.detail = std::string("certificate: ") + to_string(cert.method);
     return row;
   }
-  const ToleranceReport tol = store::verify_tolerance_via(
-      opts.byzantine.containment.config, space, design);
+  const ToleranceReport tol =
+      store::verify_tolerance_via(config, space, design);
   if (tol.tolerant()) {
     row.verdict = TriageVerdict::kFallsBack;
     row.detail = "no theorem applies; exhaustive certificate only";
@@ -87,7 +91,8 @@ std::vector<int> benchmark_placement(const Program& program, std::size_t m) {
   return owners;
 }
 
-TriageEntry byzantine_row(const Design& design, const TriageOptions& opts) {
+TriageEntry byzantine_row(const Design& design,
+                          const ByzantinePlacementOptions& opts) {
   TriageEntry row;
   row.design = design.name;
   row.regime = FaultRegime::kByzantine;
@@ -107,7 +112,7 @@ TriageEntry byzantine_row(const Design& design, const TriageOptions& opts) {
     const ContainmentReport rep =
         measure_containment(design.program, bench,
                             legitimate_state(design, leg_opts),
-                            opts.byzantine.containment);
+                            opts.containment);
     if (rep.contained) {
       row.verdict = TriageVerdict::kSurvives;
       detail << "contained: radius " << rep.radius << " < horizon "
@@ -118,9 +123,7 @@ TriageEntry byzantine_row(const Design& design, const TriageOptions& opts) {
              << rep.horizon << " at benchmark placement " << join_ints(bench);
     }
   } catch (const StateSpaceTooLarge&) {
-    ByzantinePlacementOptions bopts = opts.byzantine;
-    bopts.num_byzantine = opts.num_byzantine;
-    bopts.seed = opts.seed;
+    ByzantinePlacementOptions bopts = opts;
     bopts.force_hill_climb = true;
     const ByzantinePlacementResult worst =
         find_worst_byzantine_placement(design, bopts);
@@ -133,13 +136,14 @@ TriageEntry byzantine_row(const Design& design, const TriageOptions& opts) {
   return row;
 }
 
-TriageEntry environment_row(const Design& design, const TriageOptions& opts) {
+TriageEntry environment_row(const Design& design,
+                            const store::StoreConfig& config) {
   TriageEntry row;
   row.design = design.name;
   row.regime = FaultRegime::kEnvironment;
 
   validate_environment(design.program);
-  if (!fits_in_budget(design.program, opts.state_budget)) {
+  if (!fits_in_budget(design.program, kTriageBudget)) {
     row.verdict = TriageVerdict::kFallsBack;
     row.detail = "state space exceeds triage budget; composed system "
                  "unaudited";
@@ -147,8 +151,7 @@ TriageEntry environment_row(const Design& design, const TriageOptions& opts) {
   }
   // The environment actions are part of the program, so the ordinary
   // passes already run over the composed program∪environment system.
-  StateSpace space(design.program, opts.state_budget);
-  const auto& config = opts.byzantine.containment.config;
+  StateSpace space(design.program, kTriageBudget);
   const ConvergenceReport unfair =
       store::check_convergence_via(config, space, design.S(), design.T());
   if (unfair.verdict == ConvergenceVerdict::kConverges) {
@@ -183,26 +186,15 @@ bool has_process_structure(const Program& program) {
 
 }  // namespace
 
-std::vector<TriageEntry> triage_design(const Design& design,
-                                       const TriageOptions& opts) {
+std::vector<TriageEntry> triage_design(
+    const Design& design, const ByzantinePlacementOptions& byzantine) {
   std::vector<TriageEntry> rows;
-  rows.push_back(transient_row(design, opts));
+  rows.push_back(transient_row(design, byzantine.containment));
   if (has_process_structure(design.program)) {
-    rows.push_back(byzantine_row(design, opts));
+    rows.push_back(byzantine_row(design, byzantine));
   }
   if (has_environment_actions(design.program)) {
-    rows.push_back(environment_row(design, opts));
-  }
-  return rows;
-}
-
-std::vector<TriageEntry> triage_designs(const std::vector<Design>& designs,
-                                        const TriageOptions& opts) {
-  std::vector<TriageEntry> rows;
-  for (const Design& d : designs) {
-    auto part = triage_design(d, opts);
-    rows.insert(rows.end(), std::make_move_iterator(part.begin()),
-                std::make_move_iterator(part.end()));
+    rows.push_back(environment_row(design, byzantine.containment));
   }
   return rows;
 }

@@ -45,25 +45,15 @@ struct TriageEntry {
   std::string detail;
 };
 
-struct TriageOptions {
-  /// Byzantine set size handed to the placement search.
-  std::size_t num_byzantine = 1;
-  std::uint64_t seed = 1;
-  /// Forwarded to find_worst_byzantine_placement / measure_containment.
-  ByzantinePlacementOptions byzantine;
-  /// Exhaustive certification when the design's space fits this budget.
-  std::uint64_t state_budget = 1u << 20;
-};
-
 /// Triage one design: always a transient row; a Byzantine row when the
 /// program has >= 2 processes; an environment row when it declares
-/// kEnvironment actions. Deterministic per seed.
-std::vector<TriageEntry> triage_design(const Design& design,
-                                       const TriageOptions& opts = {});
-
-/// Concatenation of triage_design over several designs.
-std::vector<TriageEntry> triage_designs(const std::vector<Design>& designs,
-                                        const TriageOptions& opts = {});
+/// kEnvironment actions. `byzantine` sets the Byzantine set size and seed
+/// of the benchmark placement and of the placement search, and its
+/// `containment` config runs every exhaustive pass. The transient and
+/// environment rows are audited exhaustively when the design's space fits
+/// 2^20 states. Deterministic per seed.
+std::vector<TriageEntry> triage_design(
+    const Design& design, const ByzantinePlacementOptions& byzantine = {});
 
 /// The triage table as a JSON array (RunReport section payload).
 std::string triage_to_json(const std::vector<TriageEntry>& entries);

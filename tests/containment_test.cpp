@@ -33,9 +33,29 @@ SpanningTreeDesign path5_tree() {
 
 ContainmentReport measure(const Design& d, const std::vector<int>& byz,
                           unsigned threads = 0) {
-  ContainmentOptions opts;
-  opts.config.threads = threads;
-  return measure_containment(d.program, byz, d.program.initial_state(), opts);
+  store::StoreConfig config;
+  config.threads = threads;
+  return measure_containment(d.program, byz, d.program.initial_state(),
+                             config);
+}
+
+/// One variable x owned by process 0 and one convergence action x := 0
+/// pinned to `action_process`.
+Design single_owner_design(int action_process) {
+  ProgramBuilder b("single-owner");
+  const VarId x = b.var("x", 0, 1, 0);
+  b.convergence(
+      "fix", [x](const State& s) { return s.get(x) != 0; },
+      [x](State& s) { s.set(x, 0); }, {x}, {x}, 0, action_process);
+  Design d;
+  d.name = "single-owner";
+  d.program = b.build();
+  Invariant inv;
+  inv.add(Constraint{"x = 0",
+                     [x](const State& s) { return s.get(x) == 0; },
+                     {x}});
+  d.invariant = std::move(inv);
+  return d;
 }
 
 TEST(RestrictedTest, CommunicationGraphAndDistances) {
@@ -133,6 +153,22 @@ TEST(ContainmentTest, ReportInvariantToThreadCount) {
   check(make_dijkstra_ring(5, 5).design, {2});
 }
 
+TEST(ContainmentTest, StoreBudgetBoundsTheComposedSpace) {
+  // At the composed space's exact size the pass runs; one state less and
+  // it throws before exploring anything.
+  const auto st = path5_tree();
+  const auto count = compose_byzantine(st.design.program, {4}).state_count();
+  ASSERT_TRUE(count.has_value());
+  const State start = st.design.program.initial_state();
+  store::StoreConfig config;
+  config.budget = *count;
+  EXPECT_TRUE(
+      measure_containment(st.design.program, {4}, start, config).contained);
+  config.budget = *count - 1;
+  EXPECT_THROW(measure_containment(st.design.program, {4}, start, config),
+               StateSpaceTooLarge);
+}
+
 TEST(ContainmentTest, JsonCarriesPlacementAndVerdict) {
   const auto st = path5_tree();
   const ContainmentReport rep = measure(st.design, {4});
@@ -181,21 +217,20 @@ TEST(ByzantinePlacementTest, HillClimbDeterministicPerSeed) {
 }
 
 TEST(ByzantinePlacementTest, ThrowsBelowTwoProcesses) {
-  ProgramBuilder b("solo");
-  const VarId x = b.var("x", 0, 1, 0);
-  b.convergence(
-      "fix", [x](const State& s) { return s.get(x) != 0; },
-      [x](State& s) { s.set(x, 0); }, {x}, {x}, 0, 0);
-  Design solo;
-  solo.name = "solo";
-  solo.program = b.build();
-  Invariant inv;
-  inv.add(Constraint{"x = 0",
-                     [x](const State& s) { return s.get(x) == 0; },
-                     {x}});
-  solo.invariant = std::move(inv);
-  EXPECT_THROW(find_worst_byzantine_placement(solo, {}),
+  EXPECT_THROW(find_worst_byzantine_placement(single_owner_design(0), {}),
                std::invalid_argument);
+}
+
+TEST(ByzantinePlacementTest, ThrowsWhenTooFewProcessesOwnVariables) {
+  // Three processes, but only process 0 owns a variable: no two of them
+  // can both be Byzantine. Both modes refuse; the hill-climb would
+  // otherwise draw random subsets forever.
+  const Design d = single_owner_design(2);
+  ByzantinePlacementOptions opts;
+  opts.num_byzantine = 2;
+  EXPECT_THROW(find_worst_byzantine_placement(d, opts), std::invalid_argument);
+  opts.force_hill_climb = true;
+  EXPECT_THROW(find_worst_byzantine_placement(d, opts), std::invalid_argument);
 }
 
 TEST(TriageTest, SpanningTreeSurvivesByzantine) {

@@ -1,6 +1,6 @@
-// Tests for src/resilience/: adversarial fault-placement search, graceful
-// degradation, the checkpoint journal, campaign resume, and the watchdog /
-// retry trial policy.
+// Tests for src/resilience/: adversarial fault-placement search, the
+// checkpoint journal, campaign resume, and the watchdog / retry trial
+// policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,12 +15,10 @@
 #include "core/predicate.hpp"
 #include "engine/experiment.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "parallel/campaign.hpp"
 #include "protocols/diffusing.hpp"
 #include "protocols/token_ring.hpp"
 #include "resilience/adversary.hpp"
-#include "resilience/degrade.hpp"
 #include "resilience/journal.hpp"
 #include "resilience/watchdog.hpp"
 
@@ -135,50 +133,6 @@ TEST(AdversaryTest, WorstTraceJsonIsSelfDescribing) {
   const FaultSchedule sched = result.placement.schedule();
   ASSERT_EQ(sched.size(), 1u);
   EXPECT_EQ(sched.strikes().front().step, result.placement.at_step);
-}
-
-// ----------------------------------------------------------- degradation
-
-TEST(DegradeTest, ExhaustiveWhenSpaceFitsBudget) {
-  const Design design = make_dijkstra_ring(4, 5).design;
-  const ResilientVerification v = verify_resilient(design);
-  EXPECT_TRUE(v.exhaustive);
-  EXPECT_FALSE(v.degraded);
-  EXPECT_TRUE(v.ok());
-  EXPECT_GT(v.requested_states, 0u);
-  const std::string json = to_json(v);
-  EXPECT_NE(json.find("\"exhaustive\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"convergence\":"), std::string::npos);
-}
-
-TEST(DegradeTest, SamplingFallbackRecordsTruncation) {
-  const Design design = make_diffusing(RootedTree::balanced(7, 2), true).design;
-  DegradeOptions opts;
-  opts.state_budget = 16;  // force StateSpaceTooLarge
-  opts.sample_trials = 32;
-  opts.seed = 3;
-  const ResilientVerification v = verify_resilient(design, opts);
-  EXPECT_FALSE(v.exhaustive);
-  EXPECT_TRUE(v.degraded);
-  EXPECT_EQ(v.state_budget, 16u);
-  EXPECT_GT(v.requested_states, 16u);
-  EXPECT_EQ(v.sampled_trials, 32u);
-  // The protocol is stabilizing, so every sampled trial converges.
-  EXPECT_DOUBLE_EQ(v.sampled.converged_fraction, 1.0);
-  EXPECT_TRUE(v.ok());
-
-  const std::string json = to_json(v);
-  EXPECT_NE(json.find("\"degraded\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"sampled_trials\":32"), std::string::npos);
-
-  obs::RunReport report("degrade-test");
-  record_verification(report, v);
-  const std::string rendered = report.to_json();
-  EXPECT_NE(rendered.find("\"degradation\":"), std::string::npos);
-  EXPECT_NE(rendered.find("\"reason\":\"StateSpaceTooLarge\""),
-            std::string::npos);
-  EXPECT_NE(rendered.find("\"fallback\":\"sampled-convergence\""),
-            std::string::npos);
 }
 
 // --------------------------------------------------------------- journal

@@ -4,8 +4,7 @@
 // count. Each report is rendered to text — counts, verdicts, and the full
 // counterexample states — and the renderings are compared for closure(S),
 // closure(T), unfair and weakly-fair convergence, the tolerance verdict,
-// variant extraction, and capped and uncapped reachability, across 1/2/8
-// worker threads. At one thread the convergence passes generate successors
+// and capped and uncapped reachability, across 1/2/8 worker threads. At one thread the convergence passes generate successors
 // inside the traversal; at two and eight they read the parallel prefetch.
 // The single-pass tolerance check renders byte-identical to the oracle's
 // three separate reports, also on designs that drive each of its fallbacks
@@ -21,7 +20,6 @@
 #include "checker/convergence_check.hpp"
 #include "checker/fault_span.hpp"
 #include "checker/state_space.hpp"
-#include "checker/variant.hpp"
 #include "core/builder.hpp"
 #include "core/candidate.hpp"
 #include "fuzz_case.hpp"
@@ -70,13 +68,6 @@ std::string render(const ConvergenceReport& r) {
   }
   if (r.deadlock) out += " deadlock " + render(*r.deadlock);
   return out;
-}
-
-std::string render(const std::optional<VariantFunction>& v) {
-  if (!v) return "no variant";
-  std::ostringstream out;
-  for (std::uint32_t d : v->raw()) out << d << ' ';
-  return out.str();
 }
 
 std::string render(const StateSet& set) {
@@ -329,20 +320,6 @@ TEST_P(BackendEquivalenceTest, WeaklyFairReportsByteIdentical) {
     EXPECT_EQ(render(store::check_convergence_weakly_fair_via(cfg, space,
                                                               d.S(), d.T())),
               render(check_convergence_weakly_fair(space, d.S(), d.T())));
-  }
-}
-
-// Variant extraction produces the same function (the raw per-state
-// distance table) as the serial extraction, and the same "no variant
-// exists" answer for a non-converging design.
-TEST_P(BackendEquivalenceTest, VariantExtractionMatchesDense) {
-  const unsigned threads = GetParam();
-  const auto cfg = config_for(threads);
-  for (const Design& d : builtins()) {
-    SCOPED_TRACE(d.name + " variant @" + std::to_string(threads) + "t");
-    const StateSpace space(d.program);
-    EXPECT_EQ(render(store::compute_variant_via(cfg, space, d.S())),
-              render(compute_variant(space, d.S())));
   }
 }
 

@@ -163,8 +163,8 @@ TEST(StoreMultiwordTest, CompactFalsificationPathsRunOnTwoWordRecords) {
 }
 
 TEST(StoreMultiwordTest, VisitIdRangeErrorNamesOversizedSpaces) {
-  // 3^33 codes exceed the u32 visit ids of the Tarjan and variant
-  // bookkeeping: both passes refuse up front with a named error instead of
+  // 3^33 codes exceed the u32 visit ids of the Tarjan bookkeeping: the
+  // weakly-fair passes refuse up front with a named error instead of
   // allocating anything.
   const auto cd = multiword_design();
   const StateSpace space(cd.design.program, kBudget);
@@ -179,7 +179,8 @@ TEST(StoreMultiwordTest, VisitIdRangeErrorNamesOversizedSpaces) {
               std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(store::compute_variant_via(cfg, space, cd.design.S()),
+  EXPECT_THROW(store::verify_tolerance_via(cfg, space, cd.design,
+                                          /*weakly_fair=*/true),
                store::VisitIdRangeExceeded);
 }
 

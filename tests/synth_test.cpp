@@ -126,7 +126,7 @@ TEST(SynthTest, ReportsAreByteIdenticalAcrossThreadCounts) {
   for (unsigned threads : {1u, 2u, 8u}) {
     synth::SynthesisOptions opts;
     opts.seed = 42;
-    opts.threads = threads;
+    opts.store.threads = threads;
     const auto report =
         synth::render_synthesis_report(synth::synthesize(candidate, opts));
     if (!reference) {
@@ -141,7 +141,7 @@ TEST(SynthTest, ReportsAreByteIdenticalAcrossThreadCounts) {
   for (unsigned threads : {1u, 8u}) {
     synth::SynthesisOptions opts;
     opts.batch = 1;
-    opts.threads = threads;
+    opts.store.threads = threads;
     const auto report = synth::render_synthesis_report(
         synth::synthesize(make_chain_candidate(), opts));
     if (!chain_reference) {
@@ -283,6 +283,22 @@ TEST(SynthTest, FailureModesReported) {
   empty.program.add_variable({"a", 0, 1});
   const auto r3 = synth::synthesize(empty);
   EXPECT_FALSE(r3.success);
+}
+
+TEST(SynthTest, StoreBudgetBoundsTheCandidateSpace) {
+  // `store.budget` is the exact oracle's budget: a candidate space one
+  // state larger is refused up front, one that fits exactly synthesizes.
+  const CandidateTriple candidate = make_chain_candidate();
+  const auto count = candidate.program.state_count();
+  ASSERT_TRUE(count.has_value());
+  synth::SynthesisOptions opts;
+  opts.store.budget = *count - 1;
+  const auto refused = synth::synthesize(candidate, opts);
+  EXPECT_FALSE(refused.success);
+  EXPECT_NE(refused.failure.find("exceeds the budget"), std::string::npos)
+      << refused.failure;
+  opts.store.budget = *count;
+  EXPECT_TRUE(synth::synthesize(candidate, opts).success);
 }
 
 TEST(SynthTest, ProbeCertifiesViolationsSoundly) {
