@@ -98,13 +98,14 @@ void probe(const Design& design, std::size_t m, std::uint64_t seed,
 
   AdversaryOptions leg_opts;
   leg_opts.seed = seed;
-  const State legitimate = legitimate_state(design, leg_opts);
+  const ContainmentFixpoint fixpoint =
+      containment_fixpoint(design.program, legitimate_state(design, leg_opts));
   const store::StoreConfig config = store::StoreConfig::from_env();
 
   // 1. Benchmark: the far placement a containing protocol must shrug off.
   const std::vector<int> bench = farthest_processes(design.program, m);
   const ContainmentReport rep =
-      measure_containment(design.program, bench, legitimate, config);
+      measure_containment(design.program, bench, fixpoint, config);
   std::cout << "  benchmark placement " << join_ints(bench) << ": radius "
             << rep.radius << (rep.contained ? " < horizon " : " reaches horizon ")
             << rep.horizon << " -> "

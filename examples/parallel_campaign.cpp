@@ -18,7 +18,6 @@
 //   --dashboard-out=PATH  self-contained HTML dashboard from the telemetry
 //                         heartbeat series (in-memory sampler unless
 //                         NONMASK_TELEMETRY is set)
-//   --progress          rate-limited progress lines on stderr
 //   --threads=N         same as the positional threads argument
 //
 // Resilience flags (src/resilience/):
@@ -37,7 +36,6 @@
 
 #include "obs/dashboard.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -98,7 +96,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> pos;
   std::string trace_out, metrics_out, report_out, dashboard_out, flag_threads;
   std::string checkpoint, deadline_ms, retries, backoff_ms;
-  bool progress = false;
   bool resume = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -108,12 +105,10 @@ int main(int argc, char** argv) {
                    "[seed] [jsonl-path]\n"
                    "       [--threads=N] [--trace-out=PATH] "
                    "[--metrics-out=PATH] [--report-out=PATH]\n"
-                   "       [--dashboard-out=PATH] [--progress]\n"
+                   "       [--dashboard-out=PATH]\n"
                    "       [--checkpoint=PATH] [--resume] [--deadline-ms=N] "
                    "[--retries=N] [--backoff-ms=N]\n";
       return 0;
-    } else if (arg == "--progress") {
-      progress = true;
     } else if (arg == "--resume") {
       resume = true;
     } else if (flag_value(arg, "--checkpoint", &value)) {
@@ -134,6 +129,11 @@ int main(int argc, char** argv) {
       report_out = value;
     } else if (flag_value(arg, "--dashboard-out", &value)) {
       dashboard_out = value;
+    } else if (arg.rfind("--", 0) == 0) {
+      // Not a positional value: taken as one, a stray flag would name the
+      // JSONL output file.
+      std::cerr << "unknown flag '" << arg << "' (see --help)\n";
+      return 2;
     } else {
       pos.push_back(arg);
     }
@@ -177,7 +177,6 @@ int main(int argc, char** argv) {
   if (!metrics_out.empty() || !report_out.empty()) {
     obs::Metrics::set_enabled(true);
   }
-  if (progress) obs::Progress::enable(&std::cerr);
   obs::Telemetry::start_from_env();
   if (!dashboard_out.empty() && !obs::Telemetry::running()) {
     obs::Telemetry::start({});
@@ -276,6 +275,5 @@ int main(int argc, char** argv) {
     obs::write_dashboard_file(dashboard_out, spec);
     std::cout << "dashboard written to " << dashboard_out << "\n";
   }
-  if (progress) obs::Progress::disable();
   return 0;
 }

@@ -8,11 +8,12 @@
 //   --metrics-out  the metrics-registry snapshot as JSON
 //   --report-out   a self-describing RunReport JSON (checker reports,
 //                  campaign SampleStats, metrics snapshot, wall time)
-//   --progress     live rate-limited progress lines on stderr
+// With NONMASK_TELEMETRY=<jsonl-path> set, the telemetry sampler writes
+// its live heartbeats there while the passes run.
 //
 // Usage:  trace_report [--design=NAME] [--threads=N] [--grain=N]
 //                      [--trials=N] [--trace-out=PATH] [--metrics-out=PATH]
-//                      [--report-out=PATH] [--progress]
+//                      [--report-out=PATH]
 //   design  diffusing | chain | dijkstra | bounded | coloring
 //           (default: dijkstra — a 6-node, K=6 ring, 46656 states)
 #include <cstdlib>
@@ -22,9 +23,9 @@
 
 #include "checker/fault_span.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 #include "parallel/campaign.hpp"
 #include "parallel/thread_pool.hpp"
 #include "protocols/coloring.hpp"
@@ -41,7 +42,7 @@ void print_usage(std::ostream& out) {
   out << "usage: trace_report [--design=NAME] [--threads=N] [--grain=N]\n"
          "                    [--trials=N] [--trace-out=PATH]\n"
          "                    [--metrics-out=PATH] [--report-out=PATH]\n"
-         "                    [--progress] [--help]\n"
+         "                    [--help]\n"
          "  --design       diffusing | chain | dijkstra | bounded | coloring"
          " (default dijkstra)\n"
          "  --threads      worker threads; 0 = NONMASK_THREADS / hardware"
@@ -51,7 +52,7 @@ void print_usage(std::ostream& out) {
          "  --trace-out    write Chrome trace-event JSON here\n"
          "  --metrics-out  write the metrics snapshot JSON here\n"
          "  --report-out   write the full run report JSON here\n"
-         "  --progress     print progress lines to stderr\n";
+         "NONMASK_TELEMETRY=PATH streams live heartbeats to PATH (JSONL).\n";
 }
 
 /// Exhaustively checkable instances — smaller than parallel_campaign's
@@ -93,7 +94,6 @@ int main(int argc, char** argv) {
   unsigned threads = 0;
   std::uint64_t grain = 1 << 14;
   std::size_t trials = 16;
-  bool progress = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -101,8 +101,6 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       print_usage(std::cout);
       return 0;
-    } else if (arg == "--progress") {
-      progress = true;
     } else if (flag_value(arg, "--design", &value)) {
       design_name = value;
     } else if (flag_value(arg, "--threads", &value)) {
@@ -126,7 +124,7 @@ int main(int argc, char** argv) {
 
   obs::Metrics::set_enabled(true);
   if (!trace_out.empty()) obs::Trace::set_enabled(true);
-  if (progress) obs::Progress::enable(&std::cerr);
+  obs::Telemetry::start_from_env();
 
   const Design design = make_design(design_name);
   const StateSpace space(design.program);
@@ -170,6 +168,9 @@ int main(int argc, char** argv) {
             << "% converged\n";
   report.add("campaign", obs::to_json(campaign.aggregate));
 
+  // Final heartbeat first, so it counts every pass the outputs report.
+  obs::Telemetry::stop();
+
   if (!trace_out.empty()) {
     std::ofstream out(trace_out);
     if (!out) {
@@ -199,6 +200,5 @@ int main(int argc, char** argv) {
     report.write(out);
     std::cout << "run report written to " << report_out << "\n";
   }
-  if (progress) obs::Progress::disable();
   return 0;
 }

@@ -179,8 +179,10 @@ fi
 # Byzantine containment smoke: the radius analysis must be deterministic —
 # the timestamp-free artifact is byte-diffed across 1/2/8 threads — the
 # spanning tree must contain its benchmark leaf placement (the min+1
-# shape), the token ring must never contain, and the dashboard must carry
-# the certification-triage table. CI uploads the JSON artifact.
+# shape), the token ring must never contain, the dashboard must carry the
+# certification-triage table, and the dashboard run's report (metrics are
+# on there) must count containment's states in the frontier engine's
+# store.reach.states. CI uploads the JSON artifact.
 echo "== byzantine containment smoke =="
 cont_dir="$(mktemp -d)"
 trap 'rm -rf "${resume_dir}" "${obs_dir}" "${synth_dir}" "${store_dir}" "${cont_dir}"' EXIT
@@ -210,6 +212,8 @@ assert triage[("dijkstra-k-state-ring", "byzantine")] == "refuted", triage
 assert triage[("bfs-spanning-tree+env", "environment")] == "falls-back", triage
 report = json.load(open(f"{d}/containment_report.json"))
 assert "triage" in report, sorted(report)
+counters = report["metrics"]["counters"]
+assert counters.get("store.reach.states", 0) > 0, counters
 html = open(f"{d}/containment.html").read()
 assert "Certification triage" in html, "dashboard missing the triage table"
 print(f"ok: tree contained (radius 1), ring refuted, "

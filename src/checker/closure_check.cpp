@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 
 namespace nonmask {
 
@@ -61,12 +61,12 @@ ClosureReport check_closed(const StateSpace& space,
                            const PredicateFn& predicate,
                            const std::vector<std::size_t>& actions) {
   obs::Span span("checker.closure");
-  obs::ProgressMeter meter("closure", space.size(), obs::explored_states());
+  obs::Counter* const explored = obs::explored_states();
   State scratch(space.program().num_variables());
 
   // The serial scan is the in-order concatenation of slices (the same
   // property the engine's chunked reduction relies on), so slicing here
-  // for progress ticks changes nothing observable.
+  // for the explored-states count changes nothing observable.
   constexpr std::uint64_t kSlice = 1 << 18;
   ClosureReport report;
   report.closed = true;
@@ -81,7 +81,7 @@ ClosureReport check_closed(const StateSpace& space,
       report.closed = false;
       report.violation = std::move(slice.violation);
     }
-    meter.add(hi - lo);
+    if (explored != nullptr) explored->add(hi - lo);
   }
   detail::record_closure_metrics(report);
   return report;

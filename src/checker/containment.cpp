@@ -1,10 +1,8 @@
 #include "checker/containment.hpp"
 
 #include <algorithm>
-#include <utility>
 
-#include "checker/fault_span.hpp"
-#include "parallel/thread_pool.hpp"
+#include "store/frontier.hpp"
 #include "util/json.hpp"
 
 namespace nonmask {
@@ -14,17 +12,12 @@ namespace {
 /// Cap on the fault-free fixpoint iteration's steps.
 constexpr std::size_t kFixpointMaxSteps = 1u << 20;
 
-/// Deterministic fault-free fixpoint: repeatedly fire the lowest-index
-/// enabled closure/convergence action. The radius is a worst case over
-/// *adversary* choices; the daemon tie-break merely pins one reproducible
-/// fixpoint to measure deviation against.
-State run_to_fixpoint(const Program& program, const State& legitimate,
-                      std::size_t max_steps, std::size_t& steps_out,
-                      bool& reached_out) {
-  State s = legitimate;
-  reached_out = false;
-  std::size_t steps = 0;
-  for (; steps < max_steps; ++steps) {
+}  // namespace
+
+ContainmentFixpoint containment_fixpoint(const Program& program,
+                                         const State& legitimate) {
+  ContainmentFixpoint fix{legitimate};
+  for (; fix.steps < kFixpointMaxSteps; ++fix.steps) {
     std::size_t chosen = program.num_actions();
     for (std::size_t i = 0; i < program.num_actions(); ++i) {
       const Action& a = program.action(i);
@@ -32,38 +25,33 @@ State run_to_fixpoint(const Program& program, const State& legitimate,
           a.kind() != ActionKind::kConvergence) {
         continue;
       }
-      if (a.enabled(s)) {
+      if (a.enabled(fix.state)) {
         chosen = i;
         break;
       }
     }
     if (chosen == program.num_actions()) {
-      reached_out = true;
+      fix.reached = true;
       break;
     }
-    program.action(chosen).execute(s);
+    program.action(chosen).execute(fix.state);
   }
-  steps_out = steps;
-  return s;
+  return fix;
 }
-
-}  // namespace
 
 ContainmentReport measure_containment(const Program& program,
                                       const std::vector<int>& byzantine,
-                                      const State& legitimate,
+                                      const ContainmentFixpoint& fixpoint,
                                       const store::StoreConfig& config) {
   ContainmentReport rep;
   rep.byzantine = byzantine;
   std::sort(rep.byzantine.begin(), rep.byzantine.end());
-
-  const State fix =
-      run_to_fixpoint(program, legitimate, kFixpointMaxSteps,
-                      rep.fixpoint_steps, rep.fixpoint_reached);
+  rep.fixpoint_reached = fixpoint.reached;
+  rep.fixpoint_steps = fixpoint.steps;
+  const State& fix = fixpoint.state;
 
   const Program composed = compose_byzantine(program, byzantine);
   StateSpace space(composed, config.budget);
-  const std::vector<std::size_t> actions = non_fault_actions(composed);
 
   const UndirectedGraph comm = communication_graph(program);
   rep.process_distance = distances_from(comm, rep.byzantine);
@@ -91,68 +79,32 @@ ContainmentReport measure_containment(const Program& program,
     }
   }
 
-  // Level-synchronous BFS from the fixpoint over the composed system.
-  // Expansion fans out per frontier item over the pool; visited marking
-  // happens serially in item order and the dirty union is monotone, so the
-  // report is identical at any thread count.
-  ThreadPool pool(config.threads);
-  const unsigned workers = pool.size();
-  std::vector<State> scratch(workers, space.decode(0));
-  std::vector<State> next_scratch(workers, space.decode(0));
-  std::vector<std::uint8_t> visited(space.size(), 0);
-  const FaultSpanOptions fs_opts;
-
-  std::vector<std::uint64_t> frontier{space.encode(fix)};
-  visited[frontier[0]] = 1;
-  rep.reachable_states = 1;
-
-  std::vector<std::vector<std::uint64_t>> succ;
-  while (!frontier.empty()) {
-    succ.assign(frontier.size(), {});
-    parallel_for_each(pool, frontier.size(),
-                      [&](std::size_t i, unsigned worker) {
-                        detail::expand_reachable(
-                            space, actions, fs_opts, frontier[i],
-                            scratch[worker], next_scratch[worker], succ[i]);
-                      });
-    std::vector<std::uint64_t> next;
-    for (const auto& batch : succ) {
-      for (std::uint64_t code : batch) {
-        if (visited[code] != 0) continue;
-        visited[code] = 1;
-        next.push_back(code);
-      }
-    }
-    if (next.empty()) break;
-    ++rep.levels;
-    rep.reachable_states += next.size();
-
-    std::vector<std::vector<std::uint8_t>> worker_dirty(
-        workers, std::vector<std::uint8_t>(static_cast<std::size_t>(num_procs),
-                                           0));
-    parallel_for_each(pool, next.size(), [&](std::size_t i, unsigned worker) {
-      State& s = scratch[worker];
-      space.decode_into(next[i], s);
-      for (std::uint32_t v = 0; v < program.num_variables(); ++v) {
-        if (excluded[v] != 0) continue;
-        if (s.get(VarId(v)) == fix.get(VarId(v))) continue;
-        const int p = program.variable(VarId(v)).process;
-        worker_dirty[worker][static_cast<std::size_t>(p)] = 1;
-      }
-    });
-    bool grew = false;
-    for (int p = 0; p < num_procs; ++p) {
-      const auto idx = static_cast<std::size_t>(p);
-      for (unsigned w = 0; w < workers; ++w) {
-        if (worker_dirty[w][idx] != 0 && rep.process_dirty[idx] == 0) {
-          rep.process_dirty[idx] = 1;
-          grew = true;
+  // BFS from the fixpoint over the composed system. Each level's new
+  // states mark the processes whose variables they move off the fixpoint;
+  // the level at which the dirty set last grew is the time to containment.
+  store::FrontierEngine engine(space, config);
+  State s = fix;
+  const StateSet region = engine.reachable_from(
+      {space.encode(fix)}, non_fault_actions(composed),
+      [&](const std::vector<std::uint64_t>& added) {
+        ++rep.levels;
+        bool grew = false;
+        for (std::uint64_t code : added) {
+          space.decode_into(code, s);
+          for (std::uint32_t v = 0; v < program.num_variables(); ++v) {
+            if (excluded[v] != 0) continue;
+            if (s.get(VarId(v)) == fix.get(VarId(v))) continue;
+            const auto p =
+                static_cast<std::size_t>(program.variable(VarId(v)).process);
+            if (rep.process_dirty[p] == 0) {
+              rep.process_dirty[p] = 1;
+              grew = true;
+            }
+          }
         }
-      }
-    }
-    if (grew) rep.time_to_containment = rep.levels;
-    frontier = std::move(next);
-  }
+        if (grew) rep.time_to_containment = rep.levels;
+      });
+  rep.reachable_states = region.size();
 
   for (int p = 0; p < num_procs; ++p) {
     const auto idx = static_cast<std::size_t>(p);

@@ -16,10 +16,11 @@
 //
 // The analysis is exhaustive and store-native: the composed
 // program∪adversary transition system (checker/restricted.hpp) is explored
-// by a level-synchronous BFS from the fault-free fixpoint, with per-level
-// expansion fanned out one frontier item at a time over a thread pool.
-// Dirty accounting is a monotone union, so the result is byte-identical at
-// any thread count.
+// from the fault-free fixpoint by the engine's level-synchronous BFS
+// (store::FrontierEngine::reachable_from), which hands each level's new
+// states to the dirty accounting here. The levels arrive in the same order
+// at any thread count and the accounting is a monotone union, so the
+// result is byte-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -61,21 +62,34 @@ struct ContainmentReport {
                                             ///< deviates somewhere in region
 };
 
+/// The fault-free fixpoint containment measures deviation against: the
+/// program run from a legitimate state, firing the lowest-index enabled
+/// closure/convergence action each step, for at most 2^20 steps (the
+/// radius is a worst case over adversary choices, not daemon choices; the
+/// tie-break merely pins one reproducible fixpoint). It depends on neither
+/// the Byzantine placement nor the budget, so a placement search computes
+/// it once for all the placements it measures.
+struct ContainmentFixpoint {
+  State state;
+  bool reached = false;  ///< no closure/convergence action enabled at `state`
+  std::size_t steps = 0;
+};
+
+ContainmentFixpoint containment_fixpoint(const Program& program,
+                                         const State& legitimate);
+
 /// Measure the containment radius of `program` under Byzantine `byzantine`:
-///  1. run the program fault-free from `legitimate` to its deterministic
-///     fixpoint (lowest-index enabled action, at most 2^20 steps — the
-///     worst case is over adversary choices, not daemon choices);
-///  2. explore everything reachable from that fixpoint under the composed
-///     program∪adversary system (compose_byzantine);
-///  3. report how far from the Byzantine set any variable ever deviates.
-/// `config` gives the composed space's state budget and the level BFS's
-/// thread count. Throws StateSpaceTooLarge when the composed space exceeds
-/// `config.budget` (the adversarial placement search falls back to
-/// simulation scoring there) and std::invalid_argument for bad placements
-/// (via compose_byzantine).
+/// explore everything reachable from `fixpoint` (containment_fixpoint of
+/// the same program) under the composed program∪adversary system
+/// (compose_byzantine) and report how far from the Byzantine set any
+/// variable ever deviates from it. `config` gives the composed space's
+/// state budget and the BFS's thread count. Throws StateSpaceTooLarge when
+/// the composed space exceeds `config.budget` (the adversarial placement
+/// search falls back to simulation scoring there) and
+/// std::invalid_argument for bad placements (via compose_byzantine).
 ContainmentReport measure_containment(const Program& program,
                                       const std::vector<int>& byzantine,
-                                      const State& legitimate,
+                                      const ContainmentFixpoint& fixpoint,
                                       const store::StoreConfig& config = {});
 
 /// The report as a JSON object (one line, no trailing newline) — the

@@ -6,7 +6,6 @@
 #include "checker/scc_core.hpp"
 #include "core/candidate.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/span.hpp"
 
 namespace nonmask {
@@ -67,26 +66,20 @@ std::vector<std::uint8_t> evaluate_flags(const StateSpace& space,
                                          const PredicateFn& T,
                                          ConvergenceReport& report) {
   obs::Span span("checker.flags");
-  obs::ProgressMeter meter("flags", space.size());
   const Program& p = space.program();
   std::vector<std::uint8_t> flags(space.size(), 0);
   State s(p.num_variables());
-  constexpr std::uint64_t kSlice = 1 << 18;
-  for (std::uint64_t lo = 0; lo < space.size(); lo += kSlice) {
-    const std::uint64_t hi = std::min(space.size(), lo + kSlice);
-    for (std::uint64_t code = lo; code < hi; ++code) {
-      space.decode_into(code, s);
-      std::uint8_t f = 0;
-      const bool in_T = T(s);
-      if (in_T) f |= detail::kFlagT;
-      if (S(s)) {
-        f |= detail::kFlagS;
-        if (in_T) ++report.states_in_S;
-      }
-      if (in_T) ++report.states_in_T;
-      flags[code] = f;
+  for (std::uint64_t code = 0; code < space.size(); ++code) {
+    space.decode_into(code, s);
+    std::uint8_t f = 0;
+    const bool in_T = T(s);
+    if (in_T) f |= detail::kFlagT;
+    if (S(s)) {
+      f |= detail::kFlagS;
+      if (in_T) ++report.states_in_S;
     }
-    meter.add(hi - lo);
+    if (in_T) ++report.states_in_T;
+    flags[code] = f;
   }
   return flags;
 }

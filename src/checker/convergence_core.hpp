@@ -46,8 +46,8 @@
 #include <vector>
 
 #include "checker/convergence_check.hpp"
-#include "obs/progress.hpp"
 #include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 
 namespace nonmask::detail {
 
@@ -59,7 +59,7 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
                                               Bookkeeping& bk,
                                               std::uint64_t counted = 0) {
   obs::Span dfs_span("checker.dfs");
-  obs::ProgressMeter meter("convergence-dfs", 0, obs::explored_states());
+  obs::Counter* const explored = obs::explored_states();
 
   // frames[0, depth) is the DFS path; frames past it are kept for their
   // buffers. A push may reallocate `frames`: no DfsFrame& is used across
@@ -85,7 +85,9 @@ ConvergenceReport check_convergence_core_impl(const StateSpace& space,
       succ.successors(code, frame.succs);
       report.transitions += frame.succs.size();
       ++report.region_states;
-      if (report.region_states > counted) meter.add(1);
+      if (explored != nullptr && report.region_states > counted) {
+        explored->add(1);
+      }
       if (frame.succs.empty()) {  // no action enabled
         report.verdict = ConvergenceVerdict::kViolated;
         report.deadlock = space.decode(code);

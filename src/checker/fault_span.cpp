@@ -5,7 +5,6 @@
 #include "checker/convergence_check.hpp"
 #include "core/candidate.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 
@@ -51,7 +50,8 @@ StateSet compute_reachable(const StateSpace& space, const PredicateFn& start,
   StateSet set(space);
   const std::uint64_t cap =
       opts.max_states == 0 ? space.size() : opts.max_states;
-  obs::ProgressMeter meter("reach", cap, obs::explored_states());
+  obs::Counter* const explored = obs::explored_states();
+  std::uint64_t counted = 0;
   obs::FrontierShare live_frontier;
 
   std::deque<std::uint64_t> frontier;
@@ -77,12 +77,13 @@ StateSet compute_reachable(const StateSpace& space, const PredicateFn& start,
         frontier.push_back(succ);
       }
     }
-    if (((++expanded) & 0x3FF) == 0) {  // batch the progress bookkeeping
+    if (((++expanded) & 0x3FF) == 0) {  // batch the live bookkeeping
       live_frontier.set(frontier.size());
-      meter.aux("frontier", frontier.size());
-      meter.add(set.size() - meter.done());
+      if (explored != nullptr) explored->add(set.size() - counted);
+      counted = set.size();
     }
   }
+  if (explored != nullptr) explored->add(set.size() - counted);
   if (obs::Metrics::enabled()) {
     auto& registry = obs::Registry::instance();
     registry.counter("checker.reach.expanded").add(expanded);

@@ -9,26 +9,27 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 
 #include "checker/state_space.hpp"
 #include "core/action.hpp"
 #include "core/predicate.hpp"
+#include "store/odometer.hpp"
 
 namespace nonmask {
 
 /// The one obligation scan: walk `space` in code order and return the first
 /// state at which `holds(s, next)` is false, or nullopt when it holds at
-/// every state. `next` is scratch storage the test may build a successor in
-/// (Action::apply_into); the scan reuses it across states, so a scan
-/// allocates a bounded number of times however large the space is.
+/// every state. States are ripple-decoded by an OdometerCursor. `next` is
+/// scratch storage the test may build a successor in (Action::apply_into);
+/// the scan reuses it across states, so a scan allocates a bounded number
+/// of times however large the space is.
 template <typename Test>
 std::optional<State> first_failure(const StateSpace& space, Test&& holds) {
-  State s(space.program().num_variables());
+  store::OdometerCursor cur(space, 0);
   State next;
   for (std::uint64_t code = 0; code < space.size(); ++code) {
-    space.decode_into(code, s);
-    if (!holds(std::as_const(s), next)) return s;
+    if (!holds(cur.state(), next)) return cur.state();
+    if (code + 1 < space.size()) cur.advance();
   }
   return std::nullopt;
 }

@@ -38,8 +38,8 @@
 
 #include "checker/convergence_check.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 
 namespace nonmask::detail {
 
@@ -98,7 +98,7 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
     const std::vector<std::size_t>& actions, ConvergenceReport report,
     Bookkeeping& bk) {
   obs::Span scc_span("checker.scc");
-  obs::ProgressMeter meter("convergence-scc", 0, obs::explored_states());
+  obs::Counter* const explored = obs::explored_states();
   const Program& p = space.program();
 
   // frames[0, depth) is the DFS stack; frames past it are kept for their
@@ -140,7 +140,7 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
       succ.successors(code, frame.succs);
       report.transitions += frame.succs.size();
       ++report.region_states;
-      meter.add(1);
+      if (explored != nullptr) explored->add(1);
       if (frame.succs.empty()) {  // no action enabled
         report.verdict = ConvergenceVerdict::kViolated;
         report.deadlock = space.decode(code);
@@ -212,7 +212,6 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
   }
 
   // Analyze each nontrivial SCC of the region, in pop order.
-  meter.aux("sccs", static_cast<std::uint64_t>(num_components));
   if (obs::Metrics::enabled()) {
     obs::Registry::instance()
         .counter("checker.scc.components")

@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "util/logging.hpp"
 
 namespace nonmask {
@@ -45,11 +44,8 @@ RunResult Simulator::run(State start, const RunOptions& opts) {
   };
 
   bool round_initialized = false;
-  obs::ProgressMeter meter("simulator", opts.max_steps);
 
   for (std::size_t step = 0; step < opts.max_steps; ++step) {
-    // Batched so the per-step cost stays one mask test even when active.
-    if ((step & 0x1FFF) == 0x1FFF) meter.add(0x2000);
     if (opts.perturb) opts.perturb(step, s);
 
     if (opts.track_violations != nullptr) {

@@ -3,7 +3,7 @@
 // subsystems can stay instrumented permanently. It is the one store of
 // counts: end-of-pass totals, the live counters the telemetry sampler
 // polls (set probes, arena slabs, BFS levels, campaign trials), and the
-// explored-states count progress meters feed.
+// explored-states count the exploring passes feed.
 //
 // Cost model. Collection is off by default (Metrics::enabled is the only
 // switch that gates counts; Telemetry::start turns it on): every record
@@ -11,8 +11,8 @@
 // instrumentation is a load + predicted branch. Most instrumentation
 // points sit at batch granularity (per chunk, per level, per trial, per
 // completed check). A few tick per state or per insert — the DFS and SCC
-// cores' progress meters and the concurrent set's probe count — and those
-// pay a relaxed RMW or two per tick while collection is on. Registration
+// cores' explored-states count and the concurrent set's probe count — and
+// those pay a relaxed RMW per tick while collection is on. Registration
 // (`Registry::counter(...)` etc.) takes a mutex and is meant for call-site
 // setup, not inner loops — hold the returned reference. Register a counter
 // only while collection is on, so a dormant run's report does not grow a

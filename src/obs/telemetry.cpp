@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "obs/progress.hpp"
 #include "obs/rss.hpp"
 #include "util/json.hpp"
 
@@ -99,6 +98,13 @@ Gauge& workers_live() {
 Gauge& frontier_live() {
   static Gauge& gauge = Registry::instance().gauge("checker.frontier_live");
   return gauge;
+}
+
+Counter* explored_states() {
+  if (!Metrics::enabled()) return nullptr;
+  static Counter& states =
+      Registry::instance().counter("checker.states_explored");
+  return &states;
 }
 
 std::uint64_t HeartbeatSample::counter(std::string_view name) const noexcept {

@@ -8,8 +8,8 @@
 //
 // A heartbeat is a function of the metrics registry (obs/metrics.hpp) and
 // the process's own memory (obs/rss.hpp), nothing else: the sampler holds
-// no pointer to a meter, set or pass, so no pass, trial or walk ever takes
-// its mutex, and an object's lifetime never races a sample.
+// no pointer to a set or pass, so no pass, trial or walk ever takes its
+// mutex, and an object's lifetime never races a sample.
 //
 // Cost model (the contract of obs/metrics.hpp): telemetry is off by
 // default, and start() turns metrics collection on for the run (stop()
@@ -41,6 +41,14 @@ Gauge& workers_live();
 /// "checker.frontier_live", the heartbeat's `frontier`. Passes move it
 /// through a FrontierShare, never directly.
 Gauge& frontier_live();
+
+/// The registry counter of explored states ("checker.states_explored"),
+/// the heartbeat's cumulative `states`. A pass that explores states binds
+/// it once, when it starts, and adds to it per state or per batch; only
+/// passes that visit each state once do (the flags pre-pass scans the same
+/// codes its DFS/SCC pass then explores, so it does not). Null while
+/// metrics are off, so a dormant run registers nothing.
+Counter* explored_states();
 
 /// One BFS pass's share of frontier_live(): set() moves the gauge by the
 /// change in this pass's live level size, and the destructor takes the

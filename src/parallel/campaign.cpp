@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/span.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -94,13 +93,9 @@ CampaignResults run_campaign(const Design& design,
   JsonlStreamer streamer(opts.jsonl, journal.is_open() ? &journal : nullptr,
                          &lines);
   obs::Span campaign_span("campaign.run");
-  obs::ProgressMeter meter("campaign", config.trials);
   obs::Histogram& trial_us =
       obs::Registry::instance().histogram("campaign.trial_us");
-  for (std::size_t i = 0; i < completed; ++i) {
-    streamer.on_complete(i);
-    meter.add(1);
-  }
+  for (std::size_t i = 0; i < completed; ++i) streamer.on_complete(i);
 
   const auto timed_trial = [&](std::size_t trial) {
     obs::Span span("campaign.trial", &trial_us);
@@ -126,7 +121,6 @@ CampaignResults run_campaign(const Design& design,
     }
     lines[trial] = to_jsonl(design.name, record);
     streamer.on_complete(trial);
-    meter.add(1);
   };
 
   // Grain-1 dynamic schedule; with one worker or one trial left, the

@@ -518,6 +518,9 @@ ByzantinePlacementResult find_worst_byzantine_placement(
   AdversaryOptions leg_opts;
   leg_opts.seed = opts.seed;
   const State legitimate = legitimate_state(design, leg_opts);
+  // Every exact measurement below deviates from this one fixpoint.
+  const ContainmentFixpoint fixpoint =
+      containment_fixpoint(design.program, legitimate);
 
   if (exhaustive) {
     result.exhaustive = true;
@@ -531,7 +534,7 @@ ByzantinePlacementResult find_worst_byzantine_placement(
     while (true) {
       for (std::size_t i = 0; i < m; ++i) subset[i] = owners[pick[i]];
       const ContainmentReport rep =
-          measure_containment(design.program, subset, legitimate, config);
+          measure_containment(design.program, subset, fixpoint, config);
       ++result.evaluations;
       if (!result.report_exact || containment_worse(rep, result.report)) {
         result.report = rep;
@@ -596,7 +599,7 @@ ByzantinePlacementResult find_worst_byzantine_placement(
     // Exact containment for the winning placement when the space allows.
     try {
       result.report = measure_containment(design.program, result.byzantine,
-                                          legitimate, opts.containment);
+                                          fixpoint, opts.containment);
       result.report_exact = true;
     } catch (const StateSpaceTooLarge&) {
       result.report_exact = false;

@@ -189,11 +189,12 @@ JobResult run_containment(const CompiledSpec& spec, const JobDecl& job) {
 
   AdversaryOptions leg_opts;
   leg_opts.seed = job.seed;
-  const State legitimate = legitimate_state(design, leg_opts);
+  const ContainmentFixpoint fixpoint =
+      containment_fixpoint(design.program, legitimate_state(design, leg_opts));
 
   const store::StoreConfig config = store_config(job);
   const ContainmentReport rep =
-      measure_containment(design.program, placement, legitimate, config);
+      measure_containment(design.program, placement, fixpoint, config);
 
   report.add("spec", provenance_json(spec));
   add_backend(report, config);

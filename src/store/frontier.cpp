@@ -1,9 +1,9 @@
 #include "store/frontier.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "store/odometer.hpp"
@@ -30,22 +30,12 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
                                    const std::vector<std::size_t>& actions,
                                    const FaultSpanOptions& opts) {
   obs::Span span("store.reach");
-  stats_ = {};
   const StateSpace& space = *space_;
-  const Program& p = space.program();
-  StateSet set(space);
-  const std::uint64_t cap =
-      opts.max_states == 0 ? space.size() : opts.max_states;
-  obs::ProgressMeter meter("store-reach", cap, obs::explored_states());
-  obs::FrontierShare live_frontier;
-
-  std::vector<State> scratch(pool_.size(), State(p.num_variables()));
-  std::vector<State> next_scratch(pool_.size(), State(p.num_variables()));
 
   // Seed scan: evaluate `start` over the full range with odometer cursors
-  // (no per-code div/mod), then insert in code order — the serial seeding
+  // (no per-code div/mod), then seed in code order — the serial seeding
   // sequence.
-  std::vector<std::uint64_t> frontier;
+  std::vector<std::uint64_t> seeds;
   {
     std::vector<std::vector<std::uint64_t>> seed_chunks(
         chunk_count(space.size(), config_.grain));
@@ -62,12 +52,43 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
           }
         });
     for (const auto& chunk : seed_chunks) {
-      for (std::uint64_t code : chunk) {
-        set.insert_code(code);
-        frontier.push_back(code);
-      }
+      seeds.insert(seeds.end(), chunk.begin(), chunk.end());
     }
   }
+  return explore(std::move(seeds), actions, {}, opts);
+}
+
+StateSet FrontierEngine::reachable_from(std::vector<std::uint64_t> seeds,
+                                        const std::vector<std::size_t>& actions,
+                                        const LevelFn& on_level) {
+  obs::Span span("store.reach");
+  return explore(std::move(seeds), actions, on_level, {});
+}
+
+StateSet FrontierEngine::explore(std::vector<std::uint64_t> frontier,
+                                 const std::vector<std::size_t>& actions,
+                                 const LevelFn& on_level,
+                                 const FaultSpanOptions& opts) {
+  stats_ = {};
+  const StateSpace& space = *space_;
+  const Program& p = space.program();
+  StateSet set(space);
+  const std::uint64_t cap =
+      opts.max_states == 0 ? space.size() : opts.max_states;
+  obs::Counter* const explored = obs::explored_states();
+  std::uint64_t counted = 0;
+  obs::FrontierShare live_frontier;
+
+  std::vector<State> scratch(pool_.size(), State(p.num_variables()));
+  std::vector<State> next_scratch(pool_.size(), State(p.num_variables()));
+
+  std::size_t seeded = 0;
+  for (std::uint64_t code : frontier) {
+    if (set.contains_code(code)) continue;
+    set.insert_code(code);
+    frontier[seeded++] = code;
+  }
+  frontier.resize(seeded);
 
   // Level-synchronous BFS with a merge in pop order: per-node successor
   // lists depend only on the node, and the serial merge replays the serial
@@ -136,12 +157,16 @@ StateSet FrontierEngine::reachable(const PredicateFn& start,
       }
       if (capped) break;
     }
+    if (on_level && !next.empty()) on_level(next);
     if (capped) break;
     frontier = std::move(next);
     live_frontier.set(frontier.size());
-    meter.aux("frontier", frontier.size());
-    meter.add(set.size() - meter.done());
+    if (explored != nullptr) explored->add(set.size() - counted);
+    counted = set.size();
   }
+  // A last level the cap cut short, or seeds that reached the cap, count
+  // here: the pass counts each state of its set once.
+  if (explored != nullptr) explored->add(set.size() - counted);
 
   if (obs::Metrics::enabled()) {
     auto& registry = obs::Registry::instance();

@@ -8,8 +8,8 @@
 #include "checker/convergence_core.hpp"
 #include "checker/scc_core.hpp"
 #include "core/candidate.hpp"
-#include "obs/progress.hpp"
 #include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "store/bitset.hpp"
 #include "store/frontier.hpp"
@@ -64,19 +64,16 @@ ClosureReport scan_closure_range_odometer(
 
 /// evaluate_flags into a TwoBitArray (2 bits/state instead of a byte),
 /// chunk-parallel with in-order count reduction — same counts as the
-/// serial oracle's flag pass. `S_codes`, when given, receives the number of
-/// codes where S holds, whether or not T does.
+/// serial oracle's flag pass.
 TwoBitArray evaluate_flags_store(ThreadPool& pool, const StateSpace& space,
                                  const PredicateFn& S, const PredicateFn& T,
-                                 std::uint64_t grain, ConvergenceReport& report,
-                                 std::uint64_t* S_codes = nullptr) {
+                                 std::uint64_t grain,
+                                 ConvergenceReport& report) {
   obs::Span span("store.flags");
-  obs::ProgressMeter meter("flags", space.size());
   TwoBitArray flags(space.size());
   struct Counts {
     std::uint64_t in_S = 0;
     std::uint64_t in_T = 0;
-    std::uint64_t S_any = 0;  ///< S codes, in T or not
   };
   std::vector<Counts> counts(chunk_count(space.size(), grain));
   parallel_for_chunked(
@@ -94,7 +91,6 @@ TwoBitArray evaluate_flags_store(ThreadPool& pool, const StateSpace& space,
           if (in_T) f |= detail::kFlagT;
           if (S(s)) {
             f |= detail::kFlagS;
-            ++c.S_any;
             if (in_T) ++c.in_S;
           }
           if (in_T) ++c.in_T;
@@ -102,12 +98,10 @@ TwoBitArray evaluate_flags_store(ThreadPool& pool, const StateSpace& space,
           if (code + 1 < hi) cur.advance();
         }
         counts[chunk] = c;
-        meter.add(hi - lo);
       });
   for (const Counts& c : counts) {
     report.states_in_S += c.in_S;
     report.states_in_T += c.in_T;
-    if (S_codes != nullptr) *S_codes += c.S_any;
   }
   return flags;
 }
@@ -455,10 +449,9 @@ SweepChunk sweep_S_range(const StateSpace& space, const TwoBitArray& flags,
 ClosureReport sweep_S(ThreadPool& pool, const StateSpace& space,
                       const TwoBitArray& flags,
                       const std::vector<std::size_t>& actions,
-                      std::uint64_t grain, std::uint64_t S_codes,
-                      TTally& tally) {
+                      std::uint64_t grain, TTally& tally) {
   obs::Span span("store.sweep_S");
-  obs::ProgressMeter meter("closure", S_codes, obs::explored_states());
+  obs::Counter* const explored = obs::explored_states();
   std::vector<SweepChunk> chunks(chunk_count(space.size(), grain));
   parallel_for_chunked(
       pool, 0, space.size(), grain,
@@ -467,7 +460,7 @@ ClosureReport sweep_S(ThreadPool& pool, const StateSpace& space,
         (void)worker;
         obs::Span chunk_span("store.sweep_S.chunk");
         chunks[chunk] = sweep_S_range(space, flags, actions, lo, hi);
-        meter.add(chunks[chunk].expanded);
+        if (explored != nullptr) explored->add(chunks[chunk].expanded);
       });
 
   ClosureReport report;
@@ -507,7 +500,7 @@ ClosureReport check_closed_via(const StoreConfig& config,
                                const PredicateFn& predicate,
                                const std::vector<std::size_t>& actions) {
   obs::Span span("store.closure");
-  obs::ProgressMeter meter("closure", space.size(), obs::explored_states());
+  obs::Counter* const explored = obs::explored_states();
   ThreadPool pool(config.threads);
   const std::uint64_t grain = aligned_grain(config);
   std::vector<ClosureReport> chunks(chunk_count(space.size(), grain));
@@ -519,7 +512,7 @@ ClosureReport check_closed_via(const StoreConfig& config,
         obs::Span chunk_span("store.closure.chunk");
         chunks[chunk] =
             scan_closure_range_odometer(space, predicate, actions, lo, hi);
-        meter.add(hi - lo);
+        if (explored != nullptr) explored->add(hi - lo);
       });
 
   // In-order reduction replaying the serial scan's early exit.
@@ -614,12 +607,10 @@ ToleranceReport verify_tolerance_via(const StoreConfig& config,
   // S and T are evaluated here once per code. Every later step reads the
   // flags of encoded codes; only the closure-of-T fallback below evaluates
   // T again.
-  std::uint64_t S_codes = 0;
-  const TwoBitArray flags = evaluate_flags_store(
-      pool, space, S, T, grain, report.convergence, &S_codes);
+  const TwoBitArray flags =
+      evaluate_flags_store(pool, space, S, T, grain, report.convergence);
   TTally tally;
-  report.closure_S = sweep_S(pool, space, flags, actions, grain, S_codes,
-                             tally);
+  report.closure_S = sweep_S(pool, space, flags, actions, grain, tally);
   report.convergence = with_successors(
       pool, space, flags, actions, grain, [&](auto& succ) {
         ConvergenceReport r =

@@ -5,7 +5,6 @@
 
 #include "checker/falsify.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/span.hpp"
 #include "parallel/thread_pool.hpp"
 #include "store/facade.hpp"
@@ -138,7 +137,6 @@ SynthesisResult synthesize(const CandidateTriple& candidate,
 
   // --- Phase 2: batched CEGIS over the combination space. ----------------
   ThreadPool workers(opts.store.threads);
-  obs::ProgressMeter meter("synth", limit);
   SeedBank bank;
   bool found = false;
 
@@ -235,8 +233,6 @@ SynthesisResult synthesize(const CandidateTriple& candidate,
       }
       result.exact = report;
     }
-    meter.add(n);
-    meter.aux("seeds", bank.size());
   }
   result.stats.seeds_collected = bank.size();
 

@@ -111,7 +111,9 @@ TriageEntry byzantine_row(const Design& design,
   try {
     const ContainmentReport rep =
         measure_containment(design.program, bench,
-                            legitimate_state(design, leg_opts),
+                            containment_fixpoint(
+                                design.program,
+                                legitimate_state(design, leg_opts)),
                             opts.containment);
     if (rep.contained) {
       row.verdict = TriageVerdict::kSurvives;

@@ -19,6 +19,8 @@
 #include "checker/containment.hpp"
 #include "checker/restricted.hpp"
 #include "core/builder.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "protocols/spanning_tree.hpp"
 #include "protocols/token_ring.hpp"
 #include "resilience/adversary.hpp"
@@ -35,8 +37,10 @@ ContainmentReport measure(const Design& d, const std::vector<int>& byz,
                           unsigned threads = 0) {
   store::StoreConfig config;
   config.threads = threads;
-  return measure_containment(d.program, byz, d.program.initial_state(),
-                             config);
+  config.grain = 16;  // so even these small spaces run on `threads` workers
+  return measure_containment(
+      d.program, byz,
+      containment_fixpoint(d.program, d.program.initial_state()), config);
 }
 
 /// One variable x owned by process 0 and one convergence action x := 0
@@ -159,14 +163,43 @@ TEST(ContainmentTest, StoreBudgetBoundsTheComposedSpace) {
   const auto st = path5_tree();
   const auto count = compose_byzantine(st.design.program, {4}).state_count();
   ASSERT_TRUE(count.has_value());
-  const State start = st.design.program.initial_state();
+  const ContainmentFixpoint fix = containment_fixpoint(
+      st.design.program, st.design.program.initial_state());
   store::StoreConfig config;
   config.budget = *count;
   EXPECT_TRUE(
-      measure_containment(st.design.program, {4}, start, config).contained);
+      measure_containment(st.design.program, {4}, fix, config).contained);
   config.budget = *count - 1;
-  EXPECT_THROW(measure_containment(st.design.program, {4}, start, config),
+  EXPECT_THROW(measure_containment(st.design.program, {4}, fix, config),
                StateSpaceTooLarge);
+}
+
+// Containment explores on the frontier engine, so one call feeds the
+// heartbeat's explored-states count and the engine's reach counter with
+// exactly the region it reports: a part of the composed space for the
+// tree's leaf, all of it for the ring's pair (the last level fills the
+// space before it is fully merged).
+TEST(ContainmentTest, RegionFeedsTheRegistryCounters) {
+  obs::Metrics::set_enabled(true);
+  obs::Counter& reach = obs::Registry::instance().counter("store.reach.states");
+  const auto check = [&](const Design& design, const std::vector<int>& byz) {
+    const std::uint64_t explored_before = obs::explored_states()->value();
+    const std::uint64_t reach_before = reach.value();
+    const ContainmentReport rep = measure(design, byz, 1);
+    EXPECT_EQ(obs::explored_states()->value() - explored_before,
+              rep.reachable_states);
+    EXPECT_EQ(reach.value() - reach_before, rep.reachable_states);
+    return rep.reachable_states;
+  };
+  const auto composed_states = [](const Design& design,
+                                  const std::vector<int>& byz) {
+    return *compose_byzantine(design.program, byz).state_count();
+  };
+  const Design tree = path5_tree().design;
+  const Design ring = make_dijkstra_ring(5, 5).design;
+  EXPECT_LT(check(tree, {4}), composed_states(tree, {4}));
+  EXPECT_EQ(check(ring, {2, 3}), composed_states(ring, {2, 3}));
+  obs::Metrics::set_enabled(false);
 }
 
 TEST(ContainmentTest, JsonCarriesPlacementAndVerdict) {

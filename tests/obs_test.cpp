@@ -1,7 +1,6 @@
 // Tests for the observability subsystem (src/obs/): metrics registry
 // concurrency (these run under the ThreadSanitizer job too), tracing spans
-// and Chrome trace export, progress meters, run reports, and the opt-in log
-// line prefix.
+// and Chrome trace export, run reports, and the opt-in log line prefix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "parallel/thread_pool.hpp"
@@ -263,33 +261,6 @@ TEST_F(ObsTraceTest, SpanWithHistogramRecordsDuration) {
   EXPECT_EQ(h.snapshot().count, 1u);
   h.reset();
   obs::Metrics::set_enabled(false);
-}
-
-TEST(ObsProgressTest, DisabledMeterWritesNothing) {
-  obs::ProgressMeter meter("quiet", 100);
-  meter.add(50);
-  EXPECT_EQ(meter.done(), 0u);  // dormant add is dropped
-}
-
-TEST(ObsProgressTest, EnabledMeterReportsRateAndAux) {
-  std::ostringstream out;
-  obs::Progress::enable(&out, 0);  // interval 0: report on every add
-  {
-    obs::ProgressMeter meter("work", 800);
-    meter.aux("frontier", 42);
-    meter.add(200);
-    meter.add(600);
-  }
-  obs::Progress::disable();
-  const std::string text = out.str();
-  EXPECT_NE(text.find("[progress] work:"), std::string::npos);
-  EXPECT_NE(text.find("800/800 (100.0%)"), std::string::npos);
-  EXPECT_NE(text.find("frontier=42"), std::string::npos);
-
-  // After disable, meters go dormant again.
-  obs::ProgressMeter after("post", 10);
-  after.add(10);
-  EXPECT_EQ(after.done(), 0u);
 }
 
 TEST(ObsReportTest, RunReportContainsSectionsAndMetrics) {

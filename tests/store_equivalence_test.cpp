@@ -24,8 +24,8 @@
 #include "core/candidate.hpp"
 #include "fuzz_case.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/report.hpp"
+#include "obs/telemetry.hpp"
 #include "protocols/diffusing.hpp"
 #include "protocols/token_ring.hpp"
 #include "spec/registry.hpp"
@@ -288,9 +288,12 @@ TEST_P(BackendEquivalenceTest, ClosureViolationMatchesOracle) {
 // A capped reachability run truncates at the same state as the serial BFS
 // — the cap is part of the determinism contract, not best-effort. The cap
 // is set to half the uncapped result so every protocol truncates mid-BFS.
+// Both passes count each state of their set as explored once, the states
+// of the truncated level included.
 TEST_P(BackendEquivalenceTest, CappedReachabilityTruncatesIdentically) {
   const unsigned threads = GetParam();
   const auto cfg = config_for(threads);
+  obs::Metrics::set_enabled(true);
   for (const Design& d : builtins()) {
     SCOPED_TRACE(d.name + " @" + std::to_string(threads) + "t");
     const StateSpace space(d.program);
@@ -300,10 +303,15 @@ TEST_P(BackendEquivalenceTest, CappedReachabilityTruncatesIdentically) {
     const StateSet full = compute_reachable(space, d.S(), actions);
     FaultSpanOptions opts;
     opts.max_states = full.size() / 2 + 1;
-    EXPECT_EQ(
-        render(store::compute_reachable_via(cfg, space, d.S(), actions, opts)),
-        render(compute_reachable(space, d.S(), actions, opts)));
+    const std::uint64_t before = obs::explored_states()->value();
+    const StateSet engine =
+        store::compute_reachable_via(cfg, space, d.S(), actions, opts);
+    const StateSet oracle = compute_reachable(space, d.S(), actions, opts);
+    EXPECT_EQ(render(engine), render(oracle));
+    EXPECT_EQ(obs::explored_states()->value() - before,
+              engine.size() + oracle.size());
   }
+  obs::Metrics::set_enabled(false);
 }
 
 // The weakly-fair (Tarjan/SCC) pass reproduces the oracle byte for byte,

@@ -309,11 +309,31 @@ TEST(FrontierEngineTest, ReachableMatchesSerialReference) {
   const auto actions = non_fault_actions(dd.design.program);
   const StateSet expect =
       compute_reachable(space, dd.design.S(), actions);
+  // The seeded entry point from one code is the serial BFS from a
+  // one-state start predicate, and its levels hand over every other state.
+  const std::uint64_t seed = space.size() - 1;
+  const StateSet expect_seeded = compute_reachable(
+      space, [&](const State& s) { return space.encode(s) == seed; },
+      actions);
+  ASSERT_GT(expect_seeded.size(), 1u);
 
   for (unsigned threads : {1u, 2u, 8u}) {
     store::FrontierEngine engine(space, engine_config(threads));
     const StateSet got = engine.reachable(dd.design.S(), actions);
     expect_same_set(expect, got);
+
+    std::vector<std::uint64_t> handed;
+    const StateSet seeded = engine.reachable_from(
+        {seed}, actions, [&](const std::vector<std::uint64_t>& level) {
+          ASSERT_FALSE(level.empty());
+          handed.insert(handed.end(), level.begin(), level.end());
+        });
+    expect_same_set(expect_seeded, seeded);
+    EXPECT_EQ(handed.size() + 1, seeded.size());
+    for (std::uint64_t code : handed) {
+      EXPECT_NE(code, seed);
+      EXPECT_TRUE(seeded.contains_code(code));
+    }
   }
 }
 

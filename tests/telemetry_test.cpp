@@ -19,11 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include "checker/closure_check.hpp"
 #include "checker/state_space.hpp"
 #include "core/builder.hpp"
 #include "obs/dashboard.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/rss.hpp"
 #include "obs/telemetry.hpp"
 #include "protocols/token_ring.hpp"
@@ -113,11 +113,17 @@ TEST(TelemetryTest, OffByDefault) {
   ASSERT_FALSE(Telemetry::running());
   ASSERT_FALSE(obs::Metrics::enabled());
   // While collection is off an exploring pass has no counter to feed, and
-  // its meter accumulates nothing.
+  // a pass run then adds nothing to it.
   EXPECT_EQ(obs::explored_states(), nullptr);
-  obs::ProgressMeter meter("convergence-dfs", 100, obs::explored_states());
-  meter.add(42);
-  EXPECT_EQ(meter.done(), 0u);
+  const auto tr = make_dijkstra_ring(3, 4);
+  const StateSpace space(tr.design.program);
+  obs::Metrics::set_enabled(true);
+  const std::uint64_t before = obs::explored_states()->value();
+  obs::Metrics::set_enabled(false);
+  EXPECT_TRUE(check_closed(space, tr.design.T()).closed);
+  obs::Metrics::set_enabled(true);
+  EXPECT_EQ(obs::explored_states()->value(), before);
+  obs::Metrics::set_enabled(false);
 }
 
 // start() borrows the one metrics switch and stop() hands it back as it
@@ -189,10 +195,10 @@ TEST(TelemetryTest, HeartbeatJsonSchemaGolden) {
       "\"store.set.probes\":11}}");
 }
 
-/// Concurrent meter ticks and frontier updates racing the 1 ms sampler:
-/// the final heartbeat must account for every unit of work, at any thread
-/// count, and show no frontier once every writer's share is gone. The
-/// sampler reads only the registry, never the meter. Run under TSan in CI.
+/// Concurrent explored-state ticks and frontier updates racing the 1 ms
+/// sampler: the final heartbeat must account for every unit of work, at
+/// any thread count, and show no frontier once every writer's share is
+/// gone. The sampler reads only the registry. Run under TSan in CI.
 void run_sampler_race(unsigned threads) {
   const auto tr = make_dijkstra_ring(4, 6);  // 6^4 = 1296 states
   const StateSpace space(tr.design.program);
@@ -206,8 +212,7 @@ void run_sampler_race(unsigned threads) {
   const std::uint64_t explored_before = obs::explored_states()->value();
 
   {
-    obs::ProgressMeter meter("store-reach", space.size(),
-                             obs::explored_states());
+    obs::Counter* const explored = obs::explored_states();
     std::vector<std::thread> workers;
     for (unsigned t = 0; t < threads; ++t) {
       workers.emplace_back([&, t] {
@@ -217,14 +222,12 @@ void run_sampler_race(unsigned threads) {
         obs::FrontierShare frontier;
         for (std::uint64_t code = lo; code < hi; ++code) {
           space.decode_into(code, s);
-          meter.add(1);
-          meter.aux("frontier", hi - code);
+          explored->add(1);
           frontier.set(hi - code);
         }
       });
     }
     for (auto& w : workers) w.join();
-    EXPECT_EQ(meter.done(), space.size());
   }
 
   Telemetry::stop();
@@ -301,8 +304,8 @@ TEST(TelemetryTest, FrontierIsTheLiveGauge) {
 }
 
 // The accounting identity behind the store_scale dashboard: the weakly-fair
-// SCC pass pushes each ¬S region state exactly once (the flags pre-pass is
-// deliberately not handed the explored-states counter), so the final
+// SCC pass pushes each ¬S region state exactly once (the flags pre-pass
+// deliberately does not feed the explored-states counter), so the final
 // heartbeat's cumulative count equals the report's region_states.
 TEST(TelemetryTest, FinalHeartbeatMatchesWeaklyFairCheck) {
   const auto tr = make_dijkstra_ring(4, 6);
@@ -333,12 +336,9 @@ TEST(TelemetryTest, JsonlSinkWritesOneObjectPerHeartbeat) {
   opts.path = path;
   opts.interval_ms = 1;
   Telemetry::start(opts);
-  {
-    obs::ProgressMeter meter("reach", 10);
-    for (int i = 0; i < 10; ++i) {
-      meter.add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
+  for (int i = 0; i < 10; ++i) {
+    obs::explored_states()->add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   Telemetry::stop();
 
@@ -364,10 +364,10 @@ TEST(TelemetryTest, DashboardHtmlIsSelfContained) {
   opts.interval_ms = 1;
   Telemetry::start(opts);
   {
-    obs::ProgressMeter meter("store-reach", 1000);
+    obs::FrontierShare frontier;
     for (int i = 0; i < 5; ++i) {
-      meter.add(200);
-      meter.aux("frontier", static_cast<std::uint64_t>(40 * (i + 1)));
+      obs::explored_states()->add(200);
+      frontier.set(static_cast<std::uint64_t>(40 * (i + 1)));
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   }
