@@ -101,9 +101,12 @@ fi
   --benchmark_out=BENCH_synth.json --benchmark_out_format=json >/dev/null
 echo "ok: wrote BENCH_synth.json"
 
-# Thread-invariance smoke: every verdict the workbench prints, and the
+# Thread-invariance smoke: every verdict the workbench prints, the
 # weakly-fair store_scale verdict/count lines (timing lines stripped — they
-# are the only legitimate diff), must be byte-identical at 1/2/8 threads.
+# are the only legitimate diff), and the closure_S/closure_T/convergence
+# sections of a weakly-fair spec check job must be byte-identical at 1/2/8
+# threads. The spec job's 93,312 codes span two 65,536-code chunks, so at 2
+# and 8 threads pool workers make its successor tables' first lookups.
 # tests/store_equivalence_test.cpp holds the engine to the serial oracle;
 # this holds the shipped CLIs to their own single-threaded output.
 # bench_store writes states/sec + peak RSS + shard occupancy to
@@ -116,10 +119,16 @@ for t in 1 2 8; do
     > "${store_dir}/wb_t${t}.txt"
   ./build/examples/store_scale 4 6 --weakly-fair "--threads=${t}" \
     | grep -v -e '^elapsed:' -e '^peak RSS:' > "${store_dir}/fair_t${t}.txt"
+  ./build/examples/spec_tool run --builtin bfs-spanning-tree+env \
+    "--job={\"type\":\"check\",\"weakly_fair\":true,\"threads\":${t}}" \
+    | sed -n 's/.*\("closure_S":.*\),"metrics".*/\1/p' \
+    > "${store_dir}/spec_t${t}.txt"
+  test -s "${store_dir}/spec_t${t}.txt"
   diff "${store_dir}/wb_t1.txt" "${store_dir}/wb_t${t}.txt"
   diff "${store_dir}/fair_t1.txt" "${store_dir}/fair_t${t}.txt"
+  diff "${store_dir}/spec_t1.txt" "${store_dir}/spec_t${t}.txt"
 done
-echo "ok: workbench and weakly-fair store_scale byte-identical at 1/2/8 threads"
+echo "ok: workbench, weakly-fair store_scale and spec check byte-identical at 1/2/8 threads"
 
 # Telemetry + dashboard smoke: a weakly-fair store run with the heartbeat
 # sampler on must write parseable JSONL whose final cumulative states count

@@ -22,21 +22,16 @@ const char* to_string(ConvergenceVerdict v) noexcept {
 ProgramSuccessors::ProgramSuccessors(const StateSpace& space,
                                      std::vector<std::size_t> actions)
     : space_(&space),
-      actions_(std::move(actions)),
-      scratch_(space.program().num_variables()),
-      next_(space.program().num_variables()) {}
+      codes_(space, std::move(actions)),
+      scratch_(space.program().num_variables()) {}
 
 std::size_t ProgramSuccessors::successors(std::uint64_t code,
                                           std::vector<std::uint64_t>& out) {
-  const Program& p = space_->program();
   out.clear();
   space_->decode_into(code, scratch_);
-  for (std::size_t idx : actions_) {
-    const Action& a = p.action(idx);
-    if (!a.enabled(scratch_)) continue;
-    a.apply_into(scratch_, next_);
-    out.push_back(space_->encode(next_));
-  }
+  codes_.for_each(code, scratch_, [&out](std::size_t, std::uint64_t next) {
+    out.push_back(next);
+  });
   const std::size_t enabled = out.size();
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

@@ -23,6 +23,7 @@
 
 #include "checker/closure_check.hpp"
 #include "checker/state_space.hpp"
+#include "checker/successor_codes.hpp"
 #include "core/predicate.hpp"
 #include "core/program.hpp"
 
@@ -96,14 +97,14 @@ ToleranceClass classify_tolerance(const StateSpace& space,
 
 /// Successor provider for the convergence analyses (the serial oracle and
 /// the engine alike): successors() fills `out` with the sorted distinct
-/// successor codes of `code` under the given actions — decode, fire every
-/// enabled action, encode — and returns the number of enabled actions,
-/// counted before duplicates are dropped (a closure scan's transitions). An
-/// empty result means no action is enabled (deadlock). The decoded state
-/// and each successor are built in two scratch states it owns, so a call
-/// allocates nothing once `out` has room for the successors; one instance
-/// serves one thread. Throws StateOutOfDomain for a successor outside the
-/// space.
+/// successor codes of `code` under the given actions — decode, then each
+/// enabled action's successor code (checker/successor_codes.hpp) — and
+/// returns the number of enabled actions, counted before duplicates are
+/// dropped (a closure scan's transitions). An empty result means no action
+/// is enabled (deadlock). The decoded state and each successor are built in
+/// scratch states it owns, so a call allocates nothing once `out` has room
+/// for the successors; one instance serves one thread. Throws
+/// StateOutOfDomain for a successor outside the space.
 class ProgramSuccessors {
  public:
   ProgramSuccessors(const StateSpace& space, std::vector<std::size_t> actions);
@@ -111,9 +112,8 @@ class ProgramSuccessors {
 
  private:
   const StateSpace* space_;
-  std::vector<std::size_t> actions_;
+  SuccessorCodes codes_;
   State scratch_;
-  State next_;
 };
 
 namespace detail {

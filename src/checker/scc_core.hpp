@@ -19,8 +19,9 @@
 // Like the unfair DFS, the pass reuses its buffers: stack frames keep their
 // successor buffers across pops, one member buffer collects every popped
 // SCC (handed over to the analysis only for a nontrivial one), and the
-// fair-escape analysis builds each successor in one scratch state. It
-// allocates per new stack depth and per nontrivial SCC, not per state.
+// fair-escape analysis decodes each member once into one scratch state and
+// takes its successor codes from one SuccessorCodes. It allocates per new
+// stack depth and per nontrivial SCC, not per state.
 //
 // Bookkeeping requirements (all codes pre-initialized to "unvisited"):
 //   bool visited(code)
@@ -99,7 +100,6 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
     Bookkeeping& bk) {
   obs::Span scc_span("checker.scc");
   obs::Counter* const explored = obs::explored_states();
-  const Program& p = space.program();
 
   // frames[0, depth) is the DFS stack; frames past it are kept for their
   // buffers. A push may reallocate `frames`: no TarjanFrame& is used across
@@ -120,9 +120,6 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
   };
   std::vector<NontrivialScc> nontrivial;
   std::vector<std::uint64_t> scc;  ///< members of the SCC being popped
-
-  State scratch(p.num_variables());
-  State next_state(p.num_variables());
 
   auto in_region = [&](std::uint64_t code) {
     return (flags[code] & kFlagS) == 0;
@@ -217,63 +214,52 @@ ConvergenceReport check_convergence_weakly_fair_core_impl(
         .counter("checker.scc.components")
         .add(static_cast<std::uint64_t>(num_components));
   }
+  // Each member is decoded once, and each action's successor there is
+  // generated once for both tests: an action stays a fair-escape candidate
+  // while it is enabled at every member so far and each firing exits the
+  // SCC, and the SCC stays closed while every enabled firing stays inside.
+  // Both are booleans, so the state-major order cannot change them.
   bool all_escape = true;
+  SuccessorCodes codes(space, actions);
+  State scratch(space.program().num_variables());
+  std::vector<std::uint8_t> candidate;
   for (const NontrivialScc& entry : nontrivial) {
-    const std::vector<std::uint64_t>& scc = entry.members;
-
+    candidate.assign(actions.size(), 1);
+    std::size_t candidates = actions.size();
+    bool closed_scc = true;
+    for (std::uint64_t code : entry.members) {
+      if (candidates == 0 && !closed_scc) break;
+      space.decode_into(code, scratch);
+      for (std::size_t i = 0; i < actions.size(); ++i) {
+        if (candidate[i] == 0 && !closed_scc) continue;
+        const std::uint64_t next = codes.successor(i, code, scratch);
+        const bool exits =
+            next != SuccessorCodes::kDisabled &&
+            !(in_region(next) && bk.in_component(next, entry.id));
+        if (exits) {
+          closed_scc = false;
+        } else if (candidate[i] != 0) {
+          candidate[i] = 0;
+          --candidates;
+        }
+      }
+    }
     // Fair-escape: some action enabled at every SCC state whose firing
     // always exits the SCC.
-    bool escapable = false;
-    for (std::size_t idx : actions) {
-      const Action& a = p.action(idx);
-      bool candidate = true;
-      for (std::uint64_t code : scc) {
-        space.decode_into(code, scratch);
-        if (!a.enabled(scratch)) {
-          candidate = false;
-          break;
-        }
-        a.apply_into(scratch, next_state);
-        const std::uint64_t next = space.encode(next_state);
-        if (in_region(next) && bk.in_component(next, entry.id)) {
-          candidate = false;
-          break;
-        }
+    if (candidates > 0) continue;
+    // Exact violation when every enabled action at every SCC state stays
+    // inside the SCC: even fair computations can loop forever.
+    if (closed_scc) {
+      std::vector<State> cycle;
+      for (std::uint64_t code : entry.members) {
+        cycle.push_back(space.decode(code));
       }
-      if (candidate) {
-        escapable = true;
-        break;
-      }
+      report.verdict = ConvergenceVerdict::kViolated;
+      report.cycle = std::move(cycle);
+      record_convergence_metrics(report);
+      return report;
     }
-
-    if (!escapable) {
-      // Exact violation when every enabled action at every SCC state stays
-      // inside the SCC: even fair computations can loop forever.
-      bool closed_scc = true;
-      for (std::uint64_t code : scc) {
-        space.decode_into(code, scratch);
-        for (std::size_t idx : actions) {
-          const Action& a = p.action(idx);
-          if (!a.enabled(scratch)) continue;
-          a.apply_into(scratch, next_state);
-          const std::uint64_t next = space.encode(next_state);
-          if (!in_region(next) || !bk.in_component(next, entry.id)) {
-            closed_scc = false;
-            break;
-          }
-        }
-        if (!closed_scc) break;
-      }
-      if (closed_scc) {
-        std::vector<State> cycle;
-        for (std::uint64_t code : scc) cycle.push_back(space.decode(code));
-        report.verdict = ConvergenceVerdict::kViolated;
-        report.cycle = std::move(cycle);
-        record_convergence_metrics(report);
-        return report;
-      }
-      all_escape = false;
-    }
+    all_escape = false;
   }
 
   report.verdict = all_escape ? ConvergenceVerdict::kConverges

@@ -20,7 +20,7 @@ std::vector<VarId> Action::contract_violations(const State& s) const {
   for (std::uint32_t i = 0; i < s.size(); ++i) {
     const VarId id(i);
     if (s.get(id) == next.get(id)) continue;
-    if (std::find(writes_.begin(), writes_.end(), id) == writes_.end()) {
+    if (std::find(writes().begin(), writes().end(), id) == writes().end()) {
       illegal.push_back(id);
     }
   }

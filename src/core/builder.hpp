@@ -79,6 +79,12 @@ class ProgramBuilder {
     return *this;
   }
 
+  /// Add an action built elsewhere, as it is.
+  ProgramBuilder& action(Action action) {
+    program_.add_action(std::move(action));
+    return *this;
+  }
+
   const Program& peek() const noexcept { return program_; }
   Program build() { return std::move(program_); }
 

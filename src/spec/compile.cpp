@@ -1,10 +1,12 @@
 #include "spec/compile.hpp"
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "core/builder.hpp"
+#include "core/successor_table.hpp"
 #include "faults/byzantine.hpp"
 #include "faults/fault.hpp"
 #include "graphlib/topology.hpp"
@@ -332,6 +334,15 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
   }
 
   // --- actions -------------------------------------------------------------
+  // Closure, convergence and environment actions get successor tables
+  // (core/successor_table.hpp) over their derived footprints, within a
+  // budget of the state count of their own, apart from the value tables'.
+  // They fill on their first lookup too. Past 2^62 states an offset might
+  // not fit its int64 entry, so such a design gets none.
+  const std::optional<std::uint64_t> states = builder.peek().state_count();
+  const std::uint64_t successor_budget =
+      states && *states < (std::uint64_t{1} << 62) ? *states : 0;
+  std::uint64_t successor_entries = 0;
   std::vector<ExpandItem> act_items;
   for (const ActionDecl& d : doc.actions) {
     act_items.push_back({d.per_process, d.where, d.group, d.line});
@@ -394,13 +405,27 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
       tables->tabulate(rhs.back());
     }
 
-    std::vector<VarId> reads;
-    if (d.reads.empty()) {
-      ReadUnion derived;
-      derived.add(guard_expr.reads);
-      for (const CompiledExpr& e : rhs) derived.add(e.reads);
-      reads = derived.take();
-    } else {
+    // The derived reads, plus the writes, are the footprint of the
+    // action's successor table; declared reads never enter it.
+    ReadUnion derived;
+    derived.add(guard_expr.reads);
+    for (const CompiledExpr& e : rhs) derived.add(e.reads);
+    std::vector<VarId> reads = derived.take();
+    std::shared_ptr<const SuccessorTable> table;
+    if (d.kind != "fault") {
+      derived.clear();
+      derived.add(reads);
+      derived.add(writes);
+      const std::vector<VarId> footprint = derived.take();
+      const std::uint64_t entries = tables->entries_over(footprint);
+      if (entries != 0 && entries <= successor_budget - successor_entries) {
+        successor_entries += entries;
+        table = std::make_shared<const SuccessorTable>(builder.peek(),
+                                                       footprint);
+      }
+    }
+    if (!d.reads.empty()) {
+      reads.clear();
       for (std::size_t k = 0; k < d.reads.size(); ++k) {
         std::string ref = d.reads[k];
         if (j >= 0 && ref.find("{j}") != std::string::npos) {
@@ -440,34 +465,29 @@ CompiledSpec compile_spec(const SpecDoc& doc) {
     }
     const std::string name = j >= 0 ? expand_name(d.name, j) : d.name;
 
-    if (d.kind == "closure") {
-      builder.closure(name, std::move(guard), std::move(statement),
-                      std::move(reads), std::move(writes), process);
-    } else if (d.kind == "convergence") {
-      int constraint_id = -1;
-      if (!d.constraint.empty()) {
-        constraint_id = static_cast<int>(at(path + ".constraint", d.line, [&] {
-          return eval_index_expr(d.constraint, aenv);
-        }));
-        if (constraint_id < 0 ||
-            static_cast<std::size_t>(constraint_id) >= invariant.size()) {
-          throw SpecError(path + ".constraint",
-                          "constraint id " + std::to_string(constraint_id) +
-                              " out of range [0, " +
-                              std::to_string(invariant.size()) + ")",
-                          d.line);
-        }
+    const ActionKind kind = d.kind == "closure"       ? ActionKind::kClosure
+                            : d.kind == "convergence" ? ActionKind::kConvergence
+                            : d.kind == "environment" ? ActionKind::kEnvironment
+                                                      : ActionKind::kFault;
+    Action action(name, kind, std::move(guard), std::move(statement),
+                  std::move(reads), std::move(writes), process);
+    if (kind == ActionKind::kConvergence && !d.constraint.empty()) {
+      const int constraint_id =
+          static_cast<int>(at(path + ".constraint", d.line, [&] {
+            return eval_index_expr(d.constraint, aenv);
+          }));
+      if (constraint_id < 0 ||
+          static_cast<std::size_t>(constraint_id) >= invariant.size()) {
+        throw SpecError(path + ".constraint",
+                        "constraint id " + std::to_string(constraint_id) +
+                            " out of range [0, " +
+                            std::to_string(invariant.size()) + ")",
+                        d.line);
       }
-      builder.convergence(name, std::move(guard), std::move(statement),
-                          std::move(reads), std::move(writes), constraint_id,
-                          process);
-    } else if (d.kind == "environment") {
-      builder.environment(name, std::move(guard), std::move(statement),
-                          std::move(reads), std::move(writes), process);
-    } else {  // fault
-      builder.fault(name, std::move(guard), std::move(statement),
-                    std::move(reads), std::move(writes), process);
+      action.set_constraint_id(constraint_id);
     }
+    action.set_successor_table(std::move(table));
+    builder.action(std::move(action));
   }
 
   // --- predicates ----------------------------------------------------------

@@ -386,80 +386,82 @@ ConvergenceReport weakly_fair_traversal(const StateSpace& space,
                                                          actions, report, bk);
 }
 
-/// One chunk of the S sweep: closure of S up to the chunk's first
-/// violation, with the counts the closure scan has at that point, and the
-/// closure-of-T tally over the chunk's S ∧ T codes.
+/// One chunk of a flag sweep: closure of the swept set up to the chunk's
+/// first violation, with the counts the closure scan has at that point,
+/// and the closure-of-T tally over the chunk's swept T codes.
 struct SweepChunk {
-  ClosureReport closure_S;  ///< closed = no violation in the chunk
+  ClosureReport closure;  ///< closed = no violation in the chunk
   TTally tally;
-  std::uint64_t expanded = 0;  ///< S codes whose successors were generated
+  std::uint64_t expanded = 0;  ///< codes whose successors were generated
 };
 
-/// Expands the S codes of [begin, end) in code order, reading each
-/// successor's flags instead of evaluating S or T on it. The closure-of-S
-/// statements are the closure scan's, in its order: the same counts up to
-/// the first violation and the same (state, action, successor) triple.
-/// Past that violation only S ∧ T codes are expanded, for the tally; once T
-/// has escaped too, nothing is left to learn and the chunk stops.
-SweepChunk sweep_S_range(const StateSpace& space, const TwoBitArray& flags,
-                         const std::vector<std::size_t>& actions,
-                         std::uint64_t begin, std::uint64_t end) {
+/// Expands the codes of [begin, end) whose flags hold `bit` (S or T), in
+/// code order, reading each successor's flags instead of evaluating S or T
+/// on it. The closure statements are the closure scan's over that set, in
+/// its order: the same counts up to the first violation and the same
+/// (state, action, successor) triple. Past that violation only T codes are
+/// expanded, for the tally; once T has escaped too, nothing is left to
+/// learn and the chunk stops.
+SweepChunk sweep_range(const StateSpace& space, const TwoBitArray& flags,
+                       SuccessorCodes& codes, std::uint8_t bit,
+                       std::uint64_t begin, std::uint64_t end) {
   const Program& p = space.program();
   SweepChunk c;
-  c.closure_S.closed = true;
+  c.closure.closed = true;
   OdometerCursor cur(space, begin);
-  State next(p.num_variables());
   for (std::uint64_t code = begin; code < end; ++code) {
     const std::uint8_t f = flags[code];
     const bool in_T = (f & detail::kFlagT) != 0;
-    bool check_S = c.closure_S.closed;
-    if ((f & detail::kFlagS) != 0 && (check_S || in_T)) {
+    bool check = c.closure.closed;
+    if ((f & bit) != 0 && (check || in_T)) {
       const State& s = cur.state();
       ++c.expanded;
-      if (check_S) ++c.closure_S.states_checked;
+      if (check) ++c.closure.states_checked;
       if (in_T) ++c.tally.states;
-      for (std::size_t idx : actions) {
-        const Action& a = p.action(idx);
-        if (!a.enabled(s)) continue;
-        a.apply_into(s, next);
-        const std::uint8_t nf = flags[space.encode(next)];
+      codes.for_each(code, s, [&](std::size_t i, std::uint64_t next) {
+        const std::uint8_t nf = flags[next];
         if (in_T) {
           ++c.tally.transitions;
           if ((nf & detail::kFlagT) == 0) c.tally.escaped = true;
         }
-        if (check_S) {
-          ++c.closure_S.transitions_checked;
-          if ((nf & detail::kFlagS) == 0) {
-            c.closure_S.closed = false;
-            c.closure_S.violation = ClosureViolation{s, idx, next};
-            check_S = false;
+        if (check) {
+          ++c.closure.transitions_checked;
+          if ((nf & bit) == 0) {
+            const std::size_t idx = codes.actions()[i];
+            c.closure.closed = false;
+            c.closure.violation =
+                ClosureViolation{s, idx, p.action(idx).apply(s)};
+            check = false;
           }
         }
-      }
-      if (!c.closure_S.closed && c.tally.escaped) break;
+      });
+      if (!c.closure.closed && c.tally.escaped) break;
     }
     if (code + 1 < end) cur.advance();
   }
   return c;
 }
 
-/// The S sweep, chunk-parallel, with an in-order reduction that replays the
-/// closure scan's early exit. Adds the tally over the S ∧ T codes to
-/// `tally`.
-ClosureReport sweep_S(ThreadPool& pool, const StateSpace& space,
-                      const TwoBitArray& flags,
-                      const std::vector<std::size_t>& actions,
-                      std::uint64_t grain, TTally& tally) {
-  obs::Span span("store.sweep_S");
+/// The sweep over `bit`, chunk-parallel, with an in-order reduction that
+/// replays the closure scan's early exit. Adds the tally over the swept T
+/// codes to `tally`.
+ClosureReport sweep(ThreadPool& pool, const StateSpace& space,
+                    const TwoBitArray& flags,
+                    const std::vector<std::size_t>& actions, std::uint8_t bit,
+                    std::uint64_t grain, TTally& tally) {
+  const bool over_S = bit == detail::kFlagS;
+  obs::Span span(over_S ? "store.sweep_S" : "store.sweep_T");
   obs::Counter* const explored = obs::explored_states();
+  std::vector<SuccessorCodes> codes(pool.size(),
+                                    SuccessorCodes(space, actions));
   std::vector<SweepChunk> chunks(chunk_count(space.size(), grain));
   parallel_for_chunked(
       pool, 0, space.size(), grain,
       [&](std::size_t chunk, std::uint64_t lo, std::uint64_t hi,
           unsigned worker) {
-        (void)worker;
-        obs::Span chunk_span("store.sweep_S.chunk");
-        chunks[chunk] = sweep_S_range(space, flags, actions, lo, hi);
+        obs::Span chunk_span(over_S ? "store.sweep_S.chunk"
+                                    : "store.sweep_T.chunk");
+        chunks[chunk] = sweep_range(space, flags, codes[worker], bit, lo, hi);
         if (explored != nullptr) explored->add(chunks[chunk].expanded);
       });
 
@@ -468,11 +470,11 @@ ClosureReport sweep_S(ThreadPool& pool, const StateSpace& space,
   for (SweepChunk& c : chunks) {
     tally.add(c.tally);
     if (!report.closed) continue;
-    report.states_checked += c.closure_S.states_checked;
-    report.transitions_checked += c.closure_S.transitions_checked;
-    if (!c.closure_S.closed) {
+    report.states_checked += c.closure.states_checked;
+    report.transitions_checked += c.closure.transitions_checked;
+    if (!c.closure.closed) {
       report.closed = false;
-      report.violation = std::move(c.closure_S.violation);
+      report.violation = std::move(c.closure.violation);
     }
   }
   detail::record_closure_metrics(report);
@@ -605,12 +607,12 @@ ToleranceReport verify_tolerance_via(const StoreConfig& config,
   ToleranceReport report;
 
   // S and T are evaluated here once per code. Every later step reads the
-  // flags of encoded codes; only the closure-of-T fallback below evaluates
-  // T again.
+  // flags of successor codes.
   const TwoBitArray flags =
       evaluate_flags_store(pool, space, S, T, grain, report.convergence);
   TTally tally;
-  report.closure_S = sweep_S(pool, space, flags, actions, grain, tally);
+  report.closure_S =
+      sweep(pool, space, flags, actions, detail::kFlagS, grain, tally);
   report.convergence = with_successors(
       pool, space, flags, actions, grain, [&](auto& succ) {
         ConvergenceReport r =
@@ -624,15 +626,17 @@ ToleranceReport verify_tolerance_via(const StoreConfig& config,
 
   // The tally is the closure-of-T scan's report when it covers every T
   // code and no successor left T. Otherwise T is not closed, or the
-  // traversal stopped before expanding every T ∧ ¬S code, and the scan
-  // finds the violation (or confirms closure) itself.
+  // traversal stopped before expanding every T ∧ ¬S code, and the sweep
+  // over the T flags finds the violation (or confirms closure) itself.
   if (!tally.escaped && tally.states == report.convergence.states_in_T) {
     report.closure_T.closed = true;
     report.closure_T.states_checked = tally.states;
     report.closure_T.transitions_checked = tally.transitions;
     detail::record_closure_metrics(report.closure_T);
   } else {
-    report.closure_T = check_closed_via(config, space, T, actions);
+    TTally unused;
+    report.closure_T =
+        sweep(pool, space, flags, actions, detail::kFlagT, grain, unused);
   }
   return report;
 }

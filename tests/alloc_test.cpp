@@ -94,10 +94,14 @@ std::vector<Ring> rings() {
   std::vector<Ring> out;
   out.push_back({"native", make_dijkstra_ring(6, 8).design});
   // Every guard and constraint of the spec ring, and each term of its S,
-  // evaluates by footprint-table lookup, so the bounds below cover the
-  // tables, their one fill included.
+  // evaluates by footprint-table lookup, and every action's successor code
+  // comes from its successor table, so the bounds below cover the tables,
+  // their one fill included.
   const spec::CompiledSpec ring = spec::compile_spec_text(kRingSpec);
   EXPECT_EQ(ring.tables->size(), 18u);
+  for (const Action& a : ring.design.program.actions()) {
+    EXPECT_NE(a.successor_table(), nullptr) << a.name();
+  }
   out.push_back({"spec", ring.design});
   return out;
 }
@@ -156,6 +160,8 @@ TEST(EngineAllocationTest, ConvergencePassesAllocateBoundedTimes) {
   }
 }
 
+// On the spec ring the first call fills the successor tables; every
+// lookup after it allocates nothing.
 TEST(EngineAllocationTest, ProgramSuccessorsAllocatesNothingAfterItsFirstCall) {
   for (const Ring& ring : rings()) {
     SCOPED_TRACE(ring.front_end);

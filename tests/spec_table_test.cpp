@@ -2,6 +2,10 @@
 // answers exactly what its closure answers, inside its domain by lookup and
 // outside by falling back to the closure; the maximal small subexpressions
 // get the tables; one design's tables fill once, within its state count.
+// Successor tables (core/successor_table.hpp): every lookup equals the
+// action's guard, statement and encode; the footprint is derived, never
+// declared; a table answers only on its own layout; first lookups raced by
+// prefetch workers give the one-thread reports.
 #include <atomic>
 #include <barrier>
 #include <cstdint>
@@ -16,7 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include "checker/convergence_check.hpp"
 #include "checker/state_space.hpp"
+#include "checker/successor_codes.hpp"
+#include "core/successor_table.hpp"
+#include "obs/report.hpp"
 #include "spec/compile.hpp"
 #include "spec/emit.hpp"
 #include "spec/job.hpp"
@@ -430,6 +438,312 @@ TEST(SpecTableTest, TablesNeverOutgrowTheStateCount) {
           "min":0,"max":2,"p50":1.5,"p95":2,"p99":2},
         "moves":{"count":20,"sum":24,"mean":1.2,"stddev":0.87177978870813466,
           "min":0,"max":2,"p50":1.5,"p95":2,"p99":2}})"}}));
+}
+
+/// Compare every successor-table entry of `c`, and the engine's successor
+/// code from it (SuccessorCodes), with the action's guard, apply_into and
+/// encode, at every code of its space.
+void expect_successor_tables_match_closures(const CompiledSpec& c,
+                                            const std::string& label) {
+  SCOPED_TRACE(label);
+  const Program& p = c.design.program;
+  const StateSpace space(p);
+  std::uint64_t entries = 0;
+  std::vector<std::size_t> tabled;
+  for (std::size_t i = 0; i < p.num_actions(); ++i) {
+    const auto& table = p.action(i).successor_table();
+    if (table == nullptr) continue;
+    EXPECT_NE(p.action(i).kind(), ActionKind::kFault) << p.action(i).name();
+    EXPECT_TRUE(table->fits(p));
+    EXPECT_FALSE(table->filled()) << "filled before its first lookup";
+    entries += table->entries();
+    tabled.push_back(i);
+  }
+  ASSERT_FALSE(tabled.empty());
+  EXPECT_LE(entries, space.size());
+
+  SuccessorCodes codes(space, tabled);
+  std::uint64_t compared = 0;
+  std::uint64_t mismatches = 0;
+  std::string first_mismatch;
+  State s(p.num_variables());
+  State next(p.num_variables());
+  for (std::uint64_t code = 0; code < space.size(); ++code) {
+    space.decode_into(code, s);
+    for (std::size_t i = 0; i < tabled.size(); ++i) {
+      const Action& a = p.action(tabled[i]);
+      // The closures' answer, as an entry: disabled, out of the domain, or
+      // the successor's code offset.
+      std::int64_t want = SuccessorTable::kDisabled;
+      if (a.enabled(s)) {
+        a.apply_into(s, next);
+        try {
+          want = static_cast<std::int64_t>(space.encode(next) - code);
+        } catch (const StateOutOfDomain&) {
+          want = SuccessorTable::kLeavesDomain;
+        }
+      }
+      // The engine's answer: out of the domain it throws as encode does.
+      std::int64_t got = SuccessorTable::kLeavesDomain;
+      try {
+        const std::uint64_t succ = codes.successor(i, code, s);
+        got = succ == SuccessorCodes::kDisabled
+                  ? SuccessorTable::kDisabled
+                  : static_cast<std::int64_t>(succ - code);
+      } catch (const StateOutOfDomain&) {
+      }
+      const SuccessorTable& t = *a.successor_table();
+      const auto& digits = t.digits();
+      const std::int64_t entry = t.values(a)[SuccessorTable::index(
+          digits.data(), digits.data() + digits.size(), s)];
+      ++compared;
+      if ((entry != want || got != want) && mismatches++ == 0) {
+        first_mismatch = a.name() + " at " + p.format_state(s) + ": entry " +
+                         std::to_string(entry) + ", engine " +
+                         std::to_string(got) + ", closures " +
+                         std::to_string(want);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << first_mismatch << " (" << compared
+                            << " comparisons)";
+}
+
+TEST(SpecTableTest, EverySuccessorLookupMatchesTheClosures) {
+  for (const spec::RegistryEntry& entry : spec::registry()) {
+    expect_successor_tables_match_closures(
+        spec::compile_spec_text(spec::emit_builtin_spec(entry.name)),
+        entry.name);
+  }
+  expect_successor_tables_match_closures(
+      spec::compile_spec_text(read_file(
+          std::filesystem::path(NONMASK_PERFBENCH_SPECS_DIR) /
+          "dijkstra_ring.json")),
+      "perfbench dijkstra_ring.json");
+}
+
+std::string render(const State& s) {
+  std::string out = "(";
+  for (std::size_t i = 0; i < s.values().size(); ++i) {
+    if (i > 0) out += ",";
+    out += std::to_string(s.values()[i]);
+  }
+  return out + ")";
+}
+
+std::string render(const ClosureReport& r) {
+  std::string out = obs::to_json(r);
+  if (r.violation) {
+    out += " violation " + render(r.violation->state) + " action " +
+           std::to_string(r.violation->action) + " -> " +
+           render(r.violation->successor);
+  }
+  return out;
+}
+
+std::string render(const ConvergenceReport& r) {
+  std::string out = obs::to_json(r);
+  if (r.cycle) {
+    out += " cycle";
+    for (const State& s : *r.cycle) out += " " + render(s);
+  }
+  if (r.deadlock) out += " deadlock " + render(*r.deadlock);
+  return out;
+}
+
+std::string render(const ToleranceReport& r) {
+  return render(r.closure_S) + " | " + render(r.closure_T) + " | " +
+         render(r.convergence);
+}
+
+/// `d` with every action's successor table dropped: the closure path.
+Design without_successor_tables(const Design& d) {
+  Design out = d;
+  out.program = Program(d.program.name());
+  for (const VariableSpec& v : d.program.variables()) {
+    out.program.add_variable(v);
+  }
+  for (Action a : d.program.actions()) {
+    a.set_successor_table(nullptr);
+    out.program.add_action(std::move(a));
+  }
+  return out;
+}
+
+// `fix` declares that it reads only x, but its guard reads y as well. Its
+// table spans the derived footprint {x, y}; one over the declared reads
+// would give every state of one x value the same answer. `spin` walks y
+// up inside S and `kick` breaks the agreement, so the check expands both S
+// and ¬S states, with and without fairness.
+TEST(SpecTableTest, DeclaredReadsNeverNarrowTheFootprint) {
+  const CompiledSpec c = spec::compile_spec_text(R"({
+    "schema": "nonmask-spec/1",
+    "name": "declared-reads",
+    "variables": [
+      {"name": "x", "min": 0, "max": 3},
+      {"name": "y", "min": 0, "max": 3}
+    ],
+    "constraints": [
+      {"name": "agree", "expr": "x == y"}
+    ],
+    "actions": [
+      {"name": "fix", "kind": "convergence", "guard": "x != y",
+       "assign": {"x": "y"}, "reads": ["x"], "constraint": "0"},
+      {"name": "spin", "kind": "closure", "guard": "x == y && y < 3",
+       "assign": {"x": "x + 1", "y": "y + 1"}, "reads": ["y"]},
+      {"name": "kick", "kind": "environment", "guard": "x == 3 && y == 3",
+       "assign": {"y": "0"}}
+    ]
+  })");
+  const Program& p = c.design.program;
+  const Action& fix = p.action(0);
+  ASSERT_EQ(fix.reads(), (std::vector<VarId>{p.find_variable("x")}));
+  ASSERT_NE(fix.successor_table(), nullptr);
+  std::vector<VarId> footprint;
+  for (const auto& d : fix.successor_table()->digits()) {
+    footprint.push_back(d.var);
+  }
+  EXPECT_EQ(footprint,
+            (std::vector<VarId>{p.find_variable("x"), p.find_variable("y")}));
+  expect_successor_tables_match_closures(c, "declared-reads");
+
+  const Design closures = without_successor_tables(c.design);
+  for (const bool fair : {false, true}) {
+    SCOPED_TRACE(fair ? "weakly fair" : "unfair");
+    store::StoreConfig config;
+    config.threads = 1;
+    const StateSpace tabled_space(c.design.program);
+    const StateSpace closure_space(closures.program);
+    const std::string tabled = render(
+        store::verify_tolerance_via(config, tabled_space, c.design, fair));
+    EXPECT_EQ(tabled, render(store::verify_tolerance_via(
+                          config, closure_space, closures, fair)));
+    EXPECT_NE(tabled.find("\"states_checked\":4"), std::string::npos)
+        << tabled;
+  }
+}
+
+// An action copied into a program whose layout differs (x has two values
+// instead of four, so y's stride in the code halves) keeps its table, but
+// the table's offsets are wrong there: the pass answers by closures.
+TEST(SpecTableTest, TablesAnswerOnlyOnTheirLayout) {
+  const CompiledSpec c = spec::compile_spec_text(R"({
+    "schema": "nonmask-spec/1",
+    "name": "layout",
+    "variables": [
+      {"name": "x", "min": 0, "max": 3},
+      {"name": "y", "min": 0, "max": 3}
+    ],
+    "constraints": [{"name": "low", "expr": "y < 2"}],
+    "actions": [
+      {"name": "drop", "kind": "convergence", "guard": "y >= 2",
+       "assign": {"y": "y - 2"}, "constraint": "0"}
+    ]
+  })");
+  const Action& drop = c.design.program.action(0);
+  ASSERT_NE(drop.successor_table(), nullptr);
+  Program narrow("narrow");
+  narrow.add_variable(VariableSpec("x", 0, 1));
+  narrow.add_variable(VariableSpec("y", 0, 3));
+  narrow.add_action(drop);
+  EXPECT_TRUE(drop.successor_table()->fits(c.design.program));
+  EXPECT_FALSE(drop.successor_table()->fits(narrow));
+
+  const Program* programs[] = {&c.design.program, &narrow};
+  for (const Program* p : programs) {
+    SCOPED_TRACE(p->name());
+    const StateSpace space(*p);
+    SuccessorCodes codes(space, {0});
+    State s(2);
+    State next(2);
+    for (std::uint64_t code = 0; code < space.size(); ++code) {
+      space.decode_into(code, s);
+      const std::uint64_t want = drop.enabled(s)
+                                     ? space.encode(drop.apply(s))
+                                     : SuccessorCodes::kDisabled;
+      EXPECT_EQ(codes.successor(0, code, s), want) << p->format_state(s);
+    }
+  }
+}
+
+// Closure, convergence and environment actions share one budget of the
+// state count, apart from the value tables', and take it in compile order:
+// of three actions over both variables of a 4-state design only the first
+// gets its table. Fault actions get none.
+TEST(SpecTableTest, SuccessorTablesNeverOutgrowTheStateCount) {
+  const CompiledSpec c = spec::compile_spec_text(R"({
+    "schema": "nonmask-spec/1",
+    "name": "budget",
+    "variables": [
+      {"name": "a", "min": 0, "max": 1},
+      {"name": "b", "min": 0, "max": 1}
+    ],
+    "constraints": [{"name": "tie", "expr": "a == b"}],
+    "actions": [
+      {"name": "glitch", "kind": "fault", "guard": "a == b",
+       "assign": {"a": "1 - a"}},
+      {"name": "copy", "kind": "convergence", "guard": "a != b",
+       "assign": {"a": "b"}, "constraint": "0"},
+      {"name": "swap", "kind": "closure", "guard": "a == b",
+       "assign": {"a": "1 - b", "b": "1 - a"}},
+      {"name": "noise", "kind": "environment", "guard": "a != b",
+       "assign": {"b": "a"}}
+    ]
+  })");
+  const Program& p = c.design.program;
+  ASSERT_EQ(p.num_actions(), 4u);
+  EXPECT_EQ(p.action(0).successor_table(), nullptr);
+  ASSERT_NE(p.action(1).successor_table(), nullptr);
+  EXPECT_EQ(p.action(1).successor_table()->entries(), 4u);
+  EXPECT_EQ(p.action(2).successor_table(), nullptr);
+  EXPECT_EQ(p.action(3).successor_table(), nullptr);
+  EXPECT_GT(c.tables->size(), 0u);
+  expect_successor_tables_match_closures(c, "budget");
+}
+
+// The first lookups of a fresh design come from eight prefetch workers: at
+// grain 64 the 93,312 codes of bfs-spanning-tree+env span 1,458 chunks, and
+// every worker's copy of the successor source looks each table up for the
+// first time concurrently. The reports equal the one-thread ones.
+TEST(SpecTableTest, PrefetchWorkersTakeTheFirstLookupsAlike) {
+  const std::string text = spec::emit_builtin_spec("bfs-spanning-tree+env");
+  auto run = [&](unsigned threads, int pass) {
+    const CompiledSpec c = spec::compile_spec_text(text);
+    const Design& d = c.design;
+    for (const Action& a : d.program.actions()) {
+      if (a.successor_table() != nullptr) {
+        EXPECT_FALSE(a.successor_table()->filled());
+      }
+    }
+    const StateSpace space(d.program);
+    store::StoreConfig config;
+    config.threads = threads;
+    config.grain = 64;
+    std::string out;
+    switch (pass) {
+      case 0:
+        out = render(store::check_convergence_via(config, space, d.S(),
+                                                  d.T()));
+        break;
+      case 1:
+        out = render(store::check_convergence_weakly_fair_via(
+            config, space, d.S(), d.T()));
+        break;
+      default:
+        out = render(store::verify_tolerance_via(config, space, d, true));
+    }
+    std::size_t filled = 0;
+    for (const Action& a : d.program.actions()) {
+      const auto& t = a.successor_table();
+      filled += t != nullptr && t->filled() ? 1 : 0;
+    }
+    EXPECT_GT(filled, 0u);
+    return out;
+  };
+  for (int pass = 0; pass < 3; ++pass) {
+    SCOPED_TRACE(pass);
+    EXPECT_EQ(run(8, pass), run(1, pass));
+  }
 }
 
 TEST(SpecTableTest, ReadUnionKeepsFirstOccurrenceOrderPastItsScan) {
